@@ -4,23 +4,24 @@ With atoms in one cavity only and everything on resonance, the nonlinear
 steady state collapses to a scalar equation y = |X| * F(|X|^2) in the
 scaled drive y and scaled intracavity amplitude |X|.  The atom summation is
 replaced by its collective closed form (or a Gauss-Hermite quadrature over
-the radial density when the cloud width matters).  All real roots are
-recorded per power; the reported branch follows continuation from zero
-drive.
+the radial density when the cloud width matters).  Because y(|X|) does
+not depend on power, one scan over the fixed bracket
+|X| in [1e-4, 1e3]*sqrt(n_sat) serves every power of a curve; all real
+roots are recorded per power, and the reported branch follows continuation
+from zero drive.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
-from .params import DerivedRates
+from .params import C_VACUUM, DerivedRates
 
 HBAR = 1.054571817e-34          # J s
-C_VACUUM = 299792458.0          # m/s
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(96)
 
@@ -73,6 +74,22 @@ def saturation_photon_number(g0: float, rates: DerivedRates) -> float:
     return rates.gamma_perp * gamma_par / (4.0 * g0**2)
 
 
+def _saturated_fraction(A_mf: float, x2):
+    """1 - 1/sqrt((1 + A*x2)(1 + x2)), without cancellation at small x2."""
+    return -np.expm1(-0.5 * (np.log1p(A_mf * x2) + np.log1p(x2)))
+
+
+def _per_unit_field(N_eff: float, A_mf: float, x2: np.ndarray, fraction, zero_field):
+    """N_eff * 2/((1+A)*x2) * fraction, and N_eff * zero_field at x2 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(
+            x2 > 0.0,
+            N_eff * 2.0 / (1.0 + A_mf) / np.where(x2 > 0.0, x2, 1.0) * fraction,
+            N_eff * zero_field,
+        )
+    return out if out.ndim else float(out)
+
+
 def collective_saturation_term(N_eff: float, A_mf: float, X_abs2) -> float:
     """Collective atomic response summed over the trap, per unit cooperativity.
 
@@ -82,22 +99,11 @@ def collective_saturation_term(N_eff: float, A_mf: float, X_abs2) -> float:
     x2 = np.asarray(X_abs2, dtype=float)
     if np.any(x2 < 0.0):
         raise ValueError("X_abs2 must be non-negative")
-    bracket = 1.0 - 1.0 / np.sqrt((1.0 + A_mf * x2) * (1.0 + x2))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            x2 > 0.0,
-            N_eff * 2.0 / (1.0 + A_mf) / np.where(x2 > 0.0, x2, 1.0) * bracket,
-            N_eff,
-        )
-    return out if out.ndim else float(out)
+    return _per_unit_field(N_eff, A_mf, x2, _saturated_fraction(A_mf, x2), 1.0)
 
 
 def quadrature_saturation_term(
-    N_eff: float,
-    A_mf: float,
-    sigma_y_over_x0: float,
-    q_prime_x0: float,
-    X_abs2,
+    N_eff: float, A_mf: float, sigma_y_over_x0: float, q_prime_x0: float, X_abs2
 ) -> float:
     """Gauss-Hermite evaluation of the atom summation over a Gaussian cloud.
 
@@ -106,51 +112,38 @@ def quadrature_saturation_term(
     """
     if sigma_y_over_x0 < 0.0:
         raise ValueError("sigma_y_over_x0 must be non-negative")
-    x2 = np.asarray(X_abs2, dtype=float)[..., np.newaxis]
-    u = _GH_NODES
-    ratio2 = (sigma_y_over_x0 * u) ** 2
-    s = np.exp(-2.0 * q_prime_x0 * (np.sqrt(1.0 + ratio2) - 1.0)) / (1.0 + ratio2) ** 1.5
-    f = 1.0 - 1.0 / np.sqrt((1.0 + A_mf * x2 * s) * (1.0 + x2 * s))
-    integral = np.sum(_GH_WEIGHTS * f, axis=-1) / math.sqrt(math.pi)
     x2 = np.asarray(X_abs2, dtype=float)
+    ratio2 = (sigma_y_over_x0 * _GH_NODES) ** 2
+    s = np.exp(-2.0 * q_prime_x0 * (np.sqrt(1.0 + ratio2) - 1.0)) / (1.0 + ratio2) ** 1.5
+    f = _saturated_fraction(A_mf, x2[..., np.newaxis] * s)
+    integral = np.sum(_GH_WEIGHTS * f, axis=-1) / math.sqrt(math.pi)
     # analytic zero-field limit: f ~ (1+A)*s*x2/2, averaged over the cloud
     s_avg = np.sum(_GH_WEIGHTS * s) / math.sqrt(math.pi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            x2 > 0.0,
-            N_eff * 2.0 / (1.0 + A_mf) / np.where(x2 > 0.0, x2, 1.0) * integral,
-            N_eff * s_avg,
-        )
-    return out if out.ndim else float(out)
-
-
-def _chain_constants(rates: DerivedRates):
-    V1 = rates.v1**2 / (rates.kappa_b * rates.kappa_1p)
-    V2 = rates.v2**2 / (rates.kappa_b * rates.kappa_2p)
-    return V1, V2
+    return _per_unit_field(N_eff, A_mf, x2, integral, s_avg)
 
 
 def scaled_drive_from_power(
-    P_in: float, rates: DerivedRates, n_sat: float, lambda_probe: float
+    P_in, rates: DerivedRates, n_sat: float, lambda_probe: float
 ) -> float:
-    """Invert P_in = y^2 * (2*pi*hbar*c/lambda) * kappa_1p^2/(2*kappa_1l) * n_sat."""
+    """Invert P_in = y^2 * (2*pi*hbar*c/lambda) * kappa_1p^2/(2*kappa_1l) * n_sat.
+
+    Accepts a scalar power (returns a float) or an array of powers.
+    """
     photon_energy = 2.0 * math.pi * HBAR * C_VACUUM / lambda_probe
     scale = photon_energy * rates.kappa_1p**2 / (2.0 * rates.kappa_1l) * n_sat
-    return math.sqrt(P_in / scale)
+    y = np.sqrt(np.asarray(P_in, dtype=float) / scale)
+    return y if y.ndim else float(y)
 
 
 def _response_function(cfg: SaturationConfig, rates: DerivedRates):
     """Return (F, prefactor) with y = x*F(x^2) and T = prefactor * x^2 / y^2."""
-    V1, V2 = _chain_constants(rates)
-
+    V1 = rates.v1**2 / (rates.kappa_b * rates.kappa_1p)
+    V2 = rates.v2**2 / (rates.kappa_b * rates.kappa_2p)
     if cfg.model == "closed_form":
-        def term(x2):
-            return collective_saturation_term(cfg.N_eff, cfg.A_mf, x2)
+        term = functools.partial(collective_saturation_term, cfg.N_eff, cfg.A_mf)
     else:
-        def term(x2):
-            return quadrature_saturation_term(
-                cfg.N_eff, cfg.A_mf, cfg.sigma_y_over_x0, cfg.q_prime_x0, x2
-            )
+        term = functools.partial(quadrature_saturation_term, cfg.N_eff, cfg.A_mf,
+                                 cfg.sigma_y_over_x0, cfg.q_prime_x0)
 
     if cfg.which_cavity == 1:
         C0 = cfg.g0**2 / (rates.kappa_1p * rates.gamma_perp)
@@ -175,29 +168,43 @@ def _response_function(cfg: SaturationConfig, rates: DerivedRates):
     return F, prefactor
 
 
-def _find_roots(F, y: float, n_sat: float) -> list[float]:
-    """All positive roots of x*F(x^2) = y via dense scan plus bracketed solves."""
-    def G(x):
-        return x * F(x * x) - y
+def _find_roots(F, y: np.ndarray, n_sat: float) -> list[np.ndarray]:
+    """Sorted positive roots of x*F(x^2) = y for every drive in y at once.
 
+    x*F(x^2) does not depend on the drive, so one 400-point log scan over the
+    fixed bracket [1e-4, 1e3]*sqrt(n_sat) serves all drives; a node where
+    x*F(x^2) = y exactly is a root.  All sign changes are refined together
+    by Illinois steps of at least 4e-14*x (so both ends close in), then by
+    bisection after 20 steps, until each bracket's relative width <= 1e-13.
+    """
     sqrt_nsat = math.sqrt(n_sat)
     grid = np.geomspace(1e-4 * sqrt_nsat, 1e3 * sqrt_nsat, 400)
-    vals = np.array([G(x) for x in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(
-                optimize.brentq(G, grid[i], grid[i + 1], xtol=1e-300, rtol=1e-14)
-            )
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
-    if not roots:
+    G = (grid * F(grid * grid))[:, np.newaxis] - y      # (grid node, drive)
+    at_node = G == 0.0
+    in_cell = G[:-1] * G[1:] < 0.0
+    if not np.all(at_node.any(axis=0) | in_cell.any(axis=0)):
         raise RuntimeError(
             "saturation root bracketing failed: no sign change up to |X| = 1e3*sqrt(n_sat)"
         )
-    return sorted(roots)
+    cell, drive = np.nonzero(in_cell)
+    a, fa, b, fb = grid[cell], G[cell, drive], grid[cell + 1], G[cell + 1, drive]
+    step = 0
+    while np.any(np.abs(b - a) > 1e-13 * np.minimum(a, b)):
+        if step < 20:
+            size = np.clip(np.abs(fb * (b - a) / (fb - fa)), 4e-14 * b, np.abs(b - a))
+            c = b + np.sign(a - b) * size
+        else:
+            c = 0.5 * (a + b)
+        fc = c * F(c * c) - y[drive]
+        flip = np.sign(fc) != np.sign(fb)
+        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+        b, fb = c, fc
+        step += 1
+    node, node_drive = np.nonzero(at_node)
+    x = np.concatenate([grid[node], 0.5 * (a + b)])
+    owner = np.concatenate([node_drive, drive])
+    order = np.lexsort((x, owner))
+    return np.split(x[order], np.cumsum(np.bincount(owner, minlength=y.size))[:-1])
 
 
 def solve_saturation(
@@ -207,21 +214,12 @@ def solve_saturation(
     cfg.validate()
     n_sat = saturation_photon_number(cfg.g0, rates)
     F, prefactor = _response_function(cfg, rates)
+    powers = np.asarray(cfg.power_grid, dtype=float)
+    drives = scaled_drive_from_power(powers, rates, n_sat, lambda_probe)
 
-    points = []
-    previous = None
-    for P in np.asarray(cfg.power_grid, dtype=float):
-        y = scaled_drive_from_power(P, rates, n_sat, lambda_probe)
-        roots = _find_roots(F, y, n_sat)
-        if previous is None:
-            x = roots[0]
-        else:
-            x = min(roots, key=lambda r: abs(r - previous))
-        branch = "low" if x == roots[0] else "high"
-        previous = x
-        T = prefactor * x**2 / y**2
-        points.append(
-            SaturationPoint(P_in=float(P), transmission=float(T),
-                            n_roots=len(roots), branch=branch)
-        )
+    points, x = [], None
+    for P, y, roots in zip(powers, drives, _find_roots(F, drives, n_sat)):
+        x = roots[0] if x is None else roots[np.argmin(np.abs(roots - x))]
+        points.append(SaturationPoint(P_in=float(P), transmission=float(prefactor * x**2 / y**2),
+                                      n_roots=len(roots), branch="low" if x == roots[0] else "high"))
     return SaturationCurve(points=points, n_sat=n_sat)

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy import optimize
 
 from fiberqed.linear_response import transmission_spectrum
 from fiberqed.params import PhysicalConfig, derive_rates, mhz
@@ -12,6 +14,7 @@ from fiberqed.saturation import (
     saturation_photon_number,
     scaled_drive_from_power,
     solve_saturation,
+    _find_roots,
     _response_function,
 )
 from dataclasses import replace
@@ -79,6 +82,31 @@ def test_collective_term_frozen_reference():
     assert collective_saturation_term(92.0, 0.17, 1.0) == pytest.approx(
         54.45763856004028, rel=1e-12
     )
+
+
+def _collective_mp(N_eff, A_mf, x2, s=1.0):
+    """N_eff*2/((1+A)*x2) * (1 - 1/sqrt((1+A*x2*s)(1+x2*s))) at 50 digits."""
+    x2s = mpmath.mpf(x2) * s
+    bracket = 1 - 1 / mpmath.sqrt((1 + A_mf * x2s) * (1 + x2s))
+    return N_eff * 2 / (1 + mpmath.mpf(A_mf)) / mpmath.mpf(x2) * bracket
+
+
+@pytest.mark.parametrize("x2", [1e-8, 1e-10, 1e-13])
+def test_low_field_terms_match_mpmath(x2):
+    # 1 - 1/sqrt(...) cancels at small x2; the terms must keep full precision
+    N_eff, A_mf, sigma, qx = 92.0, 0.17, 0.3, 1.4424
+    with mpmath.workdps(50):
+        ref = _collective_mp(N_eff, A_mf, x2)
+        assert collective_saturation_term(N_eff, A_mf, x2) == pytest.approx(float(ref), rel=1e-13)
+        # the same 96-node Gauss-Hermite rule, summed in high precision
+        total = mpmath.mpf(0)
+        for u, w in zip(*np.polynomial.hermite.hermgauss(96)):
+            ratio2 = (sigma * mpmath.mpf(u)) ** 2
+            s = mpmath.exp(-2 * qx * (mpmath.sqrt(1 + ratio2) - 1)) / (1 + ratio2) ** 1.5
+            total += mpmath.mpf(w) * _collective_mp(N_eff, A_mf, x2, s)
+        ref = total / mpmath.sqrt(mpmath.pi)
+    got = quadrature_saturation_term(N_eff, A_mf, sigma, qx, x2)
+    assert got == pytest.approx(float(ref), rel=1e-13)
 
 
 def test_quadrature_reduces_to_collective():
@@ -166,6 +194,73 @@ def test_no_atoms_limit_is_empty_cavity():
     curve = solve_saturation(_config(1, N_eff=1e-12), RATES)
     for p in curve.points:
         assert p.transmission == pytest.approx(1.0, abs=1e-9)
+
+
+def _reference_roots(F, y, n_sat):
+    """Per-power root search: a 400-point scan, then brentq in each sign change."""
+    def G(x):
+        return x * F(x * x) - y
+
+    sqrt_nsat = math.sqrt(n_sat)
+    grid = np.geomspace(1e-4 * sqrt_nsat, 1e3 * sqrt_nsat, 400)
+    vals = grid * F(grid * grid) - y
+    roots = [grid[i] for i in np.flatnonzero(vals == 0.0)]
+    for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
+        roots.append(optimize.brentq(G, grid[i], grid[i + 1], xtol=1e-300, rtol=1e-14))
+    assert roots, "no sign change"
+    return sorted(roots)
+
+
+def _reference_curve(cfg):
+    """Power by power: (T, n_roots, branch) along the nearest-root continuation,
+    and every power's roots."""
+    n_sat = saturation_photon_number(cfg.g0, RATES)
+    F, prefactor = _response_function(cfg, RATES)
+    points, all_roots, previous = [], [], None
+    for P in cfg.power_grid:
+        y = scaled_drive_from_power(P, RATES, n_sat, CFG.lambda_probe)
+        roots = _reference_roots(F, y, n_sat)
+        x = roots[0] if previous is None else min(roots, key=lambda r: abs(r - previous))
+        previous = x
+        points.append((prefactor * x**2 / y**2, len(roots), "low" if x == roots[0] else "high"))
+        all_roots.append(roots)
+    return points, all_roots
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("model, sigma", [("closed_form", 0.0), ("quadrature", 0.3)])
+@pytest.mark.parametrize("N_eff", [10.0, 300.0, 2000.0])
+def test_shared_scan_matches_per_power_brentq(which, model, sigma, N_eff):
+    cfg = _config(which, N_eff=N_eff, model=model, sigma_y_over_x0=sigma,
+                  power_grid=np.geomspace(1e-13, 1e-6, 61))
+    curve = solve_saturation(cfg, RATES)
+    reference, reference_roots = _reference_curve(cfg)
+    assert [(p.n_roots, p.branch) for p in curve.points] == [r[1:] for r in reference]
+    for p, (T, _, _) in zip(curve.points, reference):
+        assert p.transmission == pytest.approx(T, rel=1e-12)
+    if N_eff == 2000.0:     # the bistable region is part of the check
+        assert any(p.n_roots == 3 for p in curve.points)
+
+    F, _ = _response_function(cfg, RATES)
+    y = scaled_drive_from_power(cfg.power_grid, RATES, curve.n_sat, CFG.lambda_probe)
+    for yi, roots, ref in zip(y, _find_roots(F, y, curve.n_sat), reference_roots):
+        assert np.all(np.abs(roots * F(roots * roots) - yi) <= 1e-12 * yi)
+        assert roots == pytest.approx(ref, rel=1e-13)
+
+
+def test_bracketing_failure_outside_the_scan():
+    with pytest.raises(RuntimeError, match="saturation root bracketing failed"):
+        solve_saturation(_config(1, power_grid=np.geomspace(1e-8, 1e-2, 7)), RATES)
+
+
+def test_scaled_drive_accepts_arrays():
+    n_sat = saturation_photon_number(CFG.g1_0, RATES)
+    powers = np.geomspace(1e-12, 1e-6, 5)
+    y = scaled_drive_from_power(powers, RATES, n_sat, CFG.lambda_probe)
+    assert isinstance(y, np.ndarray) and y.shape == powers.shape
+    for P, yi in zip(powers, y):
+        scalar = scaled_drive_from_power(P, RATES, n_sat, CFG.lambda_probe)
+        assert type(scalar) is float and scalar == yi
 
 
 def test_scaled_drive_roundtrip():
