@@ -1,10 +1,12 @@
 """Command-line front end: config parsing, subcommands, CSV and SVG output.
 
 Config files are line oriented: `[section]` headers, `key = value` pairs and
-`#` comments.  Rates are quoted in MHz, lengths in meters.  Every key has a
-default equal to the reference experimental configuration, so an empty file
-is a valid config.  Unknown keys are a hard error to guard against typos in
-physics parameters.
+`#` comments.  The `[physical]` keys and the `g1_eff`/`g2_eff` keys of
+`[atoms]` are the fields of `params.PhysicalConfig`, with its defaults; a
+field whose metadata carries "mhz" is quoted in MHz, the others keep their SI
+units (lengths in meters).  Every key has a default equal to the reference
+experimental configuration, so an empty file is a valid config.  Unknown keys
+are a hard error to guard against typos in physics parameters.
 """
 
 from __future__ import annotations
@@ -20,31 +22,27 @@ from pathlib import Path
 import numpy as np
 
 from . import fiber_mode, linear_response, normal_modes, oracle, saturation
-from .params import C_FIBER, PhysicalConfig, derive_rates, mhz, to_mhz, rate_report
+from .params import PhysicalConfig, derive_rates, mhz, to_mhz, rate_report
 
 
 class ConfigError(Exception):
     pass
 
 
-@dataclass
-class PhysicalSection:
-    T1: float = 0.13
-    T2: float = 0.39
-    T3: float = 0.33
-    T4: float = 0.06
-    L1: float = 0.92
-    L2: float = 1.38
-    Lf: float = 1.23
-    alpha1: float = 0.02
-    alpha2: float = 0.02
-    alphaf: float = 0.02
-    gamma_par: float = 5.2          # MHz
-    gamma_las: float = 0.365        # MHz
-    g1_0: float = 0.75              # MHz
-    g2_0: float = 1.2               # MHz
-    c_fiber: float = C_FIBER        # m/s
-    lambda_probe: float = 852e-9    # m
+#: PhysicalConfig fields that are set in [atoms]; all others are set in [physical].
+_ATOM_KEYS = ("g1_eff", "g2_eff")
+
+
+def _config_fields(in_atoms: bool) -> list:
+    """PhysicalConfig fields as section fields, defaulting to their quoted values."""
+    return [
+        (f.name, "float", field(default=f.metadata.get("mhz", f.default)))
+        for f in fields(PhysicalConfig)
+        if (f.name in _ATOM_KEYS) == in_atoms
+    ]
+
+
+PhysicalSection = dataclasses.make_dataclass("PhysicalSection", _config_fields(False))
 
 
 @dataclass
@@ -54,11 +52,11 @@ class ProbeSection:
     grid_points: int = 601
 
 
-@dataclass
-class AtomsSection:
-    loading: str = "both"           # none | cavity1 | cavity2 | both
-    g1_eff: float = 7.2             # MHz
-    g2_eff: float = 7.3             # MHz
+AtomsSection = dataclasses.make_dataclass(
+    "AtomsSection",
+    # loading: none | cavity1 | cavity2 | both
+    [("loading", "str", field(default="both")), *_config_fields(True)],
+)
 
 
 @dataclass
@@ -106,16 +104,11 @@ class RunConfig:
     output: OutputSection = field(default_factory=OutputSection)
 
     def physical_config(self) -> PhysicalConfig:
-        p = self.physical
-        return PhysicalConfig(
-            T1=p.T1, T2=p.T2, T3=p.T3, T4=p.T4,
-            L1=p.L1, L2=p.L2, Lf=p.Lf,
-            alpha1=p.alpha1, alpha2=p.alpha2, alphaf=p.alphaf,
-            gamma_par=mhz(p.gamma_par), gamma_las=mhz(p.gamma_las),
-            g1_eff=mhz(self.atoms.g1_eff), g2_eff=mhz(self.atoms.g2_eff),
-            g1_0=mhz(p.g1_0), g2_0=mhz(p.g2_0),
-            c_fiber=p.c_fiber, lambda_probe=p.lambda_probe,
-        )
+        values = {**vars(self.physical), **vars(self.atoms)}
+        return PhysicalConfig(**{
+            f.name: mhz(values[f.name]) if "mhz" in f.metadata else values[f.name]
+            for f in fields(PhysicalConfig)
+        })
 
     def loaded_couplings(self) -> tuple[float, float]:
         loading = self.atoms.loading
@@ -387,28 +380,22 @@ def cmd_mode_profile(cfg: RunConfig, args) -> int:
     r = np.linspace(p.r0, p.r0 + m.r_span_nm * 1e-9, m.r_points)
     phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, m.phi_points)
     z = np.linspace(0.0, math.pi / p.beta, m.z_points, endpoint=False)
-    out = _outdir(cfg)
-
-    def rows():
-        for ri in r:
-            for pi in phi:
-                for zi in z:
-                    yield (
-                        _fmt(ri * 1e9),
-                        _fmt(pi),
-                        _fmt(zi * 1e9),
-                        _fmt(fiber_mode.g_squared_exact(p, ri, pi, zi)),
-                        _fmt(fiber_mode.g_squared_simplified(p, ri, pi, zi)),
-                    )
-
-    _write_csv(
-        out / "mode_profile.csv", "r_nm,phi_rad,z_nm,g2_exact,g2_simplified", rows()
+    rr, pp, zz = np.meshgrid(r, phi, z, indexing="ij")
+    columns = (
+        rr * 1e9,
+        pp,
+        zz * 1e9,
+        fiber_mode.g_squared_exact(p, rr, pp, zz),
+        fiber_mode.g_squared_simplified(p, rr, pp, zz),
     )
+    out = _outdir(cfg)
+    rows = (map(_fmt, row) for row in zip(*(c.ravel() for c in columns)))
+    _write_csv(out / "mode_profile.csv", "r_nm,phi_rad,z_nm,g2_exact,g2_simplified", rows)
     if _want_svg(cfg):
         write_svg_lineplot(
             out / "mode_profile.svg",
             r * 1e9,
-            [fiber_mode.g_squared_exact(p, ri, 0.0, 0.0) for ri in r],
+            fiber_mode.g_squared_exact(p, r, 0.0, 0.0),
             "r (nm)",
             "g^2 / g0^2",
         )

@@ -131,6 +131,22 @@ def output_flux(amps: SteadyStateAmplitudes, rates: DerivedRates) -> float:
     return 2.0 * rates.kappa_2r * abs(amps.a2) ** 2
 
 
+def _checked_grid(grid: np.ndarray | None) -> np.ndarray:
+    """The default grid if none is given; reject empty or non-increasing grids."""
+    if grid is None:
+        grid = default_grid()
+    grid = np.asarray(grid, dtype=float)
+    if grid.size == 0 or np.any(np.diff(grid) <= 0.0):
+        raise ValueError("detuning grid must be nonempty and strictly increasing")
+    return grid
+
+
+def _empty_chain_flux(rates: DerivedRates, drive_E1: float) -> float:
+    """On-resonance output flux of the empty chain: the spectra's normalization."""
+    empty = steady_state(rates, ProbeSettings(0.0, 0.0, drive_E1), 0.0, 0.0)
+    return output_flux(empty, rates)
+
+
 def transmission_spectrum(
     rates: DerivedRates,
     g1: float,
@@ -146,14 +162,8 @@ def transmission_spectrum(
     ladder relative to the atoms.  The spectrum is normalized to the
     on-resonance empty-cavity output flux.
     """
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("detuning grid must be nonempty and strictly increasing")
-
-    empty = steady_state(rates, ProbeSettings(0.0, 0.0, drive_E1), 0.0, 0.0)
-    norm = output_flux(empty, rates)
+    grid = _checked_grid(grid)
+    norm = _empty_chain_flux(rates, drive_E1)
 
     _, a2, _, _, _ = _amplitudes(
         rates, grid + delta_c_offset, grid, drive_E1, g1, g2

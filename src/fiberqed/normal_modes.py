@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linear_response
 from .params import DerivedRates
-from .linear_response import ProbeSettings, SpectrumResult, default_grid
+from .linear_response import SpectrumResult
 
 
 @dataclass(frozen=True)
@@ -93,15 +93,11 @@ def reduced_spectrum(
     and read out through its cavity-2 weight.  Normalization matches the full
     model: the on-resonance empty-cavity flux of the full three-mode chain.
     """
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or np.any(np.diff(grid) <= 0.0):
-        raise ValueError("detuning grid must be nonempty and strictly increasing")
+    grid = linear_response._checked_grid(grid)
 
     kappa_d = summary.kappa_d
     if include_laser_linewidth:
-        kappa_d = kappa_d + (rates.kappa_b - rates.kappa_bloss)  # adds gamma_las
+        kappa_d = kappa_d + rates.gamma_las
 
     s2v = summary.splitting_bright
     drive_d = drive_E1 * rates.v2 / s2v
@@ -114,10 +110,7 @@ def reduced_spectrum(
     a2 = rates.v1 / s2v * d
     flux = 2.0 * rates.kappa_2r * np.abs(a2) ** 2
 
-    empty = linear_response.steady_state(
-        rates, ProbeSettings(0.0, 0.0, drive_E1), 0.0, 0.0
-    )
-    norm = linear_response.output_flux(empty, rates)
+    norm = linear_response._empty_chain_flux(rates, drive_E1)
     return SpectrumResult(detunings=grid, transmission=flux / norm, normalization_flux=norm)
 
 
@@ -129,16 +122,12 @@ def peak_find(spec: SpectrumResult) -> list[tuple[float, float]]:
     """
     x = np.asarray(spec.detunings, dtype=float)
     y = np.asarray(spec.transmission, dtype=float)
-    peaks = []
-    for i in range(1, len(y) - 1):
-        if y[i] > y[i - 1] and y[i] > y[i + 1]:
-            denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-            if denom != 0.0:
-                shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
-                h = x[i + 1] - x[i]
-                pos = x[i] + shift * h
-                height = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
-            else:
-                pos, height = x[i], y[i]
-            peaks.append((pos, height))
-    return peaks
+    i = np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])) + 1
+    left, mid, right = y[i - 1], y[i], y[i + 1]
+    denom = left - 2.0 * mid + right
+    shift = np.divide(
+        0.5 * (left - right), denom, out=np.zeros_like(denom), where=denom != 0.0
+    )
+    pos = x[i] + shift * (x[i + 1] - x[i])
+    height = mid - 0.25 * (left - right) * shift
+    return list(zip(pos, height))

@@ -160,7 +160,6 @@ def _check_linear_closed_form(rates: DerivedRates, cfg: PhysicalConfig, draws: i
         rates.kappa_1l, rates.kappa_1loss, rates.kappa_2r, rates.kappa_2loss,
         rates.kappa_bloss, rates.v1, rates.v2,
     ])
-    gamma_las = rates.kappa_b - rates.kappa_bloss
     worst = 0.0
     for _ in range(draws):
         f = 10.0 ** rng.uniform(-1.0, 1.0, size=base.size)
@@ -171,9 +170,9 @@ def _check_linear_closed_form(rates: DerivedRates, cfg: PhysicalConfig, draws: i
             kappa_1l=k1l, kappa_1r=rates.kappa_1r, kappa_2l=rates.kappa_2l,
             kappa_2r=k2r, kappa_1loss=k1loss, kappa_2loss=k2loss,
             kappa_bloss=kbloss, kappa_1=k1, kappa_2=k2,
-            kappa_1p=k1 + gamma_las, kappa_2p=k2 + gamma_las,
-            kappa_b=kbloss + gamma_las, v1=v1, v2=v2,
-            gamma_perp=rates.gamma_perp,
+            kappa_1p=k1 + rates.gamma_las, kappa_2p=k2 + rates.gamma_las,
+            kappa_b=kbloss + rates.gamma_las, v1=v1, v2=v2, gamma_perp=rates.gamma_perp,
+            gamma_par=rates.gamma_par, gamma_las=rates.gamma_las,
         )
         probe = ProbeSettings(
             delta_c=rng.uniform(-mhz(50), mhz(50)),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 TWO_PI = 2.0 * math.pi
@@ -28,13 +28,20 @@ def to_mhz(rate: float) -> float:
     return rate / TWO_PI / 1e6
 
 
+def _rate(quoted_mhz: float):
+    """Dataclass field for a rate quoted in MHz: stored in rad/s, MHz in metadata."""
+    return field(default=mhz(quoted_mhz), metadata={"mhz": quoted_mhz})
+
+
 @dataclass(frozen=True)
 class PhysicalConfig:
     """Raw experimental inputs.
 
     Transmittances and single-pass losses are intensity quantities
     (dimensionless), lengths are in meters, all rates in rad/s.
-    Defaults are the reference experimental configuration.
+    Defaults are the reference experimental configuration.  The CLI config
+    keys are these field names; a field whose metadata carries "mhz" is a
+    rate quoted in MHz there, every other field keeps its SI unit.
     """
 
     T1: float = 0.13
@@ -47,12 +54,12 @@ class PhysicalConfig:
     alpha1: float = 0.02
     alpha2: float = 0.02
     alphaf: float = 0.02
-    gamma_par: float = mhz(5.2)
-    gamma_las: float = mhz(0.365)
-    g1_eff: float = mhz(7.2)
-    g2_eff: float = mhz(7.3)
-    g1_0: float = mhz(0.75)
-    g2_0: float = mhz(1.2)
+    gamma_par: float = _rate(5.2)
+    gamma_las: float = _rate(0.365)
+    g1_eff: float = _rate(7.2)
+    g2_eff: float = _rate(7.3)
+    g1_0: float = _rate(0.75)
+    g2_0: float = _rate(1.2)
     c_fiber: float = C_FIBER
     lambda_probe: float = 852e-9
 
@@ -69,10 +76,10 @@ class PhysicalConfig:
             x = getattr(self, name)
             if not math.isfinite(x) or x <= 0.0:
                 raise ValueError(f"{name}={x!r} must be positive and finite")
-        for name in ("gamma_par", "gamma_las", "g1_eff", "g2_eff", "g1_0", "g2_0"):
-            r = getattr(self, name)
-            if not math.isfinite(r) or r < 0.0:
-                raise ValueError(f"rate {name}={r!r} must be non-negative and finite")
+        for f in fields(self):
+            r = getattr(self, f.name)
+            if "mhz" in f.metadata and (not math.isfinite(r) or r < 0.0):
+                raise ValueError(f"rate {f.name}={r!r} must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -81,6 +88,7 @@ class DerivedRates:
 
     The primed rates fold in the laser linewidth as extra phase damping:
     kappa_1p = kappa_1 + gamma_las, and likewise for cavity 2 and the fiber.
+    gamma_par and gamma_las are carried over from the config unchanged.
     """
 
     kappa_1l: float
@@ -98,6 +106,8 @@ class DerivedRates:
     v1: float
     v2: float
     gamma_perp: float
+    gamma_par: float
+    gamma_las: float
 
 
 def derive_rates(cfg: PhysicalConfig) -> DerivedRates:
@@ -141,6 +151,8 @@ def derive_rates(cfg: PhysicalConfig) -> DerivedRates:
         v1=v1,
         v2=v2,
         gamma_perp=0.5 * cfg.gamma_par + cfg.gamma_las,
+        gamma_par=cfg.gamma_par,
+        gamma_las=cfg.gamma_las,
     )
 
 

@@ -66,12 +66,10 @@ class SaturationCurve:
 
 
 def saturation_photon_number(g0: float, rates: DerivedRates) -> float:
-    """n_sat = gamma_perp * gamma_par / (4 g0^2); gamma_par recovered from rates."""
+    """n_sat = gamma_perp * gamma_par / (4 g0^2)."""
     if g0 <= 0.0:
         raise ValueError("g0 must be positive")
-    gamma_las = rates.kappa_b - rates.kappa_bloss
-    gamma_par = 2.0 * (rates.gamma_perp - gamma_las)
-    return rates.gamma_perp * gamma_par / (4.0 * g0**2)
+    return rates.gamma_perp * rates.gamma_par / (4.0 * g0**2)
 
 
 def _saturated_fraction(A_mf: float, x2):

@@ -1,8 +1,10 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from fiberqed import fiber_mode
 from fiberqed.cli import (
     ConfigError,
     RunConfig,
@@ -11,7 +13,7 @@ from fiberqed.cli import (
     parse_config,
     run_subcommand,
 )
-from fiberqed.params import derive_rates, to_mhz
+from fiberqed.params import PhysicalConfig, derive_rates, mhz, to_mhz
 
 
 def test_empty_config_is_defaults():
@@ -25,6 +27,22 @@ def test_empty_config_is_defaults():
     assert cfg.physical.g2_0 == 1.2
     assert cfg.saturation.A_mf == 0.17
     assert cfg.probe.grid_points == 601
+
+
+def test_empty_config_is_physical_config_defaults():
+    assert parse_config("").physical_config() == PhysicalConfig()
+
+
+def test_every_physical_field_has_exactly_one_config_key():
+    for f in fields(PhysicalConfig):
+        homes = [
+            section for section in ("physical", "atoms")
+            if f.name in {g.name for g in fields(getattr(RunConfig(), section))}
+        ]
+        assert len(homes) == 1, f.name
+        cfg = parse_config(f"[{homes[0]}]\n{f.name} = 0.5\n")
+        expect = mhz(0.5) if "mhz" in f.metadata else 0.5
+        assert getattr(cfg.physical_config(), f.name) == expect
 
 
 def test_fiber_length_override():
@@ -135,6 +153,28 @@ def test_mode_profile_command(tmp_path):
     lines = (tmp_path / "mode_profile.csv").read_text().splitlines()
     assert lines[0] == "r_nm,phi_rad,z_nm,g2_exact,g2_simplified"
     assert len(lines) == 1 + 3 * 3 * 2
+
+
+def test_mode_profile_matches_pointwise_evaluation(tmp_path):
+    cfg = parse_config(
+        f"[output]\ndirectory = {tmp_path}\nformats = csv,svg\n"
+        "[mode]\nr_points = 3\nphi_points = 3\nz_points = 2\n"
+    )
+    assert run_subcommand("mode-profile", cfg) == 0
+    p = cfg.mode_params()
+    r = np.linspace(p.r0, p.r0 + 300e-9, 3)
+    phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, 3)
+    z = np.linspace(0.0, math.pi / p.beta, 2, endpoint=False)
+    expect = [
+        ",".join(f"{v:.9g}" for v in (
+            ri * 1e9, pi, zi * 1e9,
+            fiber_mode.g_squared_exact(p, ri, pi, zi),
+            fiber_mode.g_squared_simplified(p, ri, pi, zi),
+        ))
+        for ri in r for pi in phi for zi in z
+    ]
+    assert (tmp_path / "mode_profile.csv").read_text().splitlines()[1:] == expect
+    assert (tmp_path / "mode_profile.svg").exists()
 
 
 def test_normal_modes_command(capsys):

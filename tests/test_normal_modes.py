@@ -90,6 +90,10 @@ def test_unresolved_regime_clamps_to_zero():
 def test_degenerate_input_rejected():
     with pytest.raises(ValueError):
         decompose(replace(RATES, v1=0.0, v2=0.0), CFG.g1_eff, CFG.g2_eff)
+    s = decompose(RATES, CFG.g1_eff, CFG.g2_eff)
+    for bad in (np.array([]), np.array([1.0, 0.0]), np.array([0.0, 0.0])):
+        with pytest.raises(ValueError, match="nonempty and strictly increasing"):
+            reduced_spectrum(s, RATES, grid=bad)
 
 
 def test_reduced_spectrum_doublet_frozen():
@@ -161,3 +165,27 @@ def test_peak_find_edge_cases():
     peaks = peak_find(spec)
     assert len(peaks) == 1
     assert peaks[0][0] == pytest.approx(center, abs=2e-3)
+
+    # too short for an interior point
+    for n in (1, 2):
+        short = SpectrumResult(np.arange(float(n)), np.arange(float(n)), 1.0)
+        assert peak_find(short) == []
+
+    # many peaks, plateaus and exact ties against the point-by-point rule
+    rng = np.random.default_rng(3)
+    x = np.linspace(-5.0, 5.0, 601)
+    y = np.round(np.sin(3.0 * x) ** 2 + 0.3 * rng.random(x.size), 2)
+    reference = []
+    for i in range(1, len(y) - 1):
+        if y[i] > y[i - 1] and y[i] > y[i + 1]:
+            denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+            if denom != 0.0:
+                shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
+                pos = x[i] + shift * (x[i + 1] - x[i])
+                height = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
+            else:
+                pos, height = x[i], y[i]
+            reference.append((pos, height))
+    peaks = peak_find(SpectrumResult(x, y, 1.0))
+    assert len(reference) > 50
+    assert peaks == reference

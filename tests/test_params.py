@@ -133,3 +133,10 @@ def test_rate_report_format():
     assert any(line.startswith("kappa_1l") and "1.16" in line for line in lines)
     assert any(line.startswith("v1") and "9.64" in line for line in lines)
     assert len(lines) == 18  # header + 17 rates
+
+
+def test_derived_rates_carry_the_linewidths():
+    for cfg in (PhysicalConfig(), replace(PhysicalConfig(), gamma_par=mhz(3.1), gamma_las=0.0)):
+        r = derive_rates(cfg)
+        assert r.gamma_par == cfg.gamma_par
+        assert r.gamma_las == cfg.gamma_las
