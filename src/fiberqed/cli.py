@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import inspect
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -31,6 +32,10 @@ class ConfigError(Exception):
 
 #: PhysicalConfig fields that are set in [atoms]; all others are set in [physical].
 _ATOM_KEYS = ("g1_eff", "g2_eff")
+#: make_mode_params arguments that are [mode] keys; the wavelength is
+#: [physical] lambda_probe, and the fit supplies qprime and A_mf.
+_MODE_KEYS = ("beta", "n2", "s", "a", "r0")
+_LOADINGS = ("none", "cavity1", "cavity2", "both")
 
 
 def _config_fields(in_atoms: bool) -> list:
@@ -64,7 +69,6 @@ class SaturationSection:
     which_cavity: int = 1
     g0: float = 0.0                 # MHz; 0 means "use g1_0/g2_0 from [physical]"
     N_eff: float = 0.0              # 0 means "use (g_eff/g0)^2"
-    A_mf: float = 0.17
     model: str = "closed_form"
     sigma_y_over_x0: float = 0.0
     power_min_pW: float = 1.0
@@ -72,20 +76,14 @@ class SaturationSection:
     power_points: int = 61
 
 
-@dataclass
-class ModeSection:
-    beta: float = 7.87925e6         # 1/m
-    wavelength: float = 852e-9      # m
-    n1: float = 1.4525
-    n2: float = 1.0
-    s: float = -0.828
-    a: float = 200e-9               # m
-    r0: float = 400e-9              # m
-    A_mf: float = 0.17
-    r_span_nm: float = 300.0
-    r_points: int = 31
-    phi_points: int = 5
-    z_points: int = 9
+_MODE_DEFAULTS = inspect.signature(fiber_mode.make_mode_params).parameters
+ModeSection = dataclasses.make_dataclass("ModeSection", [
+    *((name, "float", field(default=_MODE_DEFAULTS[name].default)) for name in _MODE_KEYS),
+    ("r_span_nm", "float", field(default=300.0)),
+    ("r_points", "int", field(default=31)),
+    ("phi_points", "int", field(default=5)),
+    ("z_points", "int", field(default=9)),
+])
 
 
 @dataclass
@@ -112,16 +110,10 @@ class RunConfig:
 
     def loaded_couplings(self) -> tuple[float, float]:
         loading = self.atoms.loading
-        g1, g2 = mhz(self.atoms.g1_eff), mhz(self.atoms.g2_eff)
-        if loading == "none":
-            return 0.0, 0.0
-        if loading == "cavity1":
-            return g1, 0.0
-        if loading == "cavity2":
-            return 0.0, g2
-        if loading == "both":
-            return g1, g2
-        raise ConfigError(f"unknown atom loading condition {loading!r}")
+        return (
+            mhz(self.atoms.g1_eff) if loading in ("cavity1", "both") else 0.0,
+            mhz(self.atoms.g2_eff) if loading in ("cavity2", "both") else 0.0,
+        )
 
     def detuning_grid(self) -> np.ndarray:
         pr = self.probe
@@ -130,11 +122,11 @@ class RunConfig:
         return np.linspace(mhz(pr.grid_min), mhz(pr.grid_max), pr.grid_points)
 
     def mode_params(self) -> fiber_mode.ModeFunctionParams:
-        m = self.mode
-        return fiber_mode.make_mode_params(
-            beta=m.beta, wavelength=m.wavelength, n1=m.n1, n2=m.n2, s=m.s,
-            a=m.a, r0=m.r0, A_mf=m.A_mf,
-        )
+        """The [mode] geometry with the fitted simplified profile's qprime and A_mf."""
+        return fiber_mode.fit_simplified(fiber_mode.make_mode_params(
+            wavelength=self.physical.lambda_probe,
+            **{name: getattr(self.mode, name) for name in _MODE_KEYS},
+        )).params
 
     def saturation_config(self) -> saturation.SaturationConfig:
         s = self.saturation
@@ -143,10 +135,11 @@ class RunConfig:
         g_eff_mhz = self.atoms.g1_eff if s.which_cavity == 1 else self.atoms.g2_eff
         n_eff = s.N_eff if s.N_eff > 0.0 else (g_eff_mhz / g0_mhz) ** 2
         grid = np.geomspace(s.power_min_pW * 1e-12, s.power_max_pW * 1e-12, s.power_points)
+        mode = self.mode_params()
         return saturation.SaturationConfig(
-            which_cavity=s.which_cavity, g0=mhz(g0_mhz), N_eff=n_eff, A_mf=s.A_mf,
+            which_cavity=s.which_cavity, g0=mhz(g0_mhz), N_eff=n_eff, A_mf=mode.A_mf,
             power_grid=grid, model=s.model, sigma_y_over_x0=s.sigma_y_over_x0,
-            q_prime_x0=self.mode_params().qprime * self.mode.r0,
+            q_prime_x0=mode.qprime * mode.r0,
         )
 
 
@@ -178,14 +171,8 @@ def parse_config(text: str) -> RunConfig:
         for key, raw in cp.items(section):
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            kind = known[key]
             try:
-                if kind == "int":
-                    value = int(raw)
-                elif kind == "float":
-                    value = float(raw)
-                else:
-                    value = raw.strip()
+                value = {"int": int, "float": float}.get(known[key], str.strip)(raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {key!r} in [{section}]: {raw!r}"
@@ -201,7 +188,7 @@ def _validate_config(cfg: RunConfig) -> None:
         cfg.physical_config().validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.atoms.loading not in ("none", "cavity1", "cavity2", "both"):
+    if cfg.atoms.loading not in _LOADINGS:
         raise ConfigError(f"unknown atom loading condition {cfg.atoms.loading!r}")
     if cfg.saturation.which_cavity not in (1, 2):
         raise ConfigError("saturation which_cavity must be 1 or 2")
@@ -234,6 +221,11 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
+
+
+def _write_spectrum(path: Path, spec: linear_response.SpectrumResult) -> None:
+    rows = ((_fmt(to_mhz(d)), _fmt(t)) for d, t in zip(spec.detunings, spec.transmission))
+    _write_csv(path, "delta_MHz,transmission", rows)
 
 
 def write_svg_lineplot(path: Path, x, y, xlabel: str, ylabel: str, logx: bool = False) -> None:
@@ -297,10 +289,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     grid = cfg.detuning_grid()
     spec = linear_response.transmission_spectrum(rates, g1, g2, grid=grid)
     out = _outdir(cfg)
-    rows = (
-        (_fmt(to_mhz(d)), _fmt(t)) for d, t in zip(spec.detunings, spec.transmission)
-    )
-    _write_csv(out / "spectrum.csv", "delta_MHz,transmission", rows)
+    _write_spectrum(out / "spectrum.csv", spec)
     if _want_svg(cfg):
         write_svg_lineplot(
             out / "spectrum.svg",
@@ -315,11 +304,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
             gb1 = max(g1 + offset, 0.0) if g1 > 0.0 else 0.0
             gb2 = max(g2 + offset, 0.0) if g2 > 0.0 else 0.0
             band = linear_response.transmission_spectrum(rates, gb1, gb2, grid=grid)
-            rows = (
-                (_fmt(to_mhz(d)), _fmt(t))
-                for d, t in zip(band.detunings, band.transmission)
-            )
-            _write_csv(out / f"spectrum_band_{tag}.csv", "delta_MHz,transmission", rows)
+            _write_spectrum(out / f"spectrum_band_{tag}.csv", band)
     return 0
 
 
@@ -447,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--lf", type=float, default=None, help="connecting fiber length override (m)")
     parser.add_argument(
         "--atoms", type=str, default=None,
-        choices=("none", "cavity1", "cavity2", "both"),
+        choices=_LOADINGS,
         help="atom loading condition override",
     )
     parser.add_argument(
@@ -461,11 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.config is not None:
-            text = Path(args.config).read_text()
-        else:
-            text = ""
-        cfg = parse_config(text)
+        cfg = parse_config(Path(args.config).read_text() if args.config is not None else "")
         if args.lf is not None:
             cfg.physical.Lf = args.lf
         if args.atoms is not None:

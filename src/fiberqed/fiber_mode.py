@@ -13,7 +13,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
+
+from .params import FIBER_INDEX, PhysicalConfig
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -29,39 +33,41 @@ class ModeFunctionParams:
     qprime: float       # simplified-form radial decay constant, 1/m
     r0: float           # trap-minimum radial position, m
     A_mf: float         # simplified-form axial weight
-    B_mf: float         # 1 - A_mf
+
+    @property
+    def B_mf(self) -> float:
+        return 1.0 - self.A_mf
 
     def validate(self) -> None:
         if not self.r0 > self.a:
             raise ValueError("trap minimum r0 must lie outside the fiber surface")
         if not 0.0 <= self.A_mf <= 1.0:
             raise ValueError("axial weight A_mf must lie in [0, 1]")
-        if abs(self.A_mf + self.B_mf - 1.0) > 1e-12:
-            raise ValueError("axial weights must satisfy A_mf + B_mf = 1")
 
 
 def make_mode_params(
     beta: float = 7.87925e6,
-    wavelength: float = 852e-9,
-    n1: float = 1.4525,
+    wavelength: float = PhysicalConfig.lambda_probe,
+    n1: float = FIBER_INDEX,
     n2: float = 1.0,
     s: float = -0.828,
     a: float = 200e-9,
-    r0: float | None = None,
+    r0: float = 400e-9,     # typical two-color trap minimum, 200 nm off the surface
     qprime: float | None = None,
     A_mf: float = 0.17,
 ) -> ModeFunctionParams:
-    """Build mode-function parameters, deriving q and h from beta and k."""
+    """Build mode-function parameters, deriving q and h from beta and k.
+
+    qprime defaults to the rough guess 1.3*q; fit_simplified fits qprime and A_mf.
+    """
     k = 2.0 * math.pi / wavelength
     q = math.sqrt(beta**2 - n2**2 * k**2)
     h = math.sqrt(k**2 * n1**2 - beta**2)
-    if r0 is None:
-        r0 = a + 200e-9      # typical two-color trap minimum
     if qprime is None:
         qprime = 1.3 * q
     return ModeFunctionParams(
         beta=beta, k=k, n1=n1, n2=n2, s=s, a=a, q=q, h=h,
-        qprime=qprime, r0=r0, A_mf=A_mf, B_mf=1.0 - A_mf,
+        qprime=qprime, r0=r0, A_mf=A_mf,
     )
 
 
@@ -86,15 +92,14 @@ def bessel_k(order: int, x):
 
 def _exact_unnormalized(p: ModeFunctionParams, r, phi, z):
     qr = p.q * np.asarray(r, dtype=float)
-    k0 = bessel_k(0, qr)
-    k1 = bessel_k(1, qr)
-    k2 = bessel_k(2, qr)
+    k0, k1, k2 = (bessel_k(n, qr) for n in (0, 1, 2))
+    phi = np.asarray(phi)
     pref = (p.beta / (2.0 * p.q)) ** 2
     cos_part = pref * (
-        ((1.0 - p.s) * k0 + (1.0 + p.s) * k2 * np.cos(2.0 * np.asarray(phi))) ** 2
-        + (1.0 + p.s) ** 2 * k2**2 * np.sin(2.0 * np.asarray(phi)) ** 2
+        ((1.0 - p.s) * k0 + (1.0 + p.s) * k2 * np.cos(2.0 * phi)) ** 2
+        + (1.0 + p.s) ** 2 * k2**2 * np.sin(2.0 * phi) ** 2
     )
-    sin_part = k1**2 * np.cos(np.asarray(phi)) ** 2
+    sin_part = k1**2 * np.cos(phi) ** 2
     bz = p.beta * np.asarray(z)
     return cos_part * np.cos(bz) ** 2 + sin_part * np.sin(bz) ** 2
 
@@ -125,9 +130,12 @@ def g_squared_simplified(p: ModeFunctionParams, r, phi, z):
 class SimplifiedFit:
     qprime: float
     A_mf: float
-    B_mf: float
     max_rel_error: float
     params: ModeFunctionParams      # input params with fitted qprime and A_mf
+
+    @property
+    def B_mf(self) -> float:
+        return 1.0 - self.A_mf
 
 
 def fit_simplified(
@@ -142,32 +150,43 @@ def fit_simplified(
     The fit minimizes the relative error over r in [r0, r0 + r_span],
     phi in [-pi/4, pi/4] and one axial period, and reports the maximum
     relative deviation of the fitted simplified form over that domain.
+    simplified/exact = R(r; qprime)*(u + A_mf*w) is linear in A_mf, so the best
+    A_mf at each qprime is one least-squares ratio clipped to [0.01, 0.9] (exact
+    for a convex quadratic), and a golden-section search over qprime in
+    [0.5q, 3q] is left: variable projection (Golub & Pereyra, Inverse Problems
+    19, R1 (2003)).
     """
     p.validate()
     r = np.linspace(p.r0, p.r0 + r_span, n_r)
-    phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, n_phi)
+    phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, n_phi)[:, np.newaxis]
     z = np.linspace(0.0, math.pi / p.beta, n_z, endpoint=False)
-    rr, pp, zz = np.meshgrid(r, phi, z, indexing="ij")
-    exact = g_squared_exact(p, rr, pp, zz)
+    # broadcast (r, phi, z) grid: the Bessel functions see only the n_r radii
+    weight = np.cos(phi) ** 2 / g_squared_exact(p, r[:, np.newaxis, np.newaxis], phi, z)
+    u = (np.cos(p.beta * z) ** 2 * weight).reshape(n_r, -1)
+    w = (np.sin(p.beta * z) ** 2 * weight).reshape(n_r, -1)
+    # per-r sums over (phi, z): up to a constant, the cost is quadratic in R(r) and A_mf
+    uu, ww, uw, su, sw = (x.sum(axis=1) for x in (u * u, w * w, u * w, u, w))
 
-    def residuals(x):
-        trial = replace(p, qprime=x[0], A_mf=x[1], B_mf=1.0 - x[1])
-        return ((g_squared_simplified(trial, rr, pp, zz) - exact) / exact).ravel()
+    def projected(qprime):
+        rad = np.exp(-2.0 * qprime * (r - p.r0)) / (r / p.r0)
+        rad2 = rad * rad
+        a_mf = min(max(float((rad @ sw - rad2 @ uw) / (rad2 @ ww)), 0.01), 0.9)
+        cost = rad2 @ (uu + 2.0 * a_mf * uw + a_mf**2 * ww) - 2.0 * rad @ (su + a_mf * sw)
+        return cost, a_mf, rad
 
-    sol = optimize.least_squares(
-        residuals,
-        x0=(1.3 * p.q, 0.17),
-        bounds=((0.5 * p.q, 0.01), (3.0 * p.q, 0.9)),
-    )
-    qprime, a_mf = sol.x
-    fitted = replace(p, qprime=qprime, A_mf=a_mf, B_mf=1.0 - a_mf)
-    max_rel = float(np.max(np.abs(
-        (g_squared_simplified(fitted, rr, pp, zz) - exact) / exact
-    )))
+    lo, hi = 0.5 * p.q, 3.0 * p.q
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = projected(x1)[0], projected(x2)[0]
+    while hi - lo > 1e-9 * p.q:
+        if f1 <= f2:        # keep [lo, x2]; the old x1 becomes the new x2
+            hi, x2, f2, x1 = x2, x1, f1, x2 - _GOLDEN * (x2 - lo)
+            f1 = projected(x1)[0]
+        else:               # keep [x1, hi]; the old x2 becomes the new x1
+            lo, x1, f1, x2 = x1, x2, f2, x1 + _GOLDEN * (hi - x1)
+            f2 = projected(x2)[0]
+    qprime = 0.5 * (lo + hi)
+    _, a_mf, rad = projected(qprime)
     return SimplifiedFit(
-        qprime=float(qprime),
-        A_mf=float(a_mf),
-        B_mf=float(1.0 - a_mf),
-        max_rel_error=max_rel,
-        params=fitted,
+        qprime=qprime, A_mf=a_mf, params=replace(p, qprime=qprime, A_mf=a_mf),
+        max_rel_error=float(np.max(np.abs(rad[:, np.newaxis] * (u + a_mf * w) - 1.0))),
     )

@@ -141,10 +141,15 @@ def _checked_grid(grid: np.ndarray | None) -> np.ndarray:
     return grid
 
 
-def _empty_chain_flux(rates: DerivedRates, drive_E1: float) -> float:
-    """On-resonance output flux of the empty chain: the spectra's normalization."""
-    empty = steady_state(rates, ProbeSettings(0.0, 0.0, drive_E1), 0.0, 0.0)
-    return output_flux(empty, rates)
+def _normalized(flux: np.ndarray, rates: DerivedRates, drive_E1: float) -> tuple[np.ndarray, float]:
+    """Flux over the on-resonance empty-chain flux, and that norm; zeros when the
+    output is decoupled (v2 = 0 or kappa_2r = 0): no light gets through at all."""
+    norm = output_flux(steady_state(rates, ProbeSettings(0.0, 0.0, drive_E1), 0.0, 0.0), rates)
+    if norm != 0.0:
+        return flux / norm, norm
+    if np.any(flux != 0.0):
+        raise RuntimeError("normalization flux is zero but the spectrum is not")
+    return np.zeros_like(flux), norm
 
 
 def transmission_spectrum(
@@ -163,20 +168,10 @@ def transmission_spectrum(
     on-resonance empty-cavity output flux.
     """
     grid = _checked_grid(grid)
-    norm = _empty_chain_flux(rates, drive_E1)
-
     _, a2, _, _, _ = _amplitudes(
         rates, grid + delta_c_offset, grid, drive_E1, g1, g2
     )
-    flux = 2.0 * rates.kappa_2r * np.abs(a2) ** 2
-    if norm == 0.0:
-        # fully decoupled output (v2 = 0 or kappa_2r = 0): no light gets
-        # through either with or without atoms
-        if np.any(flux != 0.0):
-            raise RuntimeError("normalization flux is zero but the spectrum is not")
-        transmission = np.zeros_like(flux)
-    else:
-        transmission = flux / norm
+    transmission, norm = _normalized(2.0 * rates.kappa_2r * np.abs(a2) ** 2, rates, drive_E1)
     return SpectrumResult(
         detunings=grid, transmission=transmission, normalization_flux=norm
     )

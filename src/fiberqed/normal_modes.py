@@ -24,12 +24,15 @@ class NormalModeSummary:
     gd1: float                  # dark-mode coupling to ensemble 1, rad/s
     gd2: float                  # dark-mode coupling to ensemble 2, rad/s
     kappa_d: float              # dark-mode decay, rad/s (no laser linewidth)
-    kappa_plus: float
-    kappa_minus: float
+    kappa_plus: float           # decay of both bright modes, rad/s
     splitting_bright: float     # sqrt(2)*v_tilde, rad/s
     rabi_splitting: float       # half-splitting of the dark-mode doublet, rad/s
     resolved: bool              # False when the Rabi radicand is negative
     mode_vectors: np.ndarray    # rows (d, c+, c-) on the basis (a1, a2, b)
+
+    @property
+    def kappa_minus(self) -> float:
+        return self.kappa_plus
 
 
 def decompose(rates: DerivedRates, g1: float, g2: float) -> NormalModeSummary:
@@ -72,7 +75,6 @@ def decompose(rates: DerivedRates, g1: float, g2: float) -> NormalModeSummary:
         gd2=gd2,
         kappa_d=kappa_d,
         kappa_plus=kappa_pm,
-        kappa_minus=kappa_pm,
         splitting_bright=s2v,
         rabi_splitting=rabi,
         resolved=resolved,
@@ -110,8 +112,8 @@ def reduced_spectrum(
     a2 = rates.v1 / s2v * d
     flux = 2.0 * rates.kappa_2r * np.abs(a2) ** 2
 
-    norm = linear_response._empty_chain_flux(rates, drive_E1)
-    return SpectrumResult(detunings=grid, transmission=flux / norm, normalization_flux=norm)
+    transmission, norm = linear_response._normalized(flux, rates, drive_E1)
+    return SpectrumResult(detunings=grid, transmission=transmission, normalization_flux=norm)
 
 
 def peak_find(spec: SpectrumResult) -> list[tuple[float, float]]:

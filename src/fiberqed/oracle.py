@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from . import fiber_mode, linear_response, saturation
@@ -97,6 +96,7 @@ def adaptive_quadrature(f, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 def bessel_k_series(order: int, x: float, dps: int = 60) -> float:
     """K_n(x) for n = 0, 1, 2 from the ascending series in arbitrary precision."""
+    import mpmath       # only this oracle needs arbitrary precision
     if x <= 0.0:
         raise ValueError("bessel_k_series requires x > 0")
     if order not in (0, 1, 2):
@@ -201,20 +201,21 @@ def run_validation(cfg: PhysicalConfig | None = None, draws: int = 200, seed: in
     results.append(CheckResult("linear closed form vs dense solve", err < 1e-9, err, 1e-9))
 
     # Gauss-Hermite collective term vs adaptive quadrature of the cloud integral
+    a_mf, qx = saturation.SaturationConfig.A_mf, saturation.SaturationConfig.q_prime_x0
     worst = 0.0
     for x2 in (0.25, 1.0, 4.0):
         for sigma in (0.0, 0.3):
-            gh = saturation.quadrature_saturation_term(92.0, 0.17, sigma, 1.4424, x2)
+            gh = saturation.quadrature_saturation_term(92.0, a_mf, sigma, qx, x2)
 
             def integrand(u):
                 ratio2 = (sigma * u) ** 2
-                s = math.exp(-2.0 * 1.4424 * (math.sqrt(1.0 + ratio2) - 1.0)) / (1.0 + ratio2) ** 1.5
+                s = math.exp(-2.0 * qx * (math.sqrt(1.0 + ratio2) - 1.0)) / (1.0 + ratio2) ** 1.5
                 return math.exp(-u * u) * (
-                    1.0 - 1.0 / math.sqrt((1.0 + 0.17 * x2 * s) * (1.0 + x2 * s))
+                    1.0 - 1.0 / math.sqrt((1.0 + a_mf * x2 * s) * (1.0 + x2 * s))
                 )
 
             ref = (
-                92.0 * 2.0 / 1.17 / x2 / math.sqrt(math.pi)
+                92.0 * 2.0 / (1.0 + a_mf) / x2 / math.sqrt(math.pi)
                 * adaptive_quadrature(integrand, -8.0, 8.0, 1e-13)
             )
             worst = max(worst, abs(gh - ref) / abs(ref))

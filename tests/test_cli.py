@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -25,8 +28,49 @@ def test_empty_config_is_defaults():
     assert cfg.atoms.g2_eff == 7.3
     assert cfg.physical.g1_0 == 0.75
     assert cfg.physical.g2_0 == 1.2
-    assert cfg.saturation.A_mf == 0.17
     assert cfg.probe.grid_points == 601
+
+
+@pytest.mark.parametrize("section,key", [
+    ("saturation", "A_mf"), ("mode", "A_mf"), ("mode", "wavelength"), ("mode", "n1"),
+])
+def test_removed_mode_keys_exit_with_code_2(tmp_path, section, key):
+    # the fit supplies A_mf; the wavelength is [physical] lambda_probe and n1
+    # is params.FIBER_INDEX
+    path = tmp_path / "old.cfg"
+    path.write_text(f"[{section}]\n{key} = 0.17\n")
+    assert main(["params", "--config", str(path)]) == 2
+
+
+def test_saturation_config_carries_the_fitted_mode_function():
+    for text in ("", "[mode]\nr0 = 450e-9\n", "[physical]\nlambda_probe = 8.5e-7\n"):
+        cfg = parse_config(text)
+        fit = fiber_mode.fit_simplified(fiber_mode.make_mode_params(
+            wavelength=cfg.physical.lambda_probe, r0=cfg.mode.r0,
+        ))
+        sat = cfg.saturation_config()
+        assert sat.A_mf == fit.A_mf
+        assert sat.q_prime_x0 == fit.qprime * cfg.mode.r0
+        assert cfg.mode_params() == fit.params
+    assert parse_config("").saturation_config().q_prime_x0 == pytest.approx(1.1165, abs=1e-4)
+
+
+def test_mode_section_defaults_are_make_mode_params_defaults():
+    p, m = fiber_mode.make_mode_params(), RunConfig().mode
+    assert (m.beta, m.n2, m.s, m.a, m.r0) == (p.beta, p.n2, p.s, p.a, p.r0)
+
+
+def test_cli_import_leaves_out_scipy_optimize_and_mpmath():
+    src = os.path.dirname(os.path.dirname(fiber_mode.__file__))
+    code = (
+        "import sys, fiberqed.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'mpmath'))))"
+    )
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_empty_config_is_physical_config_defaults():

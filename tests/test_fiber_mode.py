@@ -12,6 +12,7 @@ from fiberqed.fiber_mode import (
 )
 from fiberqed.oracle import adaptive_quadrature, bessel_k_series
 from dataclasses import replace
+from scipy import optimize
 
 P = make_mode_params()
 
@@ -109,9 +110,7 @@ def test_param_validation():
     with pytest.raises(ValueError):
         replace(P, r0=P.a).validate()
     with pytest.raises(ValueError):
-        replace(P, A_mf=1.5, B_mf=-0.5).validate()
-    with pytest.raises(ValueError):
-        replace(P, B_mf=0.9).validate()
+        replace(P, A_mf=1.5).validate()
 
 
 def test_fit_simplified_frozen():
@@ -128,3 +127,58 @@ def test_fit_simplified_frozen():
     assert fit.B_mf == pytest.approx(1.0 - fit.A_mf, rel=1e-12)
     assert fit.max_rel_error == pytest.approx(0.21266, abs=0.005)
     assert fit.params.qprime == fit.qprime
+    assert fit.params.A_mf == fit.A_mf and fit.params.B_mf == fit.B_mf
+
+
+def _fit_grid(p):
+    """The fit's (r, phi, z) grid and the exact profile on it."""
+    r = np.linspace(p.r0, p.r0 + 300e-9, 41)
+    phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, 9)
+    z = np.linspace(0.0, math.pi / p.beta, 17, endpoint=False)
+    rr, pp, zz = np.meshgrid(r, phi, z, indexing="ij")
+    return rr, pp, zz, g_squared_exact(p, rr, pp, zz)
+
+
+def _residuals(p, qprime, a_mf, grid):
+    rr, pp, zz, exact = grid
+    trial = replace(p, qprime=qprime, A_mf=a_mf)
+    return ((g_squared_simplified(trial, rr, pp, zz) - exact) / exact).ravel()
+
+
+def _cost(p, qprime, a_mf, grid):
+    return float(np.sum(_residuals(p, qprime, a_mf, grid) ** 2))
+
+
+@pytest.mark.parametrize("r0", [350e-9, 400e-9, 450e-9, 500e-9])
+def test_fit_matches_least_squares(r0):
+    # reference: scipy's bounded two-parameter least squares from (1.3 q, 0.17)
+    p = make_mode_params(r0=r0)
+    grid = _fit_grid(p)
+    ref = optimize.least_squares(
+        lambda x: _residuals(p, x[0], x[1], grid),
+        x0=(1.3 * p.q, 0.17),
+        bounds=((0.5 * p.q, 0.01), (3.0 * p.q, 0.9)),
+    )
+    fit = fit_simplified(p)
+    assert abs(fit.qprime - ref.x[0]) / p.q <= 1e-6
+    assert abs(fit.A_mf - ref.x[1]) <= 1e-6
+    assert _cost(p, fit.qprime, fit.A_mf, grid) <= _cost(p, ref.x[0], ref.x[1], grid)
+    worst = np.max(np.abs(_residuals(p, fit.qprime, fit.A_mf, grid)))
+    assert fit.max_rel_error == pytest.approx(worst, rel=1e-12)
+
+
+def test_fit_is_the_minimum_of_a_dense_scan():
+    # cost minimized over A_mf in [0.01, 0.9] at each of 2000 qprime values;
+    # the residual is affine in A_mf, so each minimum is one clipped ratio
+    grid = _fit_grid(P)
+    qprimes = np.linspace(0.5 * P.q, 3.0 * P.q, 2000)
+    costs = []
+    for qp in qprimes:
+        res0 = _residuals(P, qp, 0.0, grid)
+        slope = _residuals(P, qp, 1.0, grid) - res0
+        a_mf = min(max(-(res0 @ slope) / (slope @ slope), 0.01), 0.9)
+        costs.append(float(np.sum((res0 + a_mf * slope) ** 2)))
+    fit = fit_simplified(P)
+    best = int(np.argmin(costs))
+    assert abs(fit.qprime - qprimes[best]) <= qprimes[1] - qprimes[0]
+    assert _cost(P, fit.qprime, fit.A_mf, grid) <= costs[best]

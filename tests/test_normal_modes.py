@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,19 @@ def test_degenerate_input_rejected():
         with pytest.raises(ValueError, match="nonempty and strictly increasing"):
             reduced_spectrum(s, RATES, grid=bad)
 
+
+def test_decoupled_output_gives_zero_reduced_spectrum():
+    # v2 = 0: no light reaches the output, with or without atoms; both spectra
+    # share one zero-normalization rule instead of dividing 0 by 0
+    rates = replace(RATES, v2=0.0)
+    grid = np.linspace(mhz(-5.0), mhz(5.0), 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reduced = reduced_spectrum(decompose(rates, 0.0, 0.0), rates, grid=grid)
+        full = transmission_spectrum(rates, 0.0, 0.0, grid=grid)
+    assert reduced.normalization_flux == full.normalization_flux == 0.0
+    assert np.array_equal(reduced.transmission, np.zeros(11))
+    assert np.array_equal(full.transmission, np.zeros(11))
 
 def test_reduced_spectrum_doublet_frozen():
     s = decompose(RATES, CFG.g1_eff, CFG.g2_eff)
