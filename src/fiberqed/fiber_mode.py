@@ -92,7 +92,8 @@ def bessel_k(order: int, x):
 
 def _exact_unnormalized(p: ModeFunctionParams, r, phi, z):
     qr = p.q * np.asarray(r, dtype=float)
-    k0, k1, k2 = (bessel_k(n, qr) for n in (0, 1, 2))
+    k0, k1 = bessel_k(0, qr), bessel_k(1, qr)
+    k2 = k0 + 2.0 / qr * k1         # the recurrence of bessel_k(2, qr)
     phi = np.asarray(phi)
     pref = (p.beta / (2.0 * p.q)) ** 2
     cos_part = pref * (

@@ -52,9 +52,16 @@ def default_grid(span: float = TWO_PI * 30e6, points: int = 601) -> np.ndarray:
 
 
 def _amplitudes(rates: DerivedRates, dc, da, drive, g1: float, g2: float):
-    """Closed-form amplitudes; dc and da may be scalars or arrays."""
+    """Closed-form amplitudes; dc, da, g1 and g2 may be scalars or arrays."""
     dc = np.asarray(dc, dtype=float)
     da = np.asarray(da, dtype=float)
+    # an undamped fiber mode or atom has no steady state on its own resonance
+    if rates.kappa_b == 0.0 and np.any(dc == 0.0):
+        raise ValueError("alphaf = 0 with gamma_las = 0 leaves the fiber mode undamped: "
+                         "no steady state at zero cavity detuning")
+    if rates.gamma_perp == 0.0 and np.any(da == 0.0):
+        raise ValueError("gamma_par = 0 with gamma_las = 0 leaves the atoms undamped: "
+                         "no steady state at zero atom detuning")
 
     kb = rates.kappa_b + 1j * dc
     gp = rates.gamma_perp + 1j * da

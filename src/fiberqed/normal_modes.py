@@ -86,33 +86,28 @@ def reduced_spectrum(
     summary: NormalModeSummary,
     rates: DerivedRates,
     grid: np.ndarray | None = None,
-    drive_E1: float = 1.0,
-    include_laser_linewidth: bool = True,
 ) -> SpectrumResult:
     """Transmission of the single-mode reduced model (dark mode + two ensembles).
 
-    The dark mode is driven with the projected amplitude E_p*v2/(sqrt(2)*v_tilde)
-    and read out through its cavity-2 weight.  Normalization matches the full
-    model: the on-resonance empty-cavity flux of the full three-mode chain.
+    The dark mode, damped at kappa_d plus the laser linewidth, is driven with
+    the projected unit amplitude v2/(sqrt(2)*v_tilde) and read out through its
+    cavity-2 weight.  Normalization matches the full model: the on-resonance
+    empty-cavity flux of the full three-mode chain.
     """
     grid = linear_response._checked_grid(grid)
 
-    kappa_d = summary.kappa_d
-    if include_laser_linewidth:
-        kappa_d = kappa_d + rates.gamma_las
-
     s2v = summary.splitting_bright
-    drive_d = drive_E1 * rates.v2 / s2v
     gp = rates.gamma_perp + 1j * grid
-    d = -1j * drive_d / (
-        kappa_d + 1j * grid + (summary.gd1**2 + summary.gd2**2) / gp
+    d = -1j * (rates.v2 / s2v) / (
+        summary.kappa_d + rates.gamma_las + 1j * grid
+        + (summary.gd1**2 + summary.gd2**2) / gp
     )
 
     # cavity-2 weight of the dark mode
     a2 = rates.v1 / s2v * d
     flux = 2.0 * rates.kappa_2r * np.abs(a2) ** 2
 
-    transmission, norm = linear_response._normalized(flux, rates, drive_E1)
+    transmission, norm = linear_response._normalized(flux, rates, 1.0)
     return SpectrumResult(detunings=grid, transmission=transmission, normalization_flux=norm)
 
 

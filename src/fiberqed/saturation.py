@@ -1,14 +1,18 @@
 """Semiclassical saturation of the on-resonance transmission.
 
 With atoms in one cavity only and everything on resonance, the nonlinear
-steady state collapses to a scalar equation y = |X| * F(|X|^2) in the
-scaled drive y and scaled intracavity amplitude |X|.  The atom summation is
-replaced by its collective closed form (or a Gauss-Hermite quadrature over
-the radial density when the cloud width matters).  Because y(|X|) does
-not depend on power, one scan over the fixed bracket
-|X| in [1e-4, 1e3]*sqrt(n_sat) serves every power of a curve; all real
-roots are recorded per power, and the reported branch follows continuation
-from zero drive.
+steady state collapses to the mean-field absorptive-bistability equation
+y = |X| * F(|X|^2) in the scaled drive y and scaled intracavity amplitude
+|X| (Lugiato, Prog. Opt. 21, 69 (1984)).  F is read off the linear closed
+form of linear_response: there f = 1/(kappa_1p*|a_k|) of the atom cavity k
+is affine in g_k^2, so its values f0 without atoms and f1 with N_eff
+unsaturated atoms give F(|X|^2) = f0 + (f1 - f0) * term(|X|^2) / N_eff, and
+the transmission is T = (f0*|X|/y)^2.  The atom summation term is its
+collective closed form (or a Gauss-Hermite quadrature over the radial
+density when the cloud width matters).  Because y(|X|) does not depend on
+power, one scan over the fixed bracket |X| in [1e-4, 1e3]*sqrt(n_sat)
+serves every power of a curve; all real roots are recorded per power, and
+the reported branch follows continuation from zero drive.
 """
 
 from __future__ import annotations
@@ -19,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .params import C_VACUUM, DerivedRates
+from . import linear_response
+from .params import C_VACUUM, DerivedRates, PhysicalConfig
 
 HBAR = 1.054571817e-34          # J s
 
@@ -31,17 +36,16 @@ class SaturationConfig:
     which_cavity: int = 1
     g0: float = 0.0                     # trap-minimum single-atom coupling, rad/s
     N_eff: float = 1.0                  # effective atom number
-    A_mf: float = 0.17                  # axial weight of the mode function
+    # A_mf and q_prime_x0 default to the reference fit, fit_simplified(make_mode_params())
+    A_mf: float = 0.14990793687749404   # axial weight of the mode function
     power_grid: np.ndarray = field(default_factory=lambda: np.geomspace(1e-12, 1e-6, 61))
     model: str = "closed_form"          # closed_form | quadrature
     sigma_y_over_x0: float = 0.0        # cloud width / trap radius (quadrature model)
-    q_prime_x0: float = 1.4424          # q' * r0 (quadrature model)
+    q_prime_x0: float = 1.1165317785084827  # q' * r0 (quadrature model)
 
     def validate(self) -> None:
         if self.which_cavity not in (1, 2):
             raise ValueError("which_cavity must be 1 or 2")
-        if self.g0 <= 0.0:
-            raise ValueError("g0 must be positive")
         if self.N_eff <= 0.0:
             raise ValueError("N_eff must be positive")
         if self.model not in ("closed_form", "quadrature"):
@@ -134,36 +138,26 @@ def scaled_drive_from_power(
 
 
 def _response_function(cfg: SaturationConfig, rates: DerivedRates):
-    """Return (F, prefactor) with y = x*F(x^2) and T = prefactor * x^2 / y^2."""
-    V1 = rates.v1**2 / (rates.kappa_b * rates.kappa_1p)
-    V2 = rates.v2**2 / (rates.kappa_b * rates.kappa_2p)
+    """Return (F, prefactor) with y = x*F(x^2) and T = prefactor * x^2 / y^2.
+
+    f0 and f1 come from one unit-drive closed-form call at zero detuning; the
+    empty chain has T = 1, so prefactor = f0^2.
+    """
     if cfg.model == "closed_form":
         term = functools.partial(collective_saturation_term, cfg.N_eff, cfg.A_mf)
     else:
         term = functools.partial(quadrature_saturation_term, cfg.N_eff, cfg.A_mf,
                                  cfg.sigma_y_over_x0, cfg.q_prime_x0)
+    g = np.array([0.0, cfg.g0 * math.sqrt(cfg.N_eff)])
+    couplings = (g, 0.0) if cfg.which_cavity == 1 else (0.0, g)
+    a_k = linear_response._amplitudes(rates, 0.0, 0.0, 1.0, *couplings)[cfg.which_cavity - 1]
+    f0, f1 = 1.0 / (rates.kappa_1p * np.abs(a_k))
+    slope = (f1 - f0) / cfg.N_eff
 
-    if cfg.which_cavity == 1:
-        C0 = cfg.g0**2 / (rates.kappa_1p * rates.gamma_perp)
-        base = 1.0 + V1 / (1.0 + V2)
+    def F(x2):
+        return f0 + slope * term(x2)
 
-        def F(x2):
-            return base + C0 * term(x2)
-
-        prefactor = ((1.0 + V1 + V2) / (1.0 + V2)) ** 2
-    else:
-        C0 = cfg.g0**2 / (rates.kappa_2p * rates.gamma_perp)
-        lead = (rates.v1 * rates.kappa_2p) / (rates.v2 * rates.kappa_1p)
-        fiber = 1.0 + rates.kappa_b * rates.kappa_1p / rates.v1**2
-        back = rates.v2**2 * rates.kappa_1p / (rates.v1**2 * rates.kappa_2p) / fiber
-
-        def F(x2):
-            return lead * fiber * (1.0 + back + C0 * term(x2))
-
-        prefactor = (
-            (1.0 + V1 + V2) * rates.kappa_b * rates.kappa_2p / (rates.v1 * rates.v2)
-        ) ** 2
-    return F, prefactor
+    return F, f0 * f0
 
 
 def _find_roots(F, y: np.ndarray, n_sat: float) -> list[np.ndarray]:
@@ -206,7 +200,7 @@ def _find_roots(F, y: np.ndarray, n_sat: float) -> list[np.ndarray]:
 
 
 def solve_saturation(
-    cfg: SaturationConfig, rates: DerivedRates, lambda_probe: float = 852e-9
+    cfg: SaturationConfig, rates: DerivedRates, lambda_probe: float = PhysicalConfig.lambda_probe
 ) -> SaturationCurve:
     """Transmission vs input power along the branch continued from zero drive."""
     cfg.validate()

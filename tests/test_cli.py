@@ -255,6 +255,22 @@ def test_main_band_flag(tmp_path):
     assert (tmp_path / "spectrum_band_high.csv").exists()
 
 
+@pytest.mark.parametrize("physical,keys", [
+    ("alphaf = 0\ngamma_las = 0\n", "alphaf = 0 with gamma_las = 0"),
+    ("gamma_par = 0\ngamma_las = 0\n", "gamma_par = 0 with gamma_las = 0"),
+], ids=["kappa_b=0", "gamma_perp=0"])
+def test_undamped_mode_on_resonance_exits_with_code_2(tmp_path, capsys, physical, keys):
+    # the closed form has no steady state to normalise to: no NaN output, exit 2
+    path = tmp_path / "undamped.cfg"
+    path.write_text(f"[physical]\n{physical}")
+    for command in ("spectrum", "saturation"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert keys in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+    for command in ("params", "normal-modes", "validate"):
+        assert main([command, "--config", str(path)]) == 0
+
+
 def test_main_exit_codes(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[physical]\nT1 = 1.5\n")

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from fiberqed import saturation
+from fiberqed.fiber_mode import fit_simplified, make_mode_params
 from fiberqed.linear_response import transmission_spectrum
 from fiberqed.params import PhysicalConfig, derive_rates, mhz
 from fiberqed.saturation import (
@@ -275,8 +277,8 @@ def test_scaled_drive_roundtrip():
 def test_config_validation():
     with pytest.raises(ValueError):
         _config(3).validate()
-    with pytest.raises(ValueError):
-        _config(1, g0=0.0).validate()
+    with pytest.raises(ValueError, match="g0 must be positive"):
+        solve_saturation(_config(1, g0=0.0), RATES)     # via saturation_photon_number
     with pytest.raises(ValueError):
         _config(1, N_eff=-1.0).validate()
     with pytest.raises(ValueError):
@@ -285,3 +287,94 @@ def test_config_validation():
         _config(1, power_grid=np.array([1e-9, 1e-10])).validate()
     with pytest.raises(ValueError):
         _config(1, power_grid=np.array([])).validate()
+
+
+def test_default_mode_function_is_the_reference_fit():
+    fit = fit_simplified(make_mode_params())
+    cfg = SaturationConfig()
+    assert cfg.A_mf == pytest.approx(fit.A_mf, rel=1e-12)
+    assert cfg.q_prime_x0 == pytest.approx(fit.qprime * fit.params.r0, rel=1e-12)
+
+
+def _hand_derived_response(cfg, rates):
+    """The chain reduced by hand, cavity by cavity: the reference for
+    _response_function, which reads F off the linear closed form instead."""
+    V1 = rates.v1**2 / (rates.kappa_b * rates.kappa_1p)
+    V2 = rates.v2**2 / (rates.kappa_b * rates.kappa_2p)
+    if cfg.model == "closed_form":
+        def term(x2):
+            return collective_saturation_term(cfg.N_eff, cfg.A_mf, x2)
+    else:
+        def term(x2):
+            return quadrature_saturation_term(cfg.N_eff, cfg.A_mf, cfg.sigma_y_over_x0,
+                                              cfg.q_prime_x0, x2)
+
+    if cfg.which_cavity == 1:
+        C0 = cfg.g0**2 / (rates.kappa_1p * rates.gamma_perp)
+        base = 1.0 + V1 / (1.0 + V2)
+
+        def F(x2):
+            return base + C0 * term(x2)
+
+        prefactor = ((1.0 + V1 + V2) / (1.0 + V2)) ** 2
+    else:
+        C0 = cfg.g0**2 / (rates.kappa_2p * rates.gamma_perp)
+        lead = (rates.v1 * rates.kappa_2p) / (rates.v2 * rates.kappa_1p)
+        fiber = 1.0 + rates.kappa_b * rates.kappa_1p / rates.v1**2
+        back = rates.v2**2 * rates.kappa_1p / (rates.v1**2 * rates.kappa_2p) / fiber
+
+        def F(x2):
+            return lead * fiber * (1.0 + back + C0 * term(x2))
+
+        prefactor = (
+            (1.0 + V1 + V2) * rates.kappa_b * rates.kappa_2p / (rates.v1 * rates.v2)
+        ) ** 2
+    return F, prefactor
+
+
+def _random_case(rng, which, model):
+    """A random physical config, and a saturation config whose 41 drives all
+    lie inside the scan bracket: |X| from 1e-3 to 1e2 times sqrt(n_sat)."""
+    t1, t2, t3, t4 = rng.uniform(0.01, 0.9, 4)
+    phys = PhysicalConfig(
+        T1=t1, T2=t2, T3=t3, T4=t4,
+        L1=rng.uniform(0.2, 3.0), L2=rng.uniform(0.2, 3.0), Lf=rng.uniform(0.1, 10.0),
+        alpha1=rng.uniform(0.001, 0.1), alpha2=rng.uniform(0.001, 0.1),
+        alphaf=rng.uniform(0.001, 0.1),
+        gamma_par=mhz(rng.uniform(1.0, 10.0)), gamma_las=mhz(rng.uniform(0.0, 1.0)),
+    )
+    rates = derive_rates(phys)
+    cfg = SaturationConfig(
+        which_cavity=which, g0=mhz(10.0 ** rng.uniform(-1.0, 0.5)),
+        N_eff=10.0 ** rng.uniform(0.0, math.log10(3000.0)), A_mf=rng.uniform(0.01, 0.9),
+        model=model, sigma_y_over_x0=rng.uniform(0.0, 0.5) if model == "quadrature" else 0.0,
+        q_prime_x0=rng.uniform(0.5, 2.0),
+    )
+    n_sat = saturation_photon_number(cfg.g0, rates)
+    F, _ = _hand_derived_response(cfg, rates)
+    x = np.array([1e-3, 1e2]) * math.sqrt(n_sat)
+    y = np.geomspace(*(x * F(x * x)), 41)
+    per_watt = scaled_drive_from_power(1.0, rates, n_sat, phys.lambda_probe)
+    return rates, replace(cfg, power_grid=(y / per_watt) ** 2), n_sat
+
+
+def test_response_function_matches_the_hand_derived_chain(monkeypatch):
+    rng = np.random.default_rng(2024)
+    bistable = 0
+    for i in range(200):
+        which, model = 1 + i % 2, ("closed_form", "quadrature")[i // 2 % 2]
+        rates, cfg, n_sat = _random_case(rng, which, model)
+        F, prefactor = _response_function(cfg, rates)
+        F_ref, prefactor_ref = _hand_derived_response(cfg, rates)
+        x2 = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 33) * n_sat])
+        np.testing.assert_allclose(F(x2), F_ref(x2), rtol=1e-13, atol=0.0)
+        assert prefactor == pytest.approx(prefactor_ref, rel=1e-13)
+
+        curve = solve_saturation(cfg, rates)
+        with monkeypatch.context() as m:
+            m.setattr(saturation, "_response_function", _hand_derived_response)
+            reference = solve_saturation(cfg, rates)
+        got = [(p.n_roots, p.branch) for p in curve.points]
+        assert got == [(p.n_roots, p.branch) for p in reference.points]
+        bistable += any(n == 3 for n, _ in got)
+    assert bistable > 0     # the bistable region is part of the check
