@@ -143,14 +143,7 @@ class RunConfig:
         )
 
 
-_SECTIONS = {
-    "physical": PhysicalSection,
-    "probe": ProbeSection,
-    "atoms": AtomsSection,
-    "saturation": SaturationSection,
-    "mode": ModeSection,
-    "output": OutputSection,
-}
+_SECTIONS = tuple(f.name for f in fields(RunConfig))
 
 
 def parse_config(text: str) -> RunConfig:
@@ -184,16 +177,18 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig) -> None:
+    s = cfg.saturation
+    for key in ("g0", "N_eff"):
+        value = getattr(s, key)
+        if not value >= 0.0:        # NaN included; 0 means "derive it"
+            raise ConfigError(f"[saturation] {key}={value!r} must be non-negative")
     try:
         cfg.physical_config().validate()
+        saturation.SaturationConfig(which_cavity=s.which_cavity, model=s.model).validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.atoms.loading not in _LOADINGS:
         raise ConfigError(f"unknown atom loading condition {cfg.atoms.loading!r}")
-    if cfg.saturation.which_cavity not in (1, 2):
-        raise ConfigError("saturation which_cavity must be 1 or 2")
-    if cfg.saturation.model not in ("closed_form", "quadrature"):
-        raise ConfigError(f"unknown saturation model {cfg.saturation.model!r}")
     for fmt in cfg.output.formats.split(","):
         if fmt.strip() not in ("csv", "svg"):
             raise ConfigError(f"unknown output format {fmt.strip()!r}")
@@ -202,7 +197,7 @@ def _validate_config(cfg: RunConfig) -> None:
 def format_config(cfg: RunConfig) -> str:
     """Serialize a RunConfig back to config-file text (round-trip safe)."""
     lines = []
-    for section, _ in _SECTIONS.items():
+    for section in _SECTIONS:
         target = getattr(cfg, section)
         lines.append(f"[{section}]")
         for f in fields(target):

@@ -148,15 +148,20 @@ def _checked_grid(grid: np.ndarray | None) -> np.ndarray:
     return grid
 
 
-def _normalized(flux: np.ndarray, rates: DerivedRates, drive_E1: float) -> tuple[np.ndarray, float]:
-    """Flux over the on-resonance empty-chain flux, and that norm; zeros when the
-    output is decoupled (v2 = 0 or kappa_2r = 0): no light gets through at all."""
-    norm = output_flux(steady_state(rates, ProbeSettings(0.0, 0.0, drive_E1), 0.0, 0.0), rates)
+def _empty_chain_flux(rates: DerivedRates, drive_E1: float) -> float:
+    """On-resonance empty-chain output flux, the norm of both spectra; taken first, so a
+    chain with no steady state raises the ValueError of _amplitudes before any division."""
+    return output_flux(steady_state(rates, ProbeSettings(0.0, 0.0, drive_E1), 0.0, 0.0), rates)
+
+
+def _normalized(flux: np.ndarray, norm: float) -> np.ndarray:
+    """flux / norm; zeros when the output is decoupled (norm = 0: v2 = 0 or
+    kappa_2r = 0), since then no light gets through at all."""
     if norm != 0.0:
-        return flux / norm, norm
+        return flux / norm
     if np.any(flux != 0.0):
         raise RuntimeError("normalization flux is zero but the spectrum is not")
-    return np.zeros_like(flux), norm
+    return np.zeros_like(flux)
 
 
 def transmission_spectrum(
@@ -175,10 +180,11 @@ def transmission_spectrum(
     on-resonance empty-cavity output flux.
     """
     grid = _checked_grid(grid)
+    norm = _empty_chain_flux(rates, drive_E1)
     _, a2, _, _, _ = _amplitudes(
         rates, grid + delta_c_offset, grid, drive_E1, g1, g2
     )
-    transmission, norm = _normalized(2.0 * rates.kappa_2r * np.abs(a2) ** 2, rates, drive_E1)
+    transmission = _normalized(2.0 * rates.kappa_2r * np.abs(a2) ** 2, norm)
     return SpectrumResult(
         detunings=grid, transmission=transmission, normalization_flux=norm
     )

@@ -95,6 +95,7 @@ def reduced_spectrum(
     empty-cavity flux of the full three-mode chain.
     """
     grid = linear_response._checked_grid(grid)
+    norm = linear_response._empty_chain_flux(rates, 1.0)
 
     s2v = summary.splitting_bright
     gp = rates.gamma_perp + 1j * grid
@@ -107,7 +108,7 @@ def reduced_spectrum(
     a2 = rates.v1 / s2v * d
     flux = 2.0 * rates.kappa_2r * np.abs(a2) ** 2
 
-    transmission, norm = linear_response._normalized(flux, rates, 1.0)
+    transmission = linear_response._normalized(flux, norm)
     return SpectrumResult(detunings=grid, transmission=transmission, normalization_flux=norm)
 
 

@@ -88,26 +88,27 @@ class DerivedRates:
 
     The primed rates fold in the laser linewidth as extra phase damping:
     kappa_1p = kappa_1 + gamma_las, and likewise for cavity 2 and the fiber.
-    gamma_par and gamma_las are carried over from the config unchanged.
+    gamma_par and gamma_las are carried over from the config unchanged.  The
+    fields are declared in the order of rate_report.
     """
 
     kappa_1l: float
+    kappa_1loss: float
     kappa_1r: float
     kappa_2l: float
-    kappa_2r: float
-    kappa_1loss: float
     kappa_2loss: float
+    kappa_2r: float
     kappa_bloss: float
+    v1: float
+    v2: float
     kappa_1: float
     kappa_2: float
     kappa_1p: float
     kappa_2p: float
     kappa_b: float
-    v1: float
-    v2: float
-    gamma_perp: float
     gamma_par: float
     gamma_las: float
+    gamma_perp: float
 
 
 def derive_rates(cfg: PhysicalConfig) -> DerivedRates:
@@ -170,24 +171,10 @@ def reference_rates() -> dict:
 def rate_report(cfg: PhysicalConfig) -> str:
     """Human-readable rate table in MHz with 3 significant figures."""
     r = derive_rates(cfg)
+    lf_dependent = ("kappa_bloss", "v1", "v2")
     rows = [
-        ("kappa_1l", r.kappa_1l),
-        ("kappa_1loss", r.kappa_1loss),
-        ("kappa_1r", r.kappa_1r),
-        ("kappa_2l", r.kappa_2l),
-        ("kappa_2loss", r.kappa_2loss),
-        ("kappa_2r", r.kappa_2r),
-        (f"kappa_bloss (Lf={cfg.Lf} m)", r.kappa_bloss),
-        (f"v1 (Lf={cfg.Lf} m)", r.v1),
-        (f"v2 (Lf={cfg.Lf} m)", r.v2),
-        ("kappa_1", r.kappa_1),
-        ("kappa_2", r.kappa_2),
-        ("kappa_1p", r.kappa_1p),
-        ("kappa_2p", r.kappa_2p),
-        ("kappa_b", r.kappa_b),
-        ("gamma_par", cfg.gamma_par),
-        ("gamma_las", cfg.gamma_las),
-        ("gamma_perp", r.gamma_perp),
+        (f"{f.name} (Lf={cfg.Lf} m)" if f.name in lf_dependent else f.name, getattr(r, f.name))
+        for f in fields(r)
     ]
     width = max(len(name) for name, _ in rows)
     lines = [f"{'parameter':<{width}}  MHz"]

@@ -37,11 +37,11 @@ class SaturationConfig:
     g0: float = 0.0                     # trap-minimum single-atom coupling, rad/s
     N_eff: float = 1.0                  # effective atom number
     # A_mf and q_prime_x0 default to the reference fit, fit_simplified(make_mode_params())
-    A_mf: float = 0.14990793687749404   # axial weight of the mode function
+    A_mf: float = 0.1499079354941198    # axial weight of the mode function
     power_grid: np.ndarray = field(default_factory=lambda: np.geomspace(1e-12, 1e-6, 61))
     model: str = "closed_form"          # closed_form | quadrature
     sigma_y_over_x0: float = 0.0        # cloud width / trap radius (quadrature model)
-    q_prime_x0: float = 1.1165317785084827  # q' * r0 (quadrature model)
+    q_prime_x0: float = 1.1165317710150833  # q' * r0 (quadrature model)
 
     def validate(self) -> None:
         if self.which_cavity not in (1, 2):

@@ -64,7 +64,7 @@ def test_cli_import_leaves_out_scipy_optimize_and_mpmath():
     src = os.path.dirname(os.path.dirname(fiber_mode.__file__))
     code = (
         "import sys, fiberqed.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy.optimize', 'mpmath'))))"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'mpmath'))))"
     )
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
@@ -124,6 +124,8 @@ def test_range_validation():
         parse_config("[atoms]\nloading = everywhere\n")
     with pytest.raises(ConfigError):
         parse_config("[saturation]\nmodel = magic\n")
+    with pytest.raises(ConfigError, match="which_cavity"):
+        parse_config("[saturation]\nwhich_cavity = 3\n")
     with pytest.raises(ConfigError):
         parse_config("[output]\nformats = pdf\n")
 
@@ -269,6 +271,19 @@ def test_undamped_mode_on_resonance_exits_with_code_2(tmp_path, capsys, physical
     assert list(tmp_path.glob("*.csv")) == []
     for command in ("params", "normal-modes", "validate"):
         assert main([command, "--config", str(path)]) == 0
+
+
+@pytest.mark.parametrize("key", ["g0", "N_eff"])
+@pytest.mark.parametrize("value", ["-5", "nan"])
+def test_negative_saturation_value_exits_with_code_2(tmp_path, capsys, key, value):
+    # 0 means "derive it"; a negative value is an error, not a request to derive
+    path = tmp_path / "sat.cfg"
+    path.write_text(f"[saturation]\n{key} = {value}\n")
+    assert main(["saturation", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"[saturation] {key}=" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+    path.write_text(f"[saturation]\n{key} = 0\n")
+    assert main(["saturation", "--config", str(path), "--out", str(tmp_path)]) == 0
 
 
 def test_main_exit_codes(tmp_path):

@@ -12,7 +12,7 @@ from fiberqed.fiber_mode import (
 )
 from fiberqed.oracle import adaptive_quadrature, bessel_k_series
 from dataclasses import replace
-from scipy import optimize
+from scipy import optimize, special
 
 P = make_mode_params()
 
@@ -36,7 +36,31 @@ def test_bessel_recurrence_identity():
         assert abs(residual) < 1e-9 * bessel_k(2, x)
 
 
+def test_bessel_matches_scipy_from_1e_8_to_700():
+    x = np.geomspace(1e-8, 700.0, 401)
+    refs = (special.k0(x), special.k1(x), special.kn(2, x))
+    for order, ref in enumerate(refs):
+        got = bessel_k(order, x)
+        kept = ref > 1e-290         # scipy's K2 underflows to 0 near x = 700
+        assert np.max(np.abs(got[kept] / ref[kept] - 1.0)) <= 1e-13
+        assert np.all(got > 0.0)
+    # one point at a time: the node table then follows each x alone
+    for xi in x[::20]:
+        for order, ref in enumerate((special.k0(xi), special.k1(xi), special.kn(2, xi))):
+            assert bessel_k(order, xi) == pytest.approx(ref, rel=1e-13)
+
+
+def test_bessel_return_types():
+    for x in (1.0, np.float64(1.0), np.array(1.0)):
+        assert type(bessel_k(1, x)) is float
+    out = bessel_k(2, [[0.5, 1.0, 2.0]])
+    assert isinstance(out, np.ndarray) and out.shape == (1, 3)
+
+
 def test_bessel_domain_errors():
+    for bad in (np.nan, np.inf, [1.0, np.nan]):
+        with pytest.raises(ValueError, match="x > 0"):
+            bessel_k(0, bad)
     with pytest.raises(ValueError):
         bessel_k(0, 0.0)
     with pytest.raises(ValueError):
@@ -75,6 +99,9 @@ def test_exact_domain_error():
         g_squared_exact(P, P.a, 0.0, 0.0)
     with pytest.raises(ValueError):
         g_squared_exact(P, 0.5 * P.a, 0.0, 0.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            g_squared_exact(P, [P.r0, bad], 0.0, 0.0)
 
 
 def test_simplified_closed_form_points():

@@ -110,6 +110,19 @@ def test_decoupled_output_gives_zero_reduced_spectrum():
     assert np.array_equal(reduced.transmission, np.zeros(11))
     assert np.array_equal(full.transmission, np.zeros(11))
 
+
+@pytest.mark.parametrize("g", [0.0, 7.2])
+def test_undamped_atoms_raise_before_any_division(g):
+    # gamma_par = gamma_las = 0: gamma_perp + i*delta vanishes on the grid's zero;
+    # the chain's missing steady state is reported, not a divide warning
+    rates = derive_rates(replace(CFG, gamma_par=0.0, gamma_las=0.0))
+    summary = decompose(rates, mhz(g), mhz(g))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="gamma_par = 0 with gamma_las = 0"):
+            reduced_spectrum(summary, rates)
+
+
 def test_reduced_spectrum_doublet_frozen():
     s = decompose(RATES, CFG.g1_eff, CFG.g2_eff)
     grid = np.linspace(mhz(-25.0), mhz(25.0), 8001)
