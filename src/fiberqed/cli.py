@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fiber_mode, linear_response, normal_modes, oracle, saturation
+from . import fiber_mode, linear_response, normal_modes, saturation
 from .params import PhysicalConfig, derive_rates, mhz, to_mhz, rate_report
 
 
@@ -131,7 +131,13 @@ class RunConfig:
     def saturation_config(self) -> saturation.SaturationConfig:
         s = self.saturation
         p = self.physical
-        g0_mhz = s.g0 if s.g0 > 0.0 else (p.g1_0 if s.which_cavity == 1 else p.g2_0)
+        g0_key = f"g{s.which_cavity}_0"
+        g0_mhz = s.g0 if s.g0 > 0.0 else getattr(p, g0_key)
+        if not g0_mhz > 0.0:
+            raise ConfigError(
+                f"[saturation] g0 = 0 takes [physical] {g0_key}, which is {g0_mhz!r}; "
+                "one of them must be positive"
+            )
         g_eff_mhz = self.atoms.g1_eff if s.which_cavity == 1 else self.atoms.g2_eff
         n_eff = s.N_eff if s.N_eff > 0.0 else (g_eff_mhz / g0_mhz) ** 2
         grid = np.geomspace(s.power_min_pW * 1e-12, s.power_max_pW * 1e-12, s.power_points)
@@ -383,6 +389,7 @@ def cmd_mode_profile(cfg: RunConfig, args) -> int:
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
+    from . import oracle    # only validate needs the oracles (and mpmath)
     results = oracle.run_validation(cfg.physical_config())
     ok = True
     for res in results:

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the closed-form code paths: the linear
 response is checked against a dense 5x5 complex solve of the stationarity
-equations as written, quadratures against recursive adaptive Simpson, and
-the Bessel evaluations against a slow arbitrary-precision ascending series.
+equations as written, quadratures against adaptive Simpson, and the Bessel
+evaluations against an arbitrary-precision ascending series.  The integrands
+handed to `adaptive_quadrature` must broadcast over numpy arrays.
 """
 
 from __future__ import annotations
@@ -70,32 +71,56 @@ def solve_dense(system: LinearSystem) -> SteadyStateAmplitudes:
 
 
 def adaptive_quadrature(f, lo: float, hi: float, tol: float = 1e-12) -> float:
-    """Recursive adaptive Simpson integration with Richardson correction."""
+    """Adaptive Simpson integration with Richardson correction, one depth at a time.
 
-    def simpson(a, fa, b, fb):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, b, fb, m, fm, whole, eps, depth):
-        lm, flm, left = simpson(a, fa, m, fm)
-        rm, frm, right = simpson(m, fm, b, fb)
+    `f` must broadcast over a 1-D array of abscissae: every interval still
+    open at a depth is bisected in one call.  Each interval's test is the
+    recursive rule's (|delta| <= 15 eps, eps halved per depth, no convergence
+    by depth 40 raises), and the accepted pieces are summed in the recursion's
+    order, so the result is the recursive one whenever `f` evaluates alike.
+    """
+    a, m, b = np.array([lo]), np.array([0.5 * (lo + hi)]), np.array([hi])
+    fa, fm, fb = np.split(f(np.concatenate((a, m, b))), 3)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    eps = tol
+    levels = []             # per depth: (value of each interval, accepted mask)
+    for depth in range(41):
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = np.split(f(np.concatenate((lm, rm))), 2)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
-        if abs(delta) <= 15.0 * eps:
-            return left + right + delta / 15.0
+        done = np.abs(delta) <= 15.0 * eps
+        levels.append((left + right + delta / 15.0, done))
+        if done.all():
+            break
         if depth >= 40:
             raise RuntimeError("adaptive quadrature failed to converge at depth 40")
-        return recurse(a, fa, m, fm, lm, flm, left, eps / 2.0, depth + 1) + recurse(
-            m, fm, b, fb, rm, frm, right, eps / 2.0, depth + 1
-        )
+        open_ = ~done
 
-    fa, fb = f(lo), f(hi)
-    m, fm, whole = simpson(lo, fa, hi, fb)
-    return recurse(lo, fa, hi, fb, m, fm, whole, tol, 0)
+        def halves(first, second):
+            """Each open interval's left-half entry followed by its right-half entry."""
+            return np.stack((first[open_], second[open_]), axis=1).ravel()
+
+        a, fa, b, fb, m, fm, whole = (
+            halves(a, m), halves(fa, fm), halves(m, b), halves(fm, fb),
+            halves(lm, rm), halves(flm, frm), halves(left, right),
+        )
+        eps /= 2.0
+    for depth in range(len(levels) - 2, -1, -1):
+        value, done = levels[depth]
+        children = levels[depth + 1][0]
+        value[~done] = children[0::2] + children[1::2]
+    return float(levels[0][0][0])
 
 
 def bessel_k_series(order: int, x: float, dps: int = 60) -> float:
-    """K_n(x) for n = 0, 1, 2 from the ascending series in arbitrary precision."""
+    """K_n(x) for n = 0, 1, 2 from the ascending series in arbitrary precision.
+
+    Each term is built from the previous one: (x^2/4)^k / (k! (n+k)!) by one
+    ratio, and the digamma weight psi(k+1) + psi(n+k+1) = H_k + H_{n+k} - 2 gamma
+    by the two harmonic-number steps 1/k + 1/(n+k).
+    """
     import mpmath       # only this oracle needs arbitrary precision
     if x <= 0.0:
         raise ValueError("bessel_k_series requires x > 0")
@@ -106,40 +131,40 @@ def bessel_k_series(order: int, x: float, dps: int = 60) -> float:
         xm = mpmath.mpf(x)
         half = xm / 2
         log_half = mpmath.log(half)
+        quarter_x2 = xm**2 / 4
+        negligible = mpmath.mpf(10) ** (-dps - 5)
 
         def bessel_i(nu):
+            term = half**nu / mpmath.factorial(nu)      # (x/2)^(2k+nu) / (k! (k+nu)!)
             total = mpmath.mpf(0)
             k = 0
             while True:
-                term = half ** (2 * k + nu) / (mpmath.factorial(k) * mpmath.factorial(k + nu))
                 total += term
-                if abs(term) < mpmath.mpf(10) ** (-dps - 5) * (abs(total) + 1):
+                if abs(term) < negligible * (abs(total) + 1):
                     return total
                 k += 1
+                term *= quarter_x2 / (k * (k + nu))
 
         # finite sum of the singular part
         finite = mpmath.mpf(0)
         for k in range(n):
-            finite += (
-                mpmath.factorial(n - k - 1)
-                / mpmath.factorial(k)
-                * (-(xm**2) / 4) ** k
-            )
+            finite += mpmath.factorial(n - k - 1) / mpmath.factorial(k) * (-quarter_x2) ** k
         finite *= half ** (-n) / 2
 
         # regular series with digamma weights
+        power = 1 / mpmath.factorial(n)                 # (x^2/4)^k / (k! (n+k)!)
+        weight = mpmath.fsum(1 / mpmath.mpf(j) for j in range(1, n + 1)) - 2 * mpmath.euler
         tail = mpmath.mpf(0)
         k = 0
         while True:
-            term = (
-                (mpmath.digamma(k + 1) + mpmath.digamma(n + k + 1))
-                * (xm**2 / 4) ** k
-                / (mpmath.factorial(k) * mpmath.factorial(n + k))
-            )
+            term = weight * power
             tail += term
-            if abs(term) < mpmath.mpf(10) ** (-dps - 5) * (abs(tail) + 1):
+            if abs(term) < negligible * (abs(tail) + 1):
                 break
             k += 1
+            step = k * (n + k)
+            power *= quarter_x2 / step
+            weight += mpmath.mpf(2 * k + n) / step      # 1/k + 1/(n+k)
         tail *= (-1) ** n * half**n / 2
 
         value = finite + (-1) ** (n + 1) * log_half * bessel_i(n) + tail
@@ -209,9 +234,9 @@ def run_validation(cfg: PhysicalConfig | None = None, draws: int = 200, seed: in
 
             def integrand(u):
                 ratio2 = (sigma * u) ** 2
-                s = math.exp(-2.0 * qx * (math.sqrt(1.0 + ratio2) - 1.0)) / (1.0 + ratio2) ** 1.5
-                return math.exp(-u * u) * (
-                    1.0 - 1.0 / math.sqrt((1.0 + a_mf * x2 * s) * (1.0 + x2 * s))
+                s = np.exp(-2.0 * qx * (np.sqrt(1.0 + ratio2) - 1.0)) / (1.0 + ratio2) ** 1.5
+                return np.exp(-u * u) * (
+                    1.0 - 1.0 / np.sqrt((1.0 + a_mf * x2 * s) * (1.0 + x2 * s))
                 )
 
             ref = (

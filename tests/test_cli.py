@@ -61,10 +61,12 @@ def test_mode_section_defaults_are_make_mode_params_defaults():
 
 
 def test_cli_import_leaves_out_scipy_optimize_and_mpmath():
+    # fiberqed.oracle is imported by `validate` alone
     src = os.path.dirname(os.path.dirname(fiber_mode.__file__))
     code = (
         "import sys, fiberqed.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'mpmath'))))"
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy', 'mpmath', 'fiberqed.oracle'))))"
     )
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
@@ -283,6 +285,23 @@ def test_negative_saturation_value_exits_with_code_2(tmp_path, capsys, key, valu
     assert f"[saturation] {key}=" in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []
     path.write_text(f"[saturation]\n{key} = 0\n")
+    assert main(["saturation", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("cavity", [1, 2])
+@pytest.mark.parametrize("n_eff", ["0", "100"])
+def test_derived_g0_of_zero_exits_with_code_2(tmp_path, capsys, cavity, n_eff):
+    # [saturation] g0 = 0 derives g0 from [physical] g1_0 or g2_0; a zero there
+    # is a config error naming both keys, not a division by zero
+    text = f"[physical]\ng{cavity}_0 = 0\n[saturation]\nwhich_cavity = {cavity}\nN_eff = {n_eff}\n"
+    path = tmp_path / "sat.cfg"
+    path.write_text(text + "g0 = 0\n")
+    with pytest.raises(ConfigError, match=rf"\[saturation\] g0 .*\[physical\] g{cavity}_0"):
+        parse_config(path.read_text()).saturation_config()
+    assert main(["saturation", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"[physical] g{cavity}_0" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+    path.write_text(text + "g0 = 0.9\n")
     assert main(["saturation", "--config", str(path), "--out", str(tmp_path)]) == 0
 
 

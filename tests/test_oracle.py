@@ -1,9 +1,12 @@
+import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
 
+from fiberqed import fiber_mode, saturation
 from fiberqed.linear_response import ProbeSettings
 from fiberqed.oracle import (
     LinearSystem,
@@ -68,16 +71,131 @@ def test_solve_dense_singular():
 
 
 def test_adaptive_quadrature_classics():
-    assert adaptive_quadrature(math.sin, 0.0, math.pi, 1e-12) == pytest.approx(2.0, abs=1e-12)
-    assert adaptive_quadrature(lambda u: math.exp(-u * u), -8.0, 8.0, 1e-12) == pytest.approx(
+    assert adaptive_quadrature(np.sin, 0.0, math.pi, 1e-12) == pytest.approx(2.0, abs=1e-12)
+    assert adaptive_quadrature(lambda u: np.exp(-u * u), -8.0, 8.0, 1e-12) == pytest.approx(
         math.sqrt(math.pi), abs=1e-12
     )
 
 
 def test_adaptive_quadrature_nonconvergence():
-    step = lambda x: 0.0 if x < 1.0 / math.sqrt(2.0) else 1.0
-    with pytest.raises(RuntimeError):
+    step = lambda x: np.where(x < 1.0 / math.sqrt(2.0), 0.0, 1.0)
+    with pytest.raises(RuntimeError, match="depth 40"):
         adaptive_quadrature(step, 0.0, 1.0, 1e-15)
+    with pytest.raises(RuntimeError, match="depth 40"):
+        _recursive_simpson(lambda x: float(step(x)), 0.0, 1.0, 1e-15)
+
+
+def _recursive_simpson(f, lo, hi, tol):
+    """The recursive adaptive Simpson rule, one Python call per interval (reference)."""
+
+    def simpson(a, fa, b, fb):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    def recurse(a, fa, b, fb, m, fm, whole, eps, depth):
+        lm, flm, left = simpson(a, fa, m, fm)
+        rm, frm, right = simpson(m, fm, b, fb)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * eps:
+            return left + right + delta / 15.0
+        if depth >= 40:
+            raise RuntimeError("adaptive quadrature failed to converge at depth 40")
+        return recurse(a, fa, m, fm, lm, flm, left, eps / 2.0, depth + 1) + recurse(
+            m, fm, b, fb, rm, frm, right, eps / 2.0, depth + 1
+        )
+
+    fa, fb = f(lo), f(hi)
+    m, fm, whole = simpson(lo, fa, hi, fb)
+    return recurse(lo, fa, hi, fb, m, fm, whole, tol, 0)
+
+
+def _validation_integrals():
+    """The seven (integrand, lo, hi, tol) that run_validation integrates."""
+    a_mf, qx = saturation.SaturationConfig.A_mf, saturation.SaturationConfig.q_prime_x0
+
+    def cloud(x2, sigma):
+        def integrand(u):
+            ratio2 = (sigma * u) ** 2
+            s = np.exp(-2.0 * qx * (np.sqrt(1.0 + ratio2) - 1.0)) / (1.0 + ratio2) ** 1.5
+            return np.exp(-u * u) * (1.0 - 1.0 / np.sqrt((1.0 + a_mf * x2 * s) * (1.0 + x2 * s)))
+        return integrand
+
+    p = fiber_mode.make_mode_params()
+    yield from ((cloud(x2, sigma), -8.0, 8.0, 1e-13) for x2 in (0.25, 1.0, 4.0) for sigma in (0.0, 0.3))
+    yield lambda z: fiber_mode.g_squared_simplified(p, p.r0, 0.0, z), 0.0, math.pi / p.beta, 1e-14
+
+
+def test_adaptive_quadrature_matches_the_recursion_on_the_validation_integrals():
+    integrals = list(_validation_integrals())
+    assert len(integrals) == 7
+    for f, lo, hi, tol in integrals:
+        scalar = lambda u: float(f(u))
+        ref = _recursive_simpson(scalar, lo, hi, tol)
+        assert abs(adaptive_quadrature(f, lo, hi, tol) - ref) <= 1e-15 * abs(ref)
+        # with f evaluated point by point, as the recursion evaluates it, the
+        # pieces are added pairwise in the recursion's order: identical floats
+        pointwise = lambda u: np.array([scalar(v) for v in u])
+        assert adaptive_quadrature(pointwise, lo, hi, tol) == ref
+
+
+#: the old digamma weights are pure functions of an integer; caching them keeps
+#: the reference's arithmetic unchanged and its 675 calls to about 2 s
+_digamma = functools.lru_cache(maxsize=None)(lambda k, dps: mpmath.digamma(k))
+
+
+def _factorial_digamma_series(order, x, dps=60):
+    """K_n(x) from the ascending series term by term: factorials, powers and digamma (reference)."""
+    n = order
+    with mpmath.workdps(dps):
+        xm = mpmath.mpf(x)
+        half = xm / 2
+        log_half = mpmath.log(half)
+
+        def bessel_i(nu):
+            total = mpmath.mpf(0)
+            k = 0
+            while True:
+                term = half ** (2 * k + nu) / (mpmath.factorial(k) * mpmath.factorial(k + nu))
+                total += term
+                if abs(term) < mpmath.mpf(10) ** (-dps - 5) * (abs(total) + 1):
+                    return total
+                k += 1
+
+        finite = mpmath.mpf(0)
+        for k in range(n):
+            finite += mpmath.factorial(n - k - 1) / mpmath.factorial(k) * (-(xm**2) / 4) ** k
+        finite *= half ** (-n) / 2
+
+        tail = mpmath.mpf(0)
+        k = 0
+        while True:
+            term = (
+                (_digamma(k + 1, dps) + _digamma(n + k + 1, dps))
+                * (xm**2 / 4) ** k
+                / (mpmath.factorial(k) * mpmath.factorial(n + k))
+            )
+            tail += term
+            if abs(term) < mpmath.mpf(10) ** (-dps - 5) * (abs(tail) + 1):
+                break
+            k += 1
+        tail *= (-1) ** n * half**n / 2
+
+        return float(finite + (-1) ** (n + 1) * log_half * bessel_i(n) + tail)
+
+
+def test_bessel_series_is_bit_identical_on_the_validation_points():
+    for x in np.geomspace(1e-3, 30.0, 25):
+        for order in (0, 1, 2):
+            assert bessel_k_series(order, float(x)) == _factorial_digamma_series(order, float(x))
+
+
+def test_bessel_series_within_one_ulp_from_1e_6_to_50():
+    # x >= 20 is the cancellation regime: I_n(x) log(x/2) and the tail nearly cancel
+    for x in np.geomspace(1e-6, 50.0, 200):
+        for order in (0, 1, 2):
+            ref = _factorial_digamma_series(order, float(x))
+            assert abs(bessel_k_series(order, float(x)) - ref) <= np.spacing(ref)
 
 
 def test_bessel_series_against_scipy():
