@@ -1,21 +1,24 @@
 """Weak-drive steady state of the three-mode, two-ensemble chain.
 
-The closed-form solution eliminates the fiber mode and the atomic
-coherences, leaving the cavity-2 amplitude as a ratio of two complex
-factors; the remaining amplitudes follow by back-substitution.  All
-expressions broadcast over numpy arrays of detunings.
+Folding each ensemble into its cavity, c_k = kappa_kp + i*delta_c +
+g_k^2/(gamma_perp + i*delta_a), leaves a 3x3 system on (a1, a2, b) with
+determinant Delta = kappa_b'*c1*c2 + v2^2*c1 + v1^2*c2, kappa_b' = kappa_b +
+i*delta_c.  Cramer's rule gives every amplitude over Delta:
+a1 = -iE(kappa_b'*c2 + v2^2)/Delta, a2 = iE*v1*v2/Delta, b = -E*v1*c2/Delta
+and s_k = -i*g_k*a_k/(gamma_perp + i*delta_a), so a transmission point costs
+one division, |a2|^2 = (E*v1*v2)^2/|Delta|^2.  All expressions broadcast
+over numpy arrays of detunings.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .params import TWO_PI, DerivedRates
 
-#: Denominator magnitude below which the steady state is treated as singular.
+#: |Delta|^2 below which the steady state is treated as singular.
 SINGULAR_FLOOR = 1e-300
 
 
@@ -51,11 +54,8 @@ def default_grid(span: float = TWO_PI * 30e6, points: int = 601) -> np.ndarray:
     return np.linspace(-span, span, points)
 
 
-def _amplitudes(rates: DerivedRates, dc, da, drive, g1: float, g2: float):
-    """Closed-form amplitudes; dc, da, g1 and g2 may be scalars or arrays."""
-    dc = np.asarray(dc, dtype=float)
-    da = np.asarray(da, dtype=float)
-    # an undamped fiber mode or atom has no steady state on its own resonance
+def _check_damped(rates: DerivedRates, dc, da) -> None:
+    """An undamped fiber mode or atom has no steady state on its own resonance."""
     if rates.kappa_b == 0.0 and np.any(dc == 0.0):
         raise ValueError("alphaf = 0 with gamma_las = 0 leaves the fiber mode undamped: "
                          "no steady state at zero cavity detuning")
@@ -63,24 +63,35 @@ def _amplitudes(rates: DerivedRates, dc, da, drive, g1: float, g2: float):
         raise ValueError("gamma_par = 0 with gamma_las = 0 leaves the atoms undamped: "
                          "no steady state at zero atom detuning")
 
-    kb = rates.kappa_b + 1j * dc
+
+def _check_regular(det_sq) -> None:
+    if np.any(det_sq < SINGULAR_FLOOR):
+        raise RuntimeError("steady state is singular: |Delta| underflowed")
+
+
+def _determinant(rates: DerivedRates, dc, da, g1, g2):
+    """Delta = c1*m + v1^2*c2, |Delta|^2, gamma_perp + i*da, c2 and m = kappa_b'*c2 + v2^2;
+    dc, da, g1 and g2 may be arrays."""
+    _check_damped(rates, dc, da)
+    idc = 1j * dc
     gp = rates.gamma_perp + 1j * da
-    # effective cavity-1 response with atom 1 and the fiber folded in
-    d1 = rates.kappa_1p + 1j * dc + g1**2 / gp + rates.v1**2 / kb
+    # each cavity with its ensemble folded in
+    c1 = rates.kappa_1p + idc + g1**2 / gp
+    c2 = rates.kappa_2p + idc + g2**2 / gp
+    m = (rates.kappa_b + idc) * c2 + rates.v2**2
+    det = c1 * m + rates.v1**2 * c2
+    det_sq = det.real**2 + det.imag**2
+    _check_regular(det_sq)
+    return det, det_sq, gp, c2, m
 
-    a_num = -1j * drive * (rates.v2 / kb) * rates.v1 / d1
-    b_den = (
-        -(rates.kappa_2p + 1j * dc)
-        - rates.v2**2 / kb
-        - g2**2 / gp
-        + (rates.v1 * rates.v2) ** 2 / kb**2 / d1
-    )
-    if np.any(np.abs(b_den) < SINGULAR_FLOOR):
-        raise RuntimeError("steady state is singular: |B| underflowed")
 
-    a2 = a_num / b_den
-    a1 = -(1j * drive + rates.v1 * rates.v2 / kb * a2) / d1
-    b = (-1j * rates.v1 * a1 - 1j * rates.v2 * a2) / kb
+def _amplitudes(rates: DerivedRates, dc, da, drive, g1: float, g2: float):
+    """Closed-form amplitudes by Cramer's rule; dc, da, g1 and g2 may be scalars or arrays."""
+    det, _, gp, c2, m = _determinant(rates, dc, da, g1, g2)
+    e = drive / det
+    a1 = -1j * e * m
+    a2 = 1j * e * rates.v1 * rates.v2
+    b = -e * rates.v1 * c2
     s1 = -1j * g1 * a1 / gp
     s2 = -1j * g2 * a2 / gp
     return a1, a2, b, s1, s2
@@ -93,12 +104,8 @@ def steady_state(
     probe.validate()
     if g1 < 0.0 or g2 < 0.0:
         raise ValueError("coupling strengths must be non-negative")
-    a1, a2, b, s1, s2 = _amplitudes(
-        rates, probe.delta_c, probe.delta_a, probe.drive_E1, g1, g2
-    )
-    return SteadyStateAmplitudes(
-        a1=complex(a1), a2=complex(a2), b=complex(b), s1=complex(s1), s2=complex(s2)
-    )
+    amps = _amplitudes(rates, probe.delta_c, probe.delta_a, probe.drive_E1, g1, g2)
+    return SteadyStateAmplitudes(*map(complex, amps))
 
 
 def stationarity_residual(
@@ -148,20 +155,15 @@ def _checked_grid(grid: np.ndarray | None) -> np.ndarray:
     return grid
 
 
-def _empty_chain_flux(rates: DerivedRates, drive_E1: float) -> float:
-    """On-resonance empty-chain output flux, the norm of both spectra; taken first, so a
-    chain with no steady state raises the ValueError of _amplitudes before any division."""
-    return output_flux(steady_state(rates, ProbeSettings(0.0, 0.0, drive_E1), 0.0, 0.0), rates)
-
-
-def _normalized(flux: np.ndarray, norm: float) -> np.ndarray:
-    """flux / norm; zeros when the output is decoupled (norm = 0: v2 = 0 or
-    kappa_2r = 0), since then no light gets through at all."""
-    if norm != 0.0:
-        return flux / norm
-    if np.any(flux != 0.0):
-        raise RuntimeError("normalization flux is zero but the spectrum is not")
-    return np.zeros_like(flux)
+def _empty_chain_flux(rates: DerivedRates, drive_E1: float) -> tuple[float, float]:
+    """On-resonance empty-chain output flux, the norm of both spectra, and its |Delta|^2:
+    the float operations of _determinant at zero detuning and coupling, so a grid
+    point there gives the same |Delta|^2 bit for bit."""
+    _check_damped(rates, 0.0, 0.0)
+    det = rates.kappa_1p * (rates.kappa_b * rates.kappa_2p + rates.v2**2) + rates.v1**2 * rates.kappa_2p
+    det_sq = det * det
+    _check_regular(det_sq)
+    return 2.0 * rates.kappa_2r * (drive_E1 * rates.v1 * rates.v2) ** 2 / det_sq, det_sq
 
 
 def transmission_spectrum(
@@ -177,14 +179,13 @@ def transmission_spectrum(
     The sweep varies delta_a and delta_c together (the cavities track the
     atomic resonance); delta_c_offset = omega_c - omega_a shifts the cavity
     ladder relative to the atoms.  The spectrum is normalized to the
-    on-resonance empty-cavity output flux.
+    on-resonance empty-cavity output flux; it is zero when that flux is
+    (v1 = 0, v2 = 0 or kappa_2r = 0: no light gets through at all).
     """
+    ProbeSettings(drive_E1=drive_E1).validate()
     grid = _checked_grid(grid)
-    norm = _empty_chain_flux(rates, drive_E1)
-    _, a2, _, _, _ = _amplitudes(
-        rates, grid + delta_c_offset, grid, drive_E1, g1, g2
-    )
-    transmission = _normalized(2.0 * rates.kappa_2r * np.abs(a2) ** 2, norm)
-    return SpectrumResult(
-        detunings=grid, transmission=transmission, normalization_flux=norm
-    )
+    norm, det0_sq = _empty_chain_flux(rates, drive_E1)
+    det_sq = _determinant(rates, grid + delta_c_offset, grid, g1, g2)[1]
+    # the flux 2*kappa_2r*|a2|^2 = 2*kappa_2r*(E*v1*v2)^2/|Delta|^2 over the norm
+    transmission = (det0_sq if norm != 0.0 else 0.0) / det_sq
+    return SpectrumResult(detunings=grid, transmission=transmission, normalization_flux=norm)

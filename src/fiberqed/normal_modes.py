@@ -89,26 +89,21 @@ def reduced_spectrum(
 ) -> SpectrumResult:
     """Transmission of the single-mode reduced model (dark mode + two ensembles).
 
-    The dark mode, damped at kappa_d plus the laser linewidth, is driven with
-    the projected unit amplitude v2/(sqrt(2)*v_tilde) and read out through its
-    cavity-2 weight.  Normalization matches the full model: the on-resonance
-    empty-cavity flux of the full three-mode chain.
+    The dark mode, damped at k = kappa_d + gamma_las, is driven with the projected
+    unit amplitude v2/(sqrt(2)*v_tilde) and read out through its cavity-2 weight
+    v1/(sqrt(2)*v_tilde), so |a2|^2 = (v1*v2/(2*v_tilde^2))^2 |gamma_perp + i*delta|^2 / |D|^2
+    with D = (k + i*delta)(gamma_perp + i*delta) + gd1^2 + gd2^2.  Normalization
+    matches the full model: the on-resonance empty-cavity flux of the full chain.
     """
     grid = linear_response._checked_grid(grid)
-    norm = linear_response._empty_chain_flux(rates, 1.0)
-
-    s2v = summary.splitting_bright
-    gp = rates.gamma_perp + 1j * grid
-    d = -1j * (rates.v2 / s2v) / (
-        summary.kappa_d + rates.gamma_las + 1j * grid
-        + (summary.gd1**2 + summary.gd2**2) / gp
-    )
-
-    # cavity-2 weight of the dark mode
-    a2 = rates.v1 / s2v * d
-    flux = 2.0 * rates.kappa_2r * np.abs(a2) ** 2
-
-    transmission = linear_response._normalized(flux, norm)
+    norm, det0_sq = linear_response._empty_chain_flux(rates, 1.0)
+    k, gp = summary.kappa_d + rates.gamma_las, rates.gamma_perp
+    d2 = grid * grid
+    # |D|^2 in real arithmetic, D = (k*gp + gd^2 - delta^2) + i*delta*(k + gp); over
+    # the norm, (v1*v2)^2 cancels and |Delta_0|^2 / (2*v_tilde^2)^2 remains
+    den_sq = (k * gp + summary.gd1**2 + summary.gd2**2 - d2) ** 2 + d2 * (k + gp) ** 2
+    scale = det0_sq / summary.splitting_bright**4 if norm != 0.0 else 0.0
+    transmission = scale * (gp * gp + d2) / den_sq
     return SpectrumResult(detunings=grid, transmission=transmission, normalization_flux=norm)
 
 

@@ -10,7 +10,7 @@ handed to `adaptive_quadrature` must broadcast over numpy arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .linear_response import ProbeSettings, SteadyStateAmplitudes
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """5x5 complex stationarity system in the variable order (a1, a2, b, s1, s2)."""
+    """5x5 complex stationarity system(s) in the variable order (a1, a2, b, s1, s2)."""
 
     matrix: np.ndarray
     rhs: np.ndarray
@@ -30,44 +30,47 @@ class LinearSystem:
 def build_linear_system(
     rates: DerivedRates, probe: ProbeSettings, g1: float, g2: float
 ) -> LinearSystem:
-    """Encode the five fixed-point equations row by row."""
+    """Encode the five fixed-point equations row by row; array-valued rates, probe
+    fields or couplings stack one system per element."""
     dc, da = probe.delta_c, probe.delta_a
-    m = np.zeros((5, 5), dtype=complex)
-    rhs = np.zeros(5, dtype=complex)
+    shape = np.broadcast_shapes(*map(np.shape, (dc, da, probe.drive_E1, g1, g2, *vars(rates).values())))
+    m = np.zeros(shape + (5, 5), dtype=complex)
+    rhs = np.zeros(shape + (5,), dtype=complex)
 
-    m[0, 0] = rates.kappa_1p + 1j * dc
-    m[0, 2] = 1j * rates.v1
-    m[0, 3] = 1j * g1
-    rhs[0] = -1j * probe.drive_E1
+    m[..., 0, 0] = rates.kappa_1p + 1j * dc
+    m[..., 0, 2] = 1j * rates.v1
+    m[..., 0, 3] = 1j * g1
+    rhs[..., 0] = -1j * probe.drive_E1
 
-    m[1, 1] = rates.kappa_2p + 1j * dc
-    m[1, 2] = 1j * rates.v2
-    m[1, 4] = 1j * g2
+    m[..., 1, 1] = rates.kappa_2p + 1j * dc
+    m[..., 1, 2] = 1j * rates.v2
+    m[..., 1, 4] = 1j * g2
 
-    m[2, 2] = rates.kappa_b + 1j * dc
-    m[2, 0] = 1j * rates.v1
-    m[2, 1] = 1j * rates.v2
+    m[..., 2, 2] = rates.kappa_b + 1j * dc
+    m[..., 2, 0] = 1j * rates.v1
+    m[..., 2, 1] = 1j * rates.v2
 
-    m[3, 3] = rates.gamma_perp + 1j * da
-    m[3, 0] = 1j * g1
+    m[..., 3, 3] = rates.gamma_perp + 1j * da
+    m[..., 3, 0] = 1j * g1
 
-    m[4, 4] = rates.gamma_perp + 1j * da
-    m[4, 1] = 1j * g2
+    m[..., 4, 4] = rates.gamma_perp + 1j * da
+    m[..., 4, 1] = 1j * g2
 
     return LinearSystem(matrix=m, rhs=rhs)
 
 
 def solve_dense(system: LinearSystem) -> SteadyStateAmplitudes:
-    """Direct dense solve with an explicit residual check."""
+    """Direct dense solve, stacked systems in one call, with a residual check per system."""
     try:
-        x = np.linalg.solve(system.matrix, system.rhs)
+        x = np.linalg.solve(system.matrix, system.rhs[..., np.newaxis])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"singular linear system: {exc}") from exc
-    residual = np.max(np.abs(system.matrix @ x - system.rhs))
-    scale = max(np.max(np.abs(system.rhs)), 1e-300)
-    if residual > 1e-12 * scale and scale > 1e-290:
-        raise RuntimeError(f"dense solve residual too large: {residual / scale:.3e}")
-    return SteadyStateAmplitudes(a1=x[0], a2=x[1], b=x[2], s1=x[3], s2=x[4])
+    residual = np.max(np.abs(system.matrix @ x - system.rhs[..., np.newaxis]), axis=(-2, -1))
+    scale = np.maximum(np.max(np.abs(system.rhs), axis=-1), 1e-300)
+    bad = (residual > 1e-12 * scale) & (scale > 1e-290)
+    if np.any(bad):
+        raise RuntimeError(f"dense solve residual too large: {np.max(residual[bad] / scale[bad]):.3e}")
+    return SteadyStateAmplitudes(*np.moveaxis(x[..., 0], -1, 0))
 
 
 def adaptive_quadrature(f, lo: float, hi: float, tol: float = 1e-12) -> float:
@@ -185,34 +188,34 @@ def _check_linear_closed_form(rates: DerivedRates, cfg: PhysicalConfig, draws: i
         rates.kappa_1l, rates.kappa_1loss, rates.kappa_2r, rates.kappa_2loss,
         rates.kappa_bloss, rates.v1, rates.v2,
     ])
-    worst = 0.0
+    cases, closed = [], []
     for _ in range(draws):
         f = 10.0 ** rng.uniform(-1.0, 1.0, size=base.size)
         k1l, k1loss, k2r, k2loss, kbloss, v1, v2 = base * f
-        k1 = k1l + k1loss
-        k2 = k2r + k2loss
-        r = DerivedRates(
-            kappa_1l=k1l, kappa_1r=rates.kappa_1r, kappa_2l=rates.kappa_2l,
-            kappa_2r=k2r, kappa_1loss=k1loss, kappa_2loss=k2loss,
-            kappa_bloss=kbloss, kappa_1=k1, kappa_2=k2,
-            kappa_1p=k1 + rates.gamma_las, kappa_2p=k2 + rates.gamma_las,
-            kappa_b=kbloss + rates.gamma_las, v1=v1, v2=v2, gamma_perp=rates.gamma_perp,
-            gamma_par=rates.gamma_par, gamma_las=rates.gamma_las,
+        k1, k2, las = k1l + k1loss, k2r + k2loss, rates.gamma_las
+        r = replace(
+            rates, kappa_1l=k1l, kappa_2r=k2r, kappa_1loss=k1loss, kappa_2loss=k2loss,
+            kappa_bloss=kbloss, kappa_1=k1, kappa_2=k2, kappa_1p=k1 + las, kappa_2p=k2 + las,
+            kappa_b=kbloss + las, v1=v1, v2=v2,
         )
-        probe = ProbeSettings(
-            delta_c=rng.uniform(-mhz(50), mhz(50)),
-            delta_a=rng.uniform(-mhz(50), mhz(50)),
-            drive_E1=rng.uniform(0.1, 10.0),
-        )
+        # delta_c, delta_a, drive_E1, g1, g2: drawn in this order
+        probe = ProbeSettings(rng.uniform(-mhz(50), mhz(50)), rng.uniform(-mhz(50), mhz(50)),
+                              rng.uniform(0.1, 10.0))
         g1 = cfg.g1_eff * 10.0 ** rng.uniform(-1.0, 1.0)
         g2 = cfg.g2_eff * 10.0 ** rng.uniform(-1.0, 1.0)
-        closed = linear_response.steady_state(r, probe, g1, g2)
-        dense = solve_dense(build_linear_system(r, probe, g1, g2))
-        vec_c = np.array([closed.a1, closed.a2, closed.b, closed.s1, closed.s2])
-        vec_d = np.array([dense.a1, dense.a2, dense.b, dense.s1, dense.s2])
-        err = np.max(np.abs(vec_c - vec_d)) / max(np.max(np.abs(vec_d)), 1e-300)
-        worst = max(worst, err)
-    return worst
+        closed.append(list(vars(linear_response.steady_state(r, probe, g1, g2)).values()))
+        cases.append((r, probe, g1, g2))
+
+    def stacked(objs):
+        """One dataclass whose fields are the arrays of the draws' fields."""
+        return type(objs[0])(*np.array([list(vars(o).values()) for o in objs]).T)
+
+    r, probe, g1, g2 = zip(*cases)
+    d = solve_dense(build_linear_system(stacked(r), stacked(probe), np.array(g1), np.array(g2)))
+    dense = np.stack(list(vars(d).values()), axis=-1)
+    err = np.max(np.abs(np.array(closed) - dense), axis=-1) / np.maximum(
+        np.max(np.abs(dense), axis=-1), 1e-300)
+    return float(np.max(err))
 
 
 def run_validation(cfg: PhysicalConfig | None = None, draws: int = 200, seed: int = 7) -> list[CheckResult]:

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -125,3 +127,73 @@ def test_delta_c_offset_shifts_empty_resonances():
     spec = transmission_spectrum(RATES, 0.0, 0.0, delta_c_offset=offset, grid=grid)
     peak = grid[np.argmax(spec.transmission)]
     assert peak == pytest.approx(-offset, abs=mhz(0.02))
+
+
+def test_undamped_bright_resonance_raises_without_warning():
+    # every damping rate 0 and v1 = 3, v2 = 4: the bright modes sit at
+    # +-sqrt(v1^2 + v2^2) = +-5 rad/s undamped, so Delta = 0 exactly there
+    rates = replace(RATES, **{f: 0.0 for f in vars(RATES) if f not in ("v1", "v2")}, v1=3.0, v2=4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="singular"):
+            steady_state(rates, ProbeSettings(5.0, 5.0, 1.0), 0.0, 0.0)
+        # the spectrum's norm at zero detuning meets the undamped fiber mode first
+        with pytest.raises(ValueError, match="alphaf = 0"):
+            transmission_spectrum(rates, 0.0, 0.0, grid=np.array([4.0, 5.0, 6.0]))
+        # lossless cavities with a damped fiber: the fiber-dark mode is undamped on
+        # resonance, where the empty-chain norm is taken
+        dark = replace(rates, kappa_b=1.0, gamma_perp=1.0)
+        with pytest.raises(RuntimeError, match="singular"):
+            steady_state(dark, ProbeSettings(0.0, 0.0, 1.0), 0.0, 0.0)
+        with pytest.raises(RuntimeError, match="singular"):
+            transmission_spectrum(dark, 0.0, 0.0, grid=np.array([-1.0, 1.0]))
+
+
+def test_spectrum_rejects_negative_drive():
+    with pytest.raises(ValueError, match="drive_E1 must be non-negative"):
+        transmission_spectrum(RATES, 0.0, 0.0, grid=np.array([-1.0, 0.0, 1.0]), drive_E1=-1.0)
+
+
+def _design_configs(rng, n):
+    """Seeded configs over the design-scan ranges; each coupling is 0 one time in four."""
+    def coupling():
+        return 0.0 if rng.random() < 0.25 else mhz(rng.uniform(0.5, 15.0))
+
+    for _ in range(n):
+        t = rng.uniform(0.02, 0.6, 4)
+        cfg = PhysicalConfig(
+            T1=t[0], T2=t[1], T3=t[2], T4=t[3], L1=rng.uniform(0.3, 3.0), L2=rng.uniform(0.3, 3.0),
+            Lf=rng.uniform(0.3, 5.0), alpha1=rng.uniform(0.0, 0.08), alpha2=rng.uniform(0.0, 0.08),
+            alphaf=rng.uniform(0.0, 0.08), g1_eff=coupling(), g2_eff=coupling(),
+        )
+        yield cfg, mhz(rng.uniform(20.0, 80.0))
+
+
+def _exact_a2_squared(rates, delta, g1, g2):
+    """|a2|^2 from a 40-digit LU solve of the dense 5x5 system."""
+    system = oracle.build_linear_system(rates, ProbeSettings(delta, delta, 1.0), g1, g2)
+    with mpmath.workdps(40):
+        x = mpmath.lu_solve(mpmath.matrix(system.matrix.tolist()), mpmath.matrix(system.rhs.tolist()))
+        return abs(x[1]) ** 2
+
+
+def test_spectrum_matches_40_digit_solve():
+    # these configs include points where a nested-fraction evaluation errs by 2.5e-14
+    worst = 0.0
+    for cfg, span in _design_configs(np.random.default_rng(5), 32):
+        rates = derive_rates(cfg)
+        grid = np.linspace(-span, span, 5)
+        spec = transmission_spectrum(rates, cfg.g1_eff, cfg.g2_eff, grid=grid)
+        norm = _exact_a2_squared(rates, 0.0, 0.0, 0.0)
+        for delta, got in zip(grid, spec.transmission):
+            want = _exact_a2_squared(rates, float(delta), cfg.g1_eff, cfg.g2_eff) / norm
+            worst = max(worst, float(abs(got - want) / want))
+    assert worst <= 1e-14
+
+
+def test_empty_chain_is_unity_on_resonance_for_every_config():
+    # the norm repeats the grid's float operations at zero detuning, bit for bit
+    for cfg, span in _design_configs(np.random.default_rng(3), 50):
+        rates = derive_rates(cfg)
+        spec = transmission_spectrum(rates, 0.0, 0.0, grid=np.linspace(-span, span, 7))
+        assert spec.transmission[3] == 1.0

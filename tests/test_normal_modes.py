@@ -1,10 +1,12 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from fiberqed.linear_response import SpectrumResult, transmission_spectrum
+from fiberqed import oracle
+from fiberqed.linear_response import ProbeSettings, SpectrumResult, transmission_spectrum
 from fiberqed.normal_modes import decompose, peak_find, reduced_spectrum
 from fiberqed.params import PhysicalConfig, derive_rates, mhz, to_mhz
 from dataclasses import replace
@@ -216,3 +218,23 @@ def test_peak_find_edge_cases():
     peaks = peak_find(SpectrumResult(x, y, 1.0))
     assert len(reference) > 50
     assert peaks == reference
+
+
+@pytest.mark.parametrize("lf, g1, g2", [(1.23, 7.2, 7.3), (0.83, 0.0, 12.0), (2.27, 0.0, 0.0)])
+def test_reduced_spectrum_matches_40_digit_dark_mode_model(lf, g1, g2):
+    # the dark-mode amplitude as a nested fraction, normalized by a dense solve
+    # of the empty three-mode chain on resonance, both at 40 digits
+    rates = derive_rates(replace(CFG, Lf=lf))
+    s = decompose(rates, mhz(g1), mhz(g2))
+    grid = np.linspace(mhz(-25.0), mhz(25.0), 11)
+    spec = reduced_spectrum(s, rates, grid=grid)
+    empty = oracle.build_linear_system(rates, ProbeSettings(0.0, 0.0, 1.0), 0.0, 0.0)
+    with mpmath.workdps(40):
+        x = mpmath.lu_solve(mpmath.matrix(empty.matrix.tolist()), mpmath.matrix(empty.rhs.tolist()))
+        s2v, gp = mpmath.mpf(s.splitting_bright), mpmath.mpf(rates.gamma_perp)
+        gd2 = mpmath.mpf(s.gd1) ** 2 + mpmath.mpf(s.gd2) ** 2
+        for delta, got in zip(grid, spec.transmission):
+            i_delta = 1j * mpmath.mpf(delta)
+            d = -1j * (rates.v2 / s2v) / (s.kappa_d + rates.gamma_las + i_delta + gd2 / (gp + i_delta))
+            want = abs(rates.v1 / s2v * d) ** 2 / abs(x[1]) ** 2
+            assert abs(got - want) <= 1e-14 * want

@@ -220,3 +220,30 @@ def test_run_validation_default_config():
 def test_run_validation_other_fiber_length():
     results = run_validation(replace(CFG, Lf=0.83), draws=50)
     assert all(res.passed for res in results)
+
+
+def test_stacked_systems_solve_like_single_ones():
+    dc = np.array([0.0, mhz(3.0), mhz(-12.0)])
+    da = np.array([0.0, mhz(3.0), mhz(7.0)])
+    g1 = np.array([0.0, CFG.g1_eff, CFG.g1_eff])
+    stack = solve_dense(build_linear_system(RATES, ProbeSettings(dc, da, 2.0), g1, CFG.g2_eff))
+    for i in range(3):
+        probe = ProbeSettings(float(dc[i]), float(da[i]), 2.0)
+        one = solve_dense(build_linear_system(RATES, probe, float(g1[i]), CFG.g2_eff))
+        for name in ("a1", "a2", "b", "s1", "s2"):
+            assert getattr(stack, name)[i] == getattr(one, name)
+
+
+def test_stacked_solve_checks_each_residual():
+    # condition number 1e16: the solve's residual is far above 1e-12 of that
+    # system's rhs, and the well-posed system stacked with it does not hide it
+    rng = np.random.default_rng(0)
+    q1, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    q2, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    good = np.eye(5, dtype=complex)
+    bad = q1 @ np.diag([1.0, 1.0, 1.0, 1.0, 1e-16]) @ q2
+    rhs = np.zeros((2, 5), dtype=complex)
+    rhs[:, 0] = 1.0
+    assert solve_dense(LinearSystem(good, rhs[0])).a1 == 1.0
+    with pytest.raises(RuntimeError, match="residual too large"):
+        solve_dense(LinearSystem(np.stack([good, bad]), rhs))
