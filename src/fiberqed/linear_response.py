@@ -55,11 +55,12 @@ def default_grid(span: float = TWO_PI * 30e6, points: int = 601) -> np.ndarray:
 
 
 def _check_damped(rates: DerivedRates, dc, da) -> None:
-    """An undamped fiber mode or atom has no steady state on its own resonance."""
-    if rates.kappa_b == 0.0 and np.any(dc == 0.0):
+    """An undamped fiber mode or atom has no steady state on its own resonance; elementwise
+    over stacked rates, and a float rate compares to a plain bool (no numpy call)."""
+    if (zero := rates.kappa_b == 0.0) is not False and np.any(zero & (dc == 0.0)):
         raise ValueError("alphaf = 0 with gamma_las = 0 leaves the fiber mode undamped: "
                          "no steady state at zero cavity detuning")
-    if rates.gamma_perp == 0.0 and np.any(da == 0.0):
+    if (zero := rates.gamma_perp == 0.0) is not False and np.any(zero & (da == 0.0)):
         raise ValueError("gamma_par = 0 with gamma_las = 0 leaves the atoms undamped: "
                          "no steady state at zero atom detuning")
 

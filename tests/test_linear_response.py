@@ -8,14 +8,15 @@ import pytest
 from fiberqed import oracle
 from fiberqed.linear_response import (
     ProbeSettings,
+    _amplitudes,
     default_grid,
     output_flux,
     stationarity_residual,
     steady_state,
     transmission_spectrum,
 )
-from fiberqed.params import PhysicalConfig, derive_rates, mhz
-from dataclasses import replace
+from fiberqed.params import DerivedRates, PhysicalConfig, derive_rates, mhz
+from dataclasses import fields, replace
 
 CFG = PhysicalConfig()
 RATES = derive_rates(CFG)
@@ -197,3 +198,35 @@ def test_empty_chain_is_unity_on_resonance_for_every_config():
         rates = derive_rates(cfg)
         spec = transmission_spectrum(rates, 0.0, 0.0, grid=np.linspace(-span, span, 7))
         assert spec.transmission[3] == 1.0
+
+
+def _stacked(rates_list):
+    """One DerivedRates whose fields are (n, 1) arrays, config by config."""
+    return DerivedRates(**{f.name: np.array([[getattr(r, f.name)] for r in rates_list])
+                           for f in fields(DerivedRates)})
+
+
+def test_amplitudes_on_stacked_rates_equal_the_per_config_calls():
+    configs = list(_design_configs(np.random.default_rng(11), 20))
+    rates = [derive_rates(cfg) for cfg, _ in configs]
+    g1 = np.array([[cfg.g1_eff] for cfg, _ in configs])
+    g2 = np.array([[cfg.g2_eff] for cfg, _ in configs])
+    grid = np.linspace(-mhz(40.0), mhz(40.0), 101)
+    stacked = _amplitudes(_stacked(rates), grid + mhz(1.5), grid, 1.0, g1, g2)
+    for i, (r, (cfg, _)) in enumerate(zip(rates, configs)):
+        single = _amplitudes(r, grid + mhz(1.5), grid, 1.0, cfg.g1_eff, cfg.g2_eff)
+        for got, want in zip(stacked, single):
+            assert np.array_equal(got[i], want)
+
+
+def test_stacked_rates_with_one_undamped_member_raise():
+    rates = [derive_rates(cfg) for cfg, _ in _design_configs(np.random.default_rng(12), 4)]
+    undamped_fiber = replace(rates[2], kappa_b=0.0)
+    undamped_atoms = replace(rates[1], gamma_perp=0.0)
+    grid = np.linspace(-mhz(10.0), mhz(10.0), 11)       # holds zero detuning
+    for member, match in ((undamped_fiber, "alphaf = 0"), (undamped_atoms, "gamma_par = 0")):
+        stack = _stacked(rates[:1] + [member] + rates[2:])
+        with pytest.raises(ValueError, match=match):
+            _amplitudes(stack, grid, grid, 1.0, 0.0, 0.0)
+        # off zero detuning the undamped member has a steady state
+        _amplitudes(stack, grid + 1.0, grid + 1.0, 1.0, 0.0, 0.0)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -132,6 +135,49 @@ def test_quadrature_zero_field_cloud_average():
     assert got0 < 92.0
     with pytest.raises(ValueError):
         quadrature_saturation_term(92.0, 0.17, -0.1, qx, 1.0)
+
+
+def _full_rule_term(N_eff, A_mf, sigma, qx, x2):
+    """The atom summation by the whole symmetric 96-node Gauss-Hermite rule."""
+    u, w = np.polynomial.hermite.hermgauss(96)
+    ratio2 = (sigma * u) ** 2
+    s = np.exp(-2.0 * qx * (np.sqrt(1.0 + ratio2) - 1.0)) / (1.0 + ratio2) ** 1.5
+    xs = x2[:, np.newaxis] * s
+    fraction = -np.expm1(-0.5 * (np.log1p(A_mf * xs) + np.log1p(xs)))
+    integral = np.sum(w * fraction, axis=-1) / math.sqrt(math.pi)
+    s_avg = np.sum(w * s) / math.sqrt(math.pi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x2 > 0.0, N_eff * 2.0 / (1.0 + A_mf) / x2 * integral, N_eff * s_avg)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.1, 0.3, 1.0, 3.0])
+@pytest.mark.parametrize("qx", [0.3, 1.1, 2.0, 5.0])
+def test_folded_rule_matches_the_full_96_node_sum(sigma, qx):
+    # the 27 folded nodes drop only weights below 1e-18 of the largest
+    x2 = np.concatenate([[0.0], np.geomspace(1e-14, 1e14, 57)])
+    got = quadrature_saturation_term(92.0, 0.17, sigma, qx, x2)
+    np.testing.assert_allclose(got, _full_rule_term(92.0, 0.17, sigma, qx, x2),
+                               rtol=1e-15, atol=0.0)
+    if sigma == 0.0:
+        np.testing.assert_allclose(got, collective_saturation_term(92.0, 0.17, x2),
+                                   rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("x2", [-0.5, -50.0, np.array([1.0, -1e-12])])
+def test_both_terms_reject_negative_field(x2):
+    with pytest.raises(ValueError, match="X_abs2 must be non-negative"):
+        collective_saturation_term(92.0, 0.17, x2)
+    with pytest.raises(ValueError, match="X_abs2 must be non-negative"):
+        quadrature_saturation_term(92.0, 0.17, 0.3, 1.4424, x2)
+
+
+def test_import_builds_no_gauss_hermite_rule():
+    src = os.path.dirname(os.path.dirname(saturation.__file__))
+    code = "import fiberqed; print(fiberqed.saturation._gauss_hermite.cache_info().currsize)"
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0"
 
 
 @pytest.mark.parametrize("which", [1, 2])
@@ -378,3 +424,45 @@ def test_response_function_matches_the_hand_derived_chain(monkeypatch):
         assert got == [(p.n_roots, p.branch) for p in reference.points]
         bistable += any(n == 3 for n, _ in got)
     assert bistable > 0     # the bistable region is part of the check
+
+
+def test_a_drive_on_a_scan_node_gives_that_node_once_in_order():
+    cfg = _config(1, N_eff=2000.0)
+    n_sat = saturation_photon_number(cfg.g0, RATES)
+    F, _ = _response_function(cfg, RATES)
+    sqrt_nsat = math.sqrt(n_sat)
+    grid = np.geomspace(1e-4 * sqrt_nsat, 1e3 * sqrt_nsat, 400)
+    h = grid * F(grid * grid)
+    middle = np.flatnonzero(np.diff(h) < 0.0) + 1      # nodes on the unstable middle branch
+    k = middle[middle.size // 2]
+    y = np.array([0.5 * h[k], h[k], 2.0 * h[k]])
+    roots = _find_roots(F, y, n_sat)
+    node_roots = roots[1]
+    assert np.count_nonzero(node_roots == grid[k]) == 1
+    assert node_roots.size == 3 and node_roots[1] == grid[k]
+    assert np.all(np.diff(node_roots) > 0.0)
+    for yi, r in zip(y, roots):
+        assert np.all(np.abs(r * F(r * r) - yi) <= 1e-12 * yi)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("model, sigma", [("closed_form", 0.0), ("quadrature", 0.3)])
+@pytest.mark.parametrize("N_eff", [10.0, 300.0, 2000.0])
+def test_one_curve_is_one_scan_and_a_few_refinement_passes(monkeypatch, which, model,
+                                                            sigma, N_eff):
+    sizes = []
+
+    def counted(cfg, rates):
+        F, prefactor = _response_function(cfg, rates)
+
+        def F_counted(x2):
+            sizes.append(np.size(x2))
+            return F(x2)
+
+        return F_counted, prefactor
+
+    monkeypatch.setattr(saturation, "_response_function", counted)
+    cfg = _config(which, N_eff=N_eff, model=model, sigma_y_over_x0=sigma,
+                  power_grid=np.geomspace(1e-13, 1e-6, 61))
+    solve_saturation(cfg, RATES)
+    assert sizes[0] == 400 and len(sizes) <= 10
