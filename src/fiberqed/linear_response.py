@@ -5,9 +5,10 @@ g_k^2/(gamma_perp + i*delta_a), leaves a 3x3 system on (a1, a2, b) with
 determinant Delta = kappa_b'*c1*c2 + v2^2*c1 + v1^2*c2, kappa_b' = kappa_b +
 i*delta_c.  Cramer's rule gives every amplitude over Delta:
 a1 = -iE(kappa_b'*c2 + v2^2)/Delta, a2 = iE*v1*v2/Delta, b = -E*v1*c2/Delta
-and s_k = -i*g_k*a_k/(gamma_perp + i*delta_a), so a transmission point costs
-one division, |a2|^2 = (E*v1*v2)^2/|Delta|^2.  All expressions broadcast
-over numpy arrays of detunings.
+and s_k = -i*g_k*a_k/(gamma_perp + i*delta_a).  Both spectra are normalized to
+the empty chain on resonance, where Delta = Delta_0: the drive and kappa_2r
+cancel, so a transmission point costs one division, T = |Delta_0|^2/|Delta|^2,
+and T = 0 when kappa_2r*v1*v2 == 0.  All expressions broadcast over numpy arrays.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ class SteadyStateAmplitudes:
 class SpectrumResult:
     detunings: np.ndarray           # rad/s, strictly increasing
     transmission: np.ndarray        # normalized output flux
-    normalization_flux: float       # on-resonance empty-cavity flux (photons/s)
 
 
 def default_grid(span: float = TWO_PI * 30e6, points: int = 601) -> np.ndarray:
@@ -141,11 +141,6 @@ def stationarity_residual(
     return max(abs(x) for x in r) / scale
 
 
-def output_flux(amps: SteadyStateAmplitudes, rates: DerivedRates) -> float:
-    """Photon flux leaving through the output mirror: 2*kappa_2r*|a2|^2."""
-    return 2.0 * rates.kappa_2r * abs(amps.a2) ** 2
-
-
 def _checked_grid(grid: np.ndarray | None) -> np.ndarray:
     """The default grid if none is given; reject empty or non-increasing grids."""
     if grid is None:
@@ -156,15 +151,11 @@ def _checked_grid(grid: np.ndarray | None) -> np.ndarray:
     return grid
 
 
-def _empty_chain_flux(rates: DerivedRates, drive_E1: float) -> tuple[float, float]:
-    """On-resonance empty-chain output flux, the norm of both spectra, and its |Delta|^2:
-    the float operations of _determinant at zero detuning and coupling, so a grid
-    point there gives the same |Delta|^2 bit for bit."""
-    _check_damped(rates, 0.0, 0.0)
-    det = rates.kappa_1p * (rates.kappa_b * rates.kappa_2p + rates.v2**2) + rates.v1**2 * rates.kappa_2p
-    det_sq = det * det
-    _check_regular(det_sq)
-    return 2.0 * rates.kappa_2r * (drive_E1 * rates.v1 * rates.v2) ** 2 / det_sq, det_sq
+def _empty_chain_norm(rates: DerivedRates) -> float:
+    """The norm of both spectra: _determinant's |Delta|^2 at zero detuning and coupling,
+    so T is exactly 1 there, or 0 when no light reaches the output (kappa_2r*v1*v2 == 0)."""
+    det0_sq = _determinant(rates, 0.0, 0.0, 0.0, 0.0)[1]
+    return det0_sq if rates.kappa_2r * rates.v1 * rates.v2 != 0.0 else 0.0
 
 
 def transmission_spectrum(
@@ -173,20 +164,16 @@ def transmission_spectrum(
     g2: float,
     delta_c_offset: float = 0.0,
     grid: np.ndarray | None = None,
-    drive_E1: float = 1.0,
 ) -> SpectrumResult:
     """Normalized transmission vs atom-probe detuning.
 
     The sweep varies delta_a and delta_c together (the cavities track the
     atomic resonance); delta_c_offset = omega_c - omega_a shifts the cavity
-    ladder relative to the atoms.  The spectrum is normalized to the
-    on-resonance empty-cavity output flux; it is zero when that flux is
-    (v1 = 0, v2 = 0 or kappa_2r = 0: no light gets through at all).
+    ladder relative to the atoms.  The output flux over the on-resonance
+    empty-chain flux is |Delta_0|^2/|Delta|^2 at any drive; it is zero when
+    kappa_2r*v1*v2 == 0 (no light gets through at all).
     """
-    ProbeSettings(drive_E1=drive_E1).validate()
     grid = _checked_grid(grid)
-    norm, det0_sq = _empty_chain_flux(rates, drive_E1)
+    det0_sq = _empty_chain_norm(rates)
     det_sq = _determinant(rates, grid + delta_c_offset, grid, g1, g2)[1]
-    # the flux 2*kappa_2r*|a2|^2 = 2*kappa_2r*(E*v1*v2)^2/|Delta|^2 over the norm
-    transmission = (det0_sq if norm != 0.0 else 0.0) / det_sq
-    return SpectrumResult(detunings=grid, transmission=transmission, normalization_flux=norm)
+    return SpectrumResult(detunings=grid, transmission=det0_sq / det_sq)

@@ -30,10 +30,6 @@ class NormalModeSummary:
     resolved: bool              # False when the Rabi radicand is negative
     mode_vectors: np.ndarray    # rows (d, c+, c-) on the basis (a1, a2, b)
 
-    @property
-    def kappa_minus(self) -> float:
-        return self.kappa_plus
-
 
 def decompose(rates: DerivedRates, g1: float, g2: float) -> NormalModeSummary:
     """Normal-mode summary for given cavity-fiber rates and couplings."""
@@ -93,18 +89,18 @@ def reduced_spectrum(
     unit amplitude v2/(sqrt(2)*v_tilde) and read out through its cavity-2 weight
     v1/(sqrt(2)*v_tilde), so |a2|^2 = (v1*v2/(2*v_tilde^2))^2 |gamma_perp + i*delta|^2 / |D|^2
     with D = (k + i*delta)(gamma_perp + i*delta) + gd1^2 + gd2^2.  Normalization
-    matches the full model: the on-resonance empty-cavity flux of the full chain.
+    matches the full model: the on-resonance empty-cavity flux of the full chain,
+    and zero when kappa_2r*v1*v2 == 0.
     """
     grid = linear_response._checked_grid(grid)
-    norm, det0_sq = linear_response._empty_chain_flux(rates, 1.0)
+    det0_sq = linear_response._empty_chain_norm(rates)
     k, gp = summary.kappa_d + rates.gamma_las, rates.gamma_perp
     d2 = grid * grid
     # |D|^2 in real arithmetic, D = (k*gp + gd^2 - delta^2) + i*delta*(k + gp); over
     # the norm, (v1*v2)^2 cancels and |Delta_0|^2 / (2*v_tilde^2)^2 remains
     den_sq = (k * gp + summary.gd1**2 + summary.gd2**2 - d2) ** 2 + d2 * (k + gp) ** 2
-    scale = det0_sq / summary.splitting_bright**4 if norm != 0.0 else 0.0
-    transmission = scale * (gp * gp + d2) / den_sq
-    return SpectrumResult(detunings=grid, transmission=transmission, normalization_flux=norm)
+    transmission = det0_sq / summary.splitting_bright**4 * (gp * gp + d2) / den_sq
+    return SpectrumResult(detunings=grid, transmission=transmission)
 
 
 def peak_find(spec: SpectrumResult) -> list[tuple[float, float]]:

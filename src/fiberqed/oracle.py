@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the closed-form code paths: the linear
 response is checked against a dense 5x5 complex solve of the stationarity
-equations as written, quadratures against adaptive Simpson, and the Bessel
+equations as written (all random cases in one stacked closed-form call and one
+stacked solve), quadratures against adaptive Simpson, and the Bessel
 evaluations against an arbitrary-precision ascending series.  The integrands
 handed to `adaptive_quadrature` must broadcast over numpy arrays.
 """
@@ -183,38 +184,23 @@ class CheckResult:
 
 
 def _check_linear_closed_form(rates: DerivedRates, cfg: PhysicalConfig, draws: int, seed: int):
+    """Worst relative error of the closed form against the dense solve over `draws` random
+    cases, drawn as arrays: one stacked closed-form call against one stacked solve."""
     rng = np.random.default_rng(seed)
-    base = np.array([
-        rates.kappa_1l, rates.kappa_1loss, rates.kappa_2r, rates.kappa_2loss,
-        rates.kappa_bloss, rates.v1, rates.v2,
-    ])
-    cases, closed = [], []
-    for _ in range(draws):
-        f = 10.0 ** rng.uniform(-1.0, 1.0, size=base.size)
-        k1l, k1loss, k2r, k2loss, kbloss, v1, v2 = base * f
-        k1, k2, las = k1l + k1loss, k2r + k2loss, rates.gamma_las
-        r = replace(
-            rates, kappa_1l=k1l, kappa_2r=k2r, kappa_1loss=k1loss, kappa_2loss=k2loss,
-            kappa_bloss=kbloss, kappa_1=k1, kappa_2=k2, kappa_1p=k1 + las, kappa_2p=k2 + las,
-            kappa_b=kbloss + las, v1=v1, v2=v2,
-        )
-        # delta_c, delta_a, drive_E1, g1, g2: drawn in this order
-        probe = ProbeSettings(rng.uniform(-mhz(50), mhz(50)), rng.uniform(-mhz(50), mhz(50)),
-                              rng.uniform(0.1, 10.0))
-        g1 = cfg.g1_eff * 10.0 ** rng.uniform(-1.0, 1.0)
-        g2 = cfg.g2_eff * 10.0 ** rng.uniform(-1.0, 1.0)
-        closed.append(list(vars(linear_response.steady_state(r, probe, g1, g2)).values()))
-        cases.append((r, probe, g1, g2))
-
-    def stacked(objs):
-        """One dataclass whose fields are the arrays of the draws' fields."""
-        return type(objs[0])(*np.array([list(vars(o).values()) for o in objs]).T)
-
-    r, probe, g1, g2 = zip(*cases)
-    d = solve_dense(build_linear_system(stacked(r), stacked(probe), np.array(g1), np.array(g2)))
-    dense = np.stack(list(vars(d).values()), axis=-1)
-    err = np.max(np.abs(np.array(closed) - dense), axis=-1) / np.maximum(
-        np.max(np.abs(dense), axis=-1), 1e-300)
+    drawn = ("kappa_1l", "kappa_1loss", "kappa_2r", "kappa_2loss", "kappa_bloss", "v1", "v2")
+    d = {name: getattr(rates, name) * 10.0 ** rng.uniform(-1.0, 1.0, draws) for name in drawn}
+    k1, k2, las = d["kappa_1l"] + d["kappa_1loss"], d["kappa_2r"] + d["kappa_2loss"], rates.gamma_las
+    r = replace(rates, **d, kappa_1=k1, kappa_2=k2, kappa_1p=k1 + las, kappa_2p=k2 + las,
+                kappa_b=d["kappa_bloss"] + las)
+    # delta_c, delta_a, drive_E1, g1, g2: drawn in this order
+    probe = ProbeSettings(rng.uniform(-mhz(50), mhz(50), draws), rng.uniform(-mhz(50), mhz(50), draws),
+                          rng.uniform(0.1, 10.0, draws))
+    g1 = cfg.g1_eff * 10.0 ** rng.uniform(-1.0, 1.0, draws)
+    g2 = cfg.g2_eff * 10.0 ** rng.uniform(-1.0, 1.0, draws)
+    closed = np.stack(linear_response._amplitudes(r, probe.delta_c, probe.delta_a, probe.drive_E1, g1, g2),
+                      axis=-1)
+    dense = np.stack(list(vars(solve_dense(build_linear_system(r, probe, g1, g2))).values()), axis=-1)
+    err = np.max(np.abs(closed - dense), axis=-1) / np.maximum(np.max(np.abs(dense), axis=-1), 1e-300)
     return float(np.max(err))
 
 

@@ -211,7 +211,8 @@ def _find_roots(F, y: np.ndarray, n_sat: float) -> list[np.ndarray]:
         node_drive, node = np.nonzero(at_node)
         x, drive = np.concatenate([grid[node], x]), np.concatenate([node_drive, drive])
         x = x[np.lexsort((x, drive))]
-    return np.split(x, np.cumsum(np.bincount(drive, minlength=y.size))[:-1])
+    ends = np.cumsum(np.bincount(drive, minlength=y.size)).tolist()
+    return [x[i:j] for i, j in zip([0] + ends[:-1], ends)]
 
 
 def solve_saturation(

@@ -231,6 +231,17 @@ def test_normal_modes_command(capsys):
     assert "gd1" in out and "splitting_bright" in out
 
 
+def test_normal_modes_kv_keys(capsys):
+    # scripts read these nine lines by key and in order; kappa_minus repeats kappa_plus
+    assert main(["normal-modes", "--kv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("=")[0] for line in lines] == [
+        "v_tilde", "gd1", "gd2", "kappa_d", "kappa_plus", "kappa_minus",
+        "splitting_bright", "rabi_splitting", "resolved",
+    ]
+    assert lines[5].split("=")[1] == lines[4].split("=")[1]
+
+
 def test_validate_command(capsys):
     assert run_subcommand("validate", RunConfig()) == 0
     out = capsys.readouterr().out

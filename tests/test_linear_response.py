@@ -10,7 +10,6 @@ from fiberqed.linear_response import (
     ProbeSettings,
     _amplitudes,
     default_grid,
-    output_flux,
     stationarity_residual,
     steady_state,
     transmission_spectrum,
@@ -40,18 +39,10 @@ def test_empty_spectrum_has_three_maxima():
     assert int(np.sum(interior)) == 3
 
 
-def test_transmission_independent_of_drive():
-    grid = default_grid(points=101)
-    weak = transmission_spectrum(RATES, CFG.g1_eff, CFG.g2_eff, grid=grid, drive_E1=1e-3)
-    strong = transmission_spectrum(RATES, CFG.g1_eff, CFG.g2_eff, grid=grid, drive_E1=1e3)
-    assert np.allclose(weak.transmission, strong.transmission, rtol=1e-12, atol=0.0)
-
-
 def test_decoupled_output_cavity():
     rates = replace(RATES, v2=0.0)
     spec = transmission_spectrum(rates, CFG.g1_eff, CFG.g2_eff, grid=default_grid(points=51))
     assert np.all(spec.transmission == 0.0)
-    assert spec.normalization_flux == 0.0
     amps = steady_state(rates, ProbeSettings(0.0, 0.0, 1.0), CFG.g1_eff, CFG.g2_eff)
     assert amps.a2 == 0.0
     assert abs(amps.a1) > 0.0
@@ -87,18 +78,6 @@ def test_matches_dense_solve_at_5mhz():
     for name in ("a1", "a2", "b", "s1", "s2"):
         c, d = getattr(closed, name), getattr(dense, name)
         assert abs(c - d) <= 1e-9 * abs(d) + 1e-30
-
-
-def test_output_flux():
-    probe = ProbeSettings(0.0, 0.0, 1.0)
-    amps = steady_state(RATES, probe, 0.0, 0.0)
-    assert output_flux(amps, RATES) == pytest.approx(
-        2.0 * RATES.kappa_2r * abs(amps.a2) ** 2, rel=1e-15
-    )
-    zero = replace(amps, a2=0.0)
-    assert output_flux(zero, RATES) == 0.0
-    unit = replace(amps, a2=1.0 + 0.0j)
-    assert output_flux(unit, RATES) == pytest.approx(2.0 * mhz(0.357), rel=0.01)
 
 
 def test_empty_amplitudes_finite_and_driven():
@@ -148,11 +127,6 @@ def test_undamped_bright_resonance_raises_without_warning():
             steady_state(dark, ProbeSettings(0.0, 0.0, 1.0), 0.0, 0.0)
         with pytest.raises(RuntimeError, match="singular"):
             transmission_spectrum(dark, 0.0, 0.0, grid=np.array([-1.0, 1.0]))
-
-
-def test_spectrum_rejects_negative_drive():
-    with pytest.raises(ValueError, match="drive_E1 must be non-negative"):
-        transmission_spectrum(RATES, 0.0, 0.0, grid=np.array([-1.0, 0.0, 1.0]), drive_E1=-1.0)
 
 
 def _design_configs(rng, n):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fiberqed import fiber_mode, saturation
+from fiberqed import fiber_mode, linear_response, saturation
 from fiberqed.linear_response import ProbeSettings
 from fiberqed.oracle import (
     LinearSystem,
@@ -220,6 +220,21 @@ def test_run_validation_default_config():
 def test_run_validation_other_fiber_length():
     results = run_validation(replace(CFG, Lf=0.83), draws=50)
     assert all(res.passed for res in results)
+
+
+def test_linear_gate_catches_a_closed_form_off_by_1e_8(monkeypatch):
+    def check():
+        return next(r for r in run_validation() if r.name == "linear closed form vs dense solve")
+
+    assert check().passed
+    amplitudes = linear_response._amplitudes
+
+    def skewed(*args):
+        a1, a2, b, s1, s2 = amplitudes(*args)
+        return a1, a2 * (1.0 + 1e-8), b, s1, s2
+
+    monkeypatch.setattr(linear_response, "_amplitudes", skewed)
+    assert not check().passed
 
 
 def test_stacked_systems_solve_like_single_ones():

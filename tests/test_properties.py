@@ -8,7 +8,9 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fiberqed import oracle
-from fiberqed.linear_response import ProbeSettings, stationarity_residual, steady_state
+from fiberqed.linear_response import (
+    ProbeSettings, stationarity_residual, steady_state, transmission_spectrum,
+)
 from fiberqed.params import PhysicalConfig, derive_rates, mhz
 
 transmittance = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -35,3 +37,17 @@ def test_steady_state_matches_dense_solve(T, alpha, L, g1, g2, dc, da, drive):
     c, d = (np.array(list(vars(a).values())) for a in (closed, dense))
     assert np.max(np.abs(c - d)) <= 1e-9 * np.max(np.abs(d))
     assert stationarity_residual(closed, rates, probe, g1, g2) < 1e-10
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(
+    T=st.tuples(transmittance, transmittance, transmittance, transmittance),
+    alpha=st.tuples(loss, loss, loss),
+    L=st.tuples(length, length, length),
+    delta=detuning.filter(lambda d: d != 0.0).map(abs),
+)
+def test_empty_chain_spectrum_has_parity(T, alpha, L, delta):
+    cfg = PhysicalConfig(T1=T[0], T2=T[1], T3=T[2], T4=T[3], L1=L[0], L2=L[1], Lf=L[2],
+                         alpha1=alpha[0], alpha2=alpha[1], alphaf=alpha[2])
+    t = transmission_spectrum(derive_rates(cfg), 0.0, 0.0, grid=np.array([-delta, delta])).transmission
+    assert abs(t[0] - t[1]) <= 1e-12 * max(t)
