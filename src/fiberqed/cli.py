@@ -117,8 +117,8 @@ class RunConfig:
 
     def detuning_grid(self) -> np.ndarray:
         pr = self.probe
-        if pr.grid_points < 2 or pr.grid_min >= pr.grid_max:
-            raise ConfigError("probe grid must have at least 2 points and grid_min < grid_max")
+        if pr.grid_points < 2 or not -math.inf < pr.grid_min < pr.grid_max < math.inf:
+            raise ConfigError("probe grid needs at least 2 points and finite grid_min < grid_max")
         return np.linspace(mhz(pr.grid_min), mhz(pr.grid_max), pr.grid_points)
 
     def mode_params(self) -> fiber_mode.ModeFunctionParams:
@@ -184,10 +184,10 @@ def parse_config(text: str) -> RunConfig:
 
 def _validate_config(cfg: RunConfig) -> None:
     s = cfg.saturation
-    for key in ("g0", "N_eff"):
+    for key in ("g0", "N_eff", "power_min_pW", "power_max_pW"):
         value = getattr(s, key)
-        if not value >= 0.0:        # NaN included; 0 means "derive it"
-            raise ConfigError(f"[saturation] {key}={value!r} must be non-negative")
+        if not 0.0 <= value < math.inf:     # NaN included; 0 means "derive it" for g0, N_eff
+            raise ConfigError(f"[saturation] {key}={value!r} must be non-negative and finite")
     try:
         cfg.physical_config().validate()
         saturation.SaturationConfig(which_cavity=s.which_cavity, model=s.model).validate()
@@ -455,6 +455,8 @@ def main(argv=None) -> int:
             cfg.atoms.loading = args.atoms
         if args.out is not None:
             cfg.output.directory = args.out
+        if args.band is not None and not math.isfinite(args.band):
+            raise ConfigError(f"--band {args.band!r} must be finite")
         if args.svg and "svg" not in cfg.output.formats:
             cfg.output.formats = cfg.output.formats + ",svg"
         if args.grid is not None:

@@ -90,17 +90,21 @@ def reduced_spectrum(
     v1/(sqrt(2)*v_tilde), so |a2|^2 = (v1*v2/(2*v_tilde^2))^2 |gamma_perp + i*delta|^2 / |D|^2
     with D = (k + i*delta)(gamma_perp + i*delta) + gd1^2 + gd2^2.  Normalization
     matches the full model: the on-resonance empty-cavity flux of the full chain,
-    and zero when kappa_2r*v1*v2 == 0.
+    and zero when kappa_2r*v1*v2 == 0.  Like transmission_spectrum, the grid is
+    evaluated in 4096-point blocks, with the floats of one whole-grid evaluation.
     """
     grid = linear_response._checked_grid(grid)
     det0_sq = linear_response._empty_chain_norm(rates)
     k, gp = summary.kappa_d + rates.gamma_las, rates.gamma_perp
-    d2 = grid * grid
-    # |D|^2 in real arithmetic, D = (k*gp + gd^2 - delta^2) + i*delta*(k + gp); over
-    # the norm, (v1*v2)^2 cancels and |Delta_0|^2 / (2*v_tilde^2)^2 remains
-    den_sq = (k * gp + summary.gd1**2 + summary.gd2**2 - d2) ** 2 + d2 * (k + gp) ** 2
-    transmission = det0_sq / summary.splitting_bright**4 * (gp * gp + d2) / den_sq
-    return SpectrumResult(detunings=grid, transmission=transmission)
+
+    def transmission_at(delta):
+        d2 = delta * delta
+        # |D|^2 in real arithmetic, D = (k*gp + gd^2 - delta^2) + i*delta*(k + gp); over
+        # the norm, (v1*v2)^2 cancels and |Delta_0|^2 / (2*v_tilde^2)^2 remains
+        den_sq = (k * gp + summary.gd1**2 + summary.gd2**2 - d2) ** 2 + d2 * (k + gp) ** 2
+        return det0_sq / summary.splitting_bright**4 * (gp * gp + d2) / den_sq
+
+    return SpectrumResult(grid, linear_response._by_block(transmission_at, grid))
 
 
 def peak_find(spec: SpectrumResult) -> list[tuple[float, float]]:

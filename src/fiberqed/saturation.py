@@ -46,13 +46,16 @@ class SaturationConfig:
     def validate(self) -> None:
         if self.which_cavity not in (1, 2):
             raise ValueError("which_cavity must be 1 or 2")
-        if self.N_eff <= 0.0:
-            raise ValueError("N_eff must be positive")
+        if not 0.0 < self.N_eff < math.inf:
+            raise ValueError(f"N_eff={self.N_eff!r} must be positive and finite")
         if self.model not in ("closed_form", "quadrature"):
             raise ValueError(f"unknown saturation model {self.model!r}")
+        if not 0.0 <= (sigma := self.sigma_y_over_x0) < math.inf:
+            raise ValueError(f"sigma_y_over_x0={sigma!r} must be non-negative and finite")
         grid = np.asarray(self.power_grid, dtype=float)
-        if grid.size == 0 or np.any(grid <= 0.0) or np.any(np.diff(grid) <= 0.0):
-            raise ValueError("power grid must be positive and strictly increasing")
+        increasing = grid.size > 0 and np.all(np.diff(grid) > 0.0)     # False on any NaN
+        if not (increasing and 0.0 < grid[0] and grid[-1] < math.inf):
+            raise ValueError("power_grid must be finite, positive and strictly increasing")
 
 
 @dataclass(frozen=True)

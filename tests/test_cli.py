@@ -316,6 +316,29 @@ def test_derived_g0_of_zero_exits_with_code_2(tmp_path, capsys, cavity, n_eff):
     assert main(["saturation", "--config", str(path), "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("command, config, flags, name", [
+    ("spectrum", "", ["--grid=-30:nan:5"], "grid_max"),
+    ("spectrum", "", ["--grid=-inf:30:5"], "grid_min"),
+    ("spectrum", "[probe]\ngrid_max = nan\n", [], "grid_max"),
+    ("spectrum", "", ["--band", "nan"], "--band"),
+    ("spectrum", "", ["--band", "inf"], "--band"),
+    ("saturation", "[saturation]\npower_max_pW = nan\n", [], "power_max_pW"),
+    ("saturation", "[saturation]\npower_max_pW = inf\n", [], "power_max_pW"),
+    ("saturation", "[saturation]\nN_eff = inf\n", [], "N_eff"),
+    ("saturation", "[saturation]\nmodel = quadrature\nsigma_y_over_x0 = nan\n", [],
+     "sigma_y_over_x0"),
+], ids=["grid-max-nan", "grid-min-inf", "probe-grid_max-nan", "band-nan", "band-inf",
+        "power_max_pW-nan", "power_max_pW-inf", "N_eff-inf", "sigma_y_over_x0-nan"])
+def test_non_finite_input_exits_with_code_2(tmp_path, capsys, command, config, flags, name):
+    # these used to write NaN rows with exit 0, or fail the root bracket with exit 3
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), *flags]) == 2
+    assert name in capsys.readouterr().err
+    assert list(tmp_path.rglob("*.csv")) == []
+
+
 def test_main_exit_codes(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[physical]\nT1 = 1.5\n")

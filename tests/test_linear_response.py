@@ -7,13 +7,18 @@ import pytest
 
 from fiberqed import oracle
 from fiberqed.linear_response import (
+    _BLOCK,
     ProbeSettings,
     _amplitudes,
+    _by_block,
+    _determinant,
+    _empty_chain_norm,
     default_grid,
     stationarity_residual,
     steady_state,
     transmission_spectrum,
 )
+from fiberqed.normal_modes import decompose, reduced_spectrum
 from fiberqed.params import DerivedRates, PhysicalConfig, derive_rates, mhz
 from dataclasses import fields, replace
 
@@ -98,6 +103,9 @@ def test_input_validation():
         transmission_spectrum(RATES, 0.0, 0.0, grid=np.array([]))
     with pytest.raises(ValueError):
         transmission_spectrum(RATES, 0.0, 0.0, grid=np.array([1.0, 0.0]))
+    for bad in ([math.nan], [math.inf], [0.0, math.nan, 2.0], [-math.inf, 0.0], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="finite, nonempty and strictly increasing"):
+            transmission_spectrum(RATES, 0.0, 0.0, grid=np.array(bad))
 
 
 def test_delta_c_offset_shifts_empty_resonances():
@@ -204,3 +212,47 @@ def test_stacked_rates_with_one_undamped_member_raise():
             _amplitudes(stack, grid, grid, 1.0, 0.0, 0.0)
         # off zero detuning the undamped member has a steady state
         _amplitudes(stack, grid + 1.0, grid + 1.0, 1.0, 0.0, 0.0)
+
+
+def _reduced_whole_grid(summary, rates, grid):
+    """The reduced model's transmission as one whole-grid expression."""
+    k, gp = summary.kappa_d + rates.gamma_las, rates.gamma_perp
+    d2 = grid * grid
+    den_sq = (k * gp + summary.gd1**2 + summary.gd2**2 - d2) ** 2 + d2 * (k + gp) ** 2
+    return _empty_chain_norm(rates) / summary.splitting_bright**4 * (gp * gp + d2) / den_sq
+
+
+@pytest.mark.parametrize("points", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 20001])
+def test_blocked_spectra_equal_the_whole_grid_evaluation(points):
+    cfg = PhysicalConfig(Lf=2.27)
+    rates = derive_rates(cfg)
+    grid = np.linspace(-mhz(60.0), mhz(60.0), points)
+    offset = mhz(1.5)
+    for g1, g2 in ((0.0, 0.0), (cfg.g1_eff, 0.0), (0.0, cfg.g2_eff), (cfg.g1_eff, cfg.g2_eff)):
+        spec = transmission_spectrum(rates, g1, g2, delta_c_offset=offset, grid=grid)
+        whole = _empty_chain_norm(rates) / _determinant(rates, grid + offset, grid, g1, g2)[1]
+        assert np.array_equal(spec.transmission, whole)
+        summary = decompose(rates, g1, g2)
+        reduced = reduced_spectrum(summary, rates, grid=grid)
+        assert np.array_equal(reduced.transmission, _reduced_whole_grid(summary, rates, grid))
+
+
+def test_undamped_fiber_raises_from_the_last_block():
+    rates = replace(RATES, kappa_b=0.0)
+    grid = np.linspace(-mhz(40.0), 0.0, 2 * _BLOCK + 5)    # zero detuning is the last point
+    kernel = lambda d: _determinant(rates, d, d, 0.0, 0.0)[1]   # noqa: E731
+    assert np.all(_by_block(kernel, grid[:-1]) > 0.0)       # the first blocks are regular
+    with pytest.raises(ValueError, match="alphaf = 0"):
+        _by_block(kernel, grid)
+    with pytest.raises(ValueError, match="alphaf = 0"):
+        transmission_spectrum(rates, 0.0, 0.0, grid=grid)
+
+
+def test_spectra_leave_the_callers_grid_unchanged():
+    grid = np.linspace(-mhz(60.0), mhz(60.0), 2 * _BLOCK + 1)
+    before = grid.copy()
+    summary = decompose(RATES, CFG.g1_eff, CFG.g2_eff)
+    for spec in (transmission_spectrum(RATES, CFG.g1_eff, CFG.g2_eff, mhz(1.5), grid=grid),
+                 reduced_spectrum(summary, RATES, grid=grid)):
+        assert np.array_equal(grid, before) and spec.detunings is grid
+        assert not np.shares_memory(spec.transmission, grid)

@@ -93,7 +93,8 @@ def test_degenerate_input_rejected():
     with pytest.raises(ValueError):
         decompose(replace(RATES, v1=0.0, v2=0.0), CFG.g1_eff, CFG.g2_eff)
     s = decompose(RATES, CFG.g1_eff, CFG.g2_eff)
-    for bad in (np.array([]), np.array([1.0, 0.0]), np.array([0.0, 0.0])):
+    for bad in (np.array([]), np.array([1.0, 0.0]), np.array([0.0, 0.0]), np.array([math.nan]),
+                np.array([0.0, math.nan, 2.0]), np.array([-math.inf, 0.0])):
         with pytest.raises(ValueError, match="nonempty and strictly increasing"):
             reduced_spectrum(s, RATES, grid=bad)
 

@@ -333,6 +333,15 @@ def test_config_validation():
         _config(1, power_grid=np.array([1e-9, 1e-10])).validate()
     with pytest.raises(ValueError):
         _config(1, power_grid=np.array([])).validate()
+    # non-finite inputs are named instead of failing the root bracket
+    for field, value in (
+        ("N_eff", math.inf), ("N_eff", math.nan),
+        ("sigma_y_over_x0", -0.1), ("sigma_y_over_x0", math.inf), ("sigma_y_over_x0", math.nan),
+        ("power_grid", np.array([1e-12, math.nan, 1e-6])), ("power_grid", np.array([1e-12, math.inf])),
+        ("power_grid", np.array([math.nan])), ("power_grid", np.array([0.0, 1e-6])),
+    ):
+        with pytest.raises(ValueError, match=field):
+            solve_saturation(_config(1, model="quadrature", **{field: value}), RATES)
 
 
 def test_default_mode_function_is_the_reference_fit():
