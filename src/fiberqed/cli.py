@@ -121,12 +121,12 @@ class RunConfig:
             raise ConfigError("probe grid needs at least 2 points and finite grid_min < grid_max")
         return np.linspace(mhz(pr.grid_min), mhz(pr.grid_max), pr.grid_points)
 
-    def mode_params(self) -> fiber_mode.ModeFunctionParams:
-        """The [mode] geometry with the fitted simplified profile's qprime and A_mf."""
+    def mode_fit(self) -> fiber_mode.SimplifiedFit:
+        """The simplified profile fitted on the [mode] geometry at [physical] lambda_probe."""
         return fiber_mode.fit_simplified(fiber_mode.make_mode_params(
             wavelength=self.physical.lambda_probe,
             **{name: getattr(self.mode, name) for name in _MODE_KEYS},
-        )).params
+        ))
 
     def saturation_config(self) -> saturation.SaturationConfig:
         s = self.saturation
@@ -141,11 +141,11 @@ class RunConfig:
         g_eff_mhz = self.atoms.g1_eff if s.which_cavity == 1 else self.atoms.g2_eff
         n_eff = s.N_eff if s.N_eff > 0.0 else (g_eff_mhz / g0_mhz) ** 2
         grid = np.geomspace(s.power_min_pW * 1e-12, s.power_max_pW * 1e-12, s.power_points)
-        mode = self.mode_params()
+        fit = self.mode_fit()
         return saturation.SaturationConfig(
-            which_cavity=s.which_cavity, g0=mhz(g0_mhz), N_eff=n_eff, A_mf=mode.A_mf,
+            which_cavity=s.which_cavity, g0=mhz(g0_mhz), N_eff=n_eff, A_mf=fit.A_mf,
             power_grid=grid, model=s.model, sigma_y_over_x0=s.sigma_y_over_x0,
-            q_prime_x0=mode.qprime * mode.r0,
+            q_prime_x0=fit.qprime * fit.params.r0,
         )
 
 
@@ -188,6 +188,12 @@ def _validate_config(cfg: RunConfig) -> None:
         value = getattr(s, key)
         if not 0.0 <= value < math.inf:     # NaN included; 0 means "derive it" for g0, N_eff
             raise ConfigError(f"[saturation] {key}={value!r} must be non-negative and finite")
+        if value == 0.0 and key.startswith("power"):
+            raise ConfigError(f"[saturation] {key}={value!r} must be positive")
+    if s.power_points < 1:
+        raise ConfigError(f"[saturation] power_points={s.power_points!r} must be at least 1")
+    if s.power_points > 1 and not s.power_min_pW < s.power_max_pW:
+        raise ConfigError("[saturation] power_min_pW must be below power_max_pW for power_points > 1")
     try:
         cfg.physical_config().validate()
         saturation.SaturationConfig(which_cavity=s.which_cavity, model=s.model).validate()
@@ -361,8 +367,8 @@ def cmd_saturation(cfg: RunConfig, args) -> int:
 
 
 def cmd_mode_profile(cfg: RunConfig, args) -> int:
-    p = cfg.mode_params()
-    m = cfg.mode
+    fit = cfg.mode_fit()
+    p, m = fit.params, cfg.mode
     r = np.linspace(p.r0, p.r0 + m.r_span_nm * 1e-9, m.r_points)
     phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, m.phi_points)
     z = np.linspace(0.0, math.pi / p.beta, m.z_points, endpoint=False)
@@ -372,7 +378,7 @@ def cmd_mode_profile(cfg: RunConfig, args) -> int:
         pp,
         zz * 1e9,
         fiber_mode.g_squared_exact(p, rr, pp, zz),
-        fiber_mode.g_squared_simplified(p, rr, pp, zz),
+        fiber_mode.g_squared_simplified(fit, rr, pp, zz),
     )
     out = _outdir(cfg)
     rows = (map(_fmt, row) for row in zip(*(c.ravel() for c in columns)))

@@ -1,16 +1,17 @@
 """Evanescent-field coupling profile g^2(r, phi, z) around the nanofiber.
 
-Two forms are provided: the exact quasi-linearly-polarized HE11 intensity
-profile built from modified Bessel functions K0, K1, K2 (a numpy trapezoid
-rule), and a simplified separable form (axial cosine weight x radial
-exponential x cos^2 phi) that the saturation model consumes.  Both are
-normalized to 1 at the trap minimum (r0, 0, 0).
+`make_mode_params` builds the fiber geometry.  The exact quasi-linearly-polarized
+HE11 intensity profile on it is built from modified Bessel functions K0, K1, K2
+(a numpy trapezoid rule).  The simplified separable form (axial cosine weight x
+radial exponential x cos^2 phi) that the saturation model consumes is the
+least-squares fit to it, `fit_simplified`: its qprime and A_mf are the
+simplified profile.  Both are normalized to 1 at the trap minimum (r0, 0, 0).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,19 +30,11 @@ class ModeFunctionParams:
     a: float            # fiber radius, m
     q: float            # external transverse decay constant, 1/m
     h: float            # internal transverse constant, 1/m
-    qprime: float       # simplified-form radial decay constant, 1/m
     r0: float           # trap-minimum radial position, m
-    A_mf: float         # simplified-form axial weight
-
-    @property
-    def B_mf(self) -> float:
-        return 1.0 - self.A_mf
 
     def validate(self) -> None:
         if not self.r0 > self.a:
             raise ValueError("trap minimum r0 must lie outside the fiber surface")
-        if not 0.0 <= self.A_mf <= 1.0:
-            raise ValueError("axial weight A_mf must lie in [0, 1]")
 
 
 def make_mode_params(
@@ -52,58 +45,49 @@ def make_mode_params(
     s: float = -0.828,
     a: float = 200e-9,
     r0: float = 400e-9,     # typical two-color trap minimum, 200 nm off the surface
-    qprime: float | None = None,
-    A_mf: float = 0.17,
 ) -> ModeFunctionParams:
-    """Build mode-function parameters, deriving q and h from beta and k.
+    """Build the fiber geometry, deriving q and h from beta and k.
 
-    qprime defaults to the rough guess 1.3*q; fit_simplified fits qprime and A_mf.
+    The simplified profile on it is fit_simplified(make_mode_params(...)).
     """
     k = 2.0 * math.pi / wavelength
     q = math.sqrt(beta**2 - n2**2 * k**2)
     h = math.sqrt(k**2 * n1**2 - beta**2)
-    if qprime is None:
-        qprime = 1.3 * q
-    return ModeFunctionParams(
-        beta=beta, k=k, n1=n1, n2=n2, s=s, a=a, q=q, h=h,
-        qprime=qprime, r0=r0, A_mf=A_mf,
-    )
+    return ModeFunctionParams(beta=beta, k=k, n1=n1, n2=n2, s=s, a=a, q=q, h=h, r0=r0)
 
 
-def _bessel_k01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(K0(x), K1(x)) for finite x > 0: the trapezoid rule on K_n(x) = int_0^inf
+def _bessel_k012(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K0(x), K1(x), K2(x)) for finite x > 0: the trapezoid rule on K_n(x) = int_0^inf
     exp(-x cosh t) cosh(nt) dt (DLMF 10.32.9), geometrically convergent since the
     integrand is entire and decays double-exponentially (Trefethen & Weideman, SIAM
     Rev. 56, 385 (2014)).  The step resolves the exp(-x t^2/2) peak of the largest x;
-    the nodes run until x*(cosh t - 1) = 40 for the smallest x."""
+    the nodes run until x*(cosh t - 1) = 40 for the smallest x.  K2 is the
+    recurrence K2(x) = K0(x) + (2/x) K1(x)."""
     h = 0.1 * min(1.0, 5.0 / math.sqrt(x.max()))
     t = np.arange(0.0, math.acosh(1.0 + 40.0 / x.min()) + h, h)
     # exp(-x(cosh t - 1)), written with sinh so that it does not cancel near t = 0
     weights = np.exp(-2.0 * x[..., np.newaxis] * np.sinh(0.5 * t) ** 2)
     weights[..., 0] *= 0.5
     scale = h * np.exp(-x)
-    return scale * weights.sum(axis=-1), scale * (weights @ np.cosh(t))
+    k0, k1 = scale * weights.sum(axis=-1), scale * (weights @ np.cosh(t))
+    with np.errstate(over="ignore"):    # K2 > 1.8e308 below x ~ 1e-154: inf is its value
+        return k0, k1, k0 + 2.0 / x * k1
 
 
 def bessel_k(order: int, x):
-    """Modified Bessel function of the second kind, orders 0, 1, 2.
-
-    K2 is evaluated through the recurrence K2(x) = K0(x) + (2/x) K1(x).
-    """
+    """Modified Bessel function of the second kind, orders 0, 1, 2."""
     x = np.asarray(x, dtype=float)
     if not np.all((x > 0.0) & np.isfinite(x)):
         raise ValueError("bessel_k requires finite x > 0")
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1, or 2")
-    k0, k1 = _bessel_k01(x)
-    out = k0 if order == 0 else k1 if order == 1 else k0 + 2.0 / x * k1
+    out = _bessel_k012(x)[order]
     return out if out.ndim else float(out)
 
 
 def _exact_unnormalized(p: ModeFunctionParams, r, phi, z):
     qr = p.q * np.asarray(r, dtype=float)
-    k0, k1 = _bessel_k01(qr)
-    k2 = k0 + 2.0 / qr * k1         # the recurrence of bessel_k(2, qr)
+    k0, k1, k2 = _bessel_k012(qr)
     phi = np.asarray(phi)
     pref = (p.beta / (2.0 * p.q)) ** 2
     cos_part = pref * (
@@ -125,42 +109,41 @@ def g_squared_exact(p: ModeFunctionParams, r, phi, z):
     return out if np.ndim(out) else float(out)
 
 
-def g_squared_simplified(p: ModeFunctionParams, r, phi, z):
-    """Simplified separable profile, normalized to 1 at (r0, 0, 0)."""
-    p.validate()
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radial position must be positive")
-    axial = 0.5 * (1.0 + p.A_mf + p.B_mf * np.cos(2.0 * p.beta * np.asarray(z)))
-    radial = np.exp(-2.0 * p.qprime * (r - p.r0)) / (r / p.r0)
-    out = axial * radial * np.cos(np.asarray(phi)) ** 2
-    return out if np.ndim(out) else float(out)
-
-
 @dataclass(frozen=True)
 class SimplifiedFit:
-    qprime: float
-    A_mf: float
+    """The simplified profile: fitted qprime and A_mf on the geometry params."""
+
+    qprime: float                   # radial decay constant, 1/m
+    A_mf: float                     # axial weight
     max_rel_error: float
-    params: ModeFunctionParams      # input params with fitted qprime and A_mf
+    params: ModeFunctionParams      # the geometry the fit is for
 
     @property
     def B_mf(self) -> float:
         return 1.0 - self.A_mf
 
 
-def fit_simplified(
-    p: ModeFunctionParams,
-    r_span: float = 300e-9,
-    n_r: int = 41,
-    n_phi: int = 9,
-    n_z: int = 17,
-) -> SimplifiedFit:
-    """Least-squares fit of (qprime, A_mf) to the exact profile.
+def g_squared_simplified(fit: SimplifiedFit, r, phi, z):
+    """Simplified separable profile, normalized to 1 at (r0, 0, 0)."""
+    p = fit.params
+    p.validate()
+    if not 0.0 <= fit.A_mf <= 1.0:
+        raise ValueError("axial weight A_mf must lie in [0, 1]")
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise ValueError("radial position must be positive")
+    axial = 0.5 * (1.0 + fit.A_mf + fit.B_mf * np.cos(2.0 * p.beta * np.asarray(z)))
+    radial = np.exp(-2.0 * fit.qprime * (r - p.r0)) / (r / p.r0)
+    out = axial * radial * np.cos(np.asarray(phi)) ** 2
+    return out if np.ndim(out) else float(out)
 
-    The fit minimizes the relative error over r in [r0, r0 + r_span],
-    phi in [-pi/4, pi/4] and one axial period, and reports the maximum
-    relative deviation of the fitted simplified form over that domain.
+
+def fit_simplified(p: ModeFunctionParams) -> SimplifiedFit:
+    """Least-squares fit of (qprime, A_mf) to the exact profile on the geometry p.
+
+    The fit minimizes the relative error over 41 radii in [r0, r0 + 300 nm],
+    9 angles in [-pi/4, pi/4] and 17 points of one axial period, and reports the
+    maximum relative deviation of the fitted simplified form over that grid.
     simplified/exact = R(r; qprime)*(u + A_mf*w) is linear in A_mf, so the best
     A_mf at each qprime is one least-squares ratio clipped to [0.01, 0.9] (exact
     for a convex quadratic), and a golden-section search over qprime in
@@ -168,13 +151,13 @@ def fit_simplified(
     19, R1 (2003)).
     """
     p.validate()
-    r = np.linspace(p.r0, p.r0 + r_span, n_r)
-    phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, n_phi)[:, np.newaxis]
-    z = np.linspace(0.0, math.pi / p.beta, n_z, endpoint=False)
-    # broadcast (r, phi, z) grid: the Bessel functions see only the n_r radii
+    r = np.linspace(p.r0, p.r0 + 300e-9, 41)
+    phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, 9)[:, np.newaxis]
+    z = np.linspace(0.0, math.pi / p.beta, 17, endpoint=False)
+    # broadcast (r, phi, z) grid: the Bessel functions see only the 41 radii
     weight = np.cos(phi) ** 2 / g_squared_exact(p, r[:, np.newaxis, np.newaxis], phi, z)
-    u = (np.cos(p.beta * z) ** 2 * weight).reshape(n_r, -1)
-    w = (np.sin(p.beta * z) ** 2 * weight).reshape(n_r, -1)
+    u = (np.cos(p.beta * z) ** 2 * weight).reshape(r.size, -1)
+    w = (np.sin(p.beta * z) ** 2 * weight).reshape(r.size, -1)
     # per-r sums over (phi, z): up to a constant, the cost is quadratic in R(r) and A_mf
     uu, ww, uw, su, sw = (x.sum(axis=1) for x in (u * u, w * w, u * w, u, w))
 
@@ -198,6 +181,6 @@ def fit_simplified(
     qprime = 0.5 * (lo + hi)
     _, a_mf, rad = projected(qprime)
     return SimplifiedFit(
-        qprime=qprime, A_mf=a_mf, params=replace(p, qprime=qprime, A_mf=a_mf),
+        qprime=qprime, A_mf=a_mf, params=p,
         max_rel_error=float(np.max(np.abs(rad[:, np.newaxis] * (u + a_mf * w) - 1.0))),
     )

@@ -115,38 +115,6 @@ def steady_state(
     return SteadyStateAmplitudes(*map(complex, amps))
 
 
-def stationarity_residual(
-    amps: SteadyStateAmplitudes,
-    rates: DerivedRates,
-    probe: ProbeSettings,
-    g1: float,
-    g2: float,
-) -> float:
-    """Max residual of the five fixed-point equations, relative to the drive."""
-    dc, da, e1 = probe.delta_c, probe.delta_a, probe.drive_E1
-    r = [
-        -(rates.kappa_1p + 1j * dc) * amps.a1
-        - 1j * rates.v1 * amps.b
-        - 1j * g1 * amps.s1
-        - 1j * e1,
-        -(rates.kappa_2p + 1j * dc) * amps.a2
-        - 1j * rates.v2 * amps.b
-        - 1j * g2 * amps.s2,
-        -(rates.kappa_b + 1j * dc) * amps.b
-        - 1j * rates.v1 * amps.a1
-        - 1j * rates.v2 * amps.a2,
-        -(rates.gamma_perp + 1j * da) * amps.s1 - 1j * g1 * amps.a1,
-        -(rates.gamma_perp + 1j * da) * amps.s2 - 1j * g2 * amps.a2,
-    ]
-    scale = max(
-        abs(e1),
-        abs(amps.a1) * rates.kappa_1p,
-        abs(amps.a2) * rates.kappa_2p,
-        SINGULAR_FLOOR,
-    )
-    return max(abs(x) for x in r) / scale
-
-
 def _checked_grid(grid: np.ndarray | None) -> np.ndarray:
     """The default grid if none is given; reject empty, non-finite or non-increasing grids."""
     if grid is None:

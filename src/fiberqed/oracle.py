@@ -60,6 +60,17 @@ def build_linear_system(
     return LinearSystem(matrix=m, rhs=rhs)
 
 
+def stationarity_residual(
+    amps: SteadyStateAmplitudes, rates: DerivedRates, probe: ProbeSettings, g1: float, g2: float
+) -> float:
+    """Max residual of the five fixed-point equations, max|M x - rhs|, relative to the drive."""
+    system = build_linear_system(rates, probe, g1, g2)
+    x = np.array([amps.a1, amps.a2, amps.b, amps.s1, amps.s2])
+    scale = max(abs(probe.drive_E1), abs(amps.a1) * rates.kappa_1p, abs(amps.a2) * rates.kappa_2p,
+                linear_response.SINGULAR_FLOOR)
+    return float(np.max(np.abs(system.matrix @ x - system.rhs))) / scale
+
+
 def solve_dense(system: LinearSystem) -> SteadyStateAmplitudes:
     """Direct dense solve, stacked systems in one call, with a residual check per system."""
     try:
@@ -244,13 +255,13 @@ def run_validation(cfg: PhysicalConfig | None = None, draws: int = 200, seed: in
             worst = max(worst, abs(got - ref) / abs(ref))
     results.append(CheckResult("Bessel K vs series oracle", worst < 1e-7, worst, 1e-7))
 
-    # axial average of the simplified profile vs its closed form (1 + A)/2
-    p = fiber_mode.make_mode_params()
-    period = math.pi / p.beta
+    # axial average of the fitted simplified profile vs its closed form (1 + A)/2
+    fit = fiber_mode.fit_simplified(fiber_mode.make_mode_params())
+    period = math.pi / fit.params.beta
     avg = adaptive_quadrature(
-        lambda z: fiber_mode.g_squared_simplified(p, p.r0, 0.0, z), 0.0, period, 1e-14
+        lambda z: fiber_mode.g_squared_simplified(fit, fit.params.r0, 0.0, z), 0.0, period, 1e-14
     ) / period
-    err = abs(avg - 0.5 * (1.0 + p.A_mf))
+    err = abs(avg - 0.5 * (1.0 + fit.A_mf))
     results.append(CheckResult("axial average of simplified profile", err < 1e-10, err, 1e-10))
 
     return results

@@ -51,7 +51,7 @@ def test_saturation_config_carries_the_fitted_mode_function():
         sat = cfg.saturation_config()
         assert sat.A_mf == fit.A_mf
         assert sat.q_prime_x0 == fit.qprime * cfg.mode.r0
-        assert cfg.mode_params() == fit.params
+        assert cfg.mode_fit() == fit
     assert parse_config("").saturation_config().q_prime_x0 == pytest.approx(1.1165, abs=1e-4)
 
 
@@ -209,7 +209,8 @@ def test_mode_profile_matches_pointwise_evaluation(tmp_path):
         "[mode]\nr_points = 3\nphi_points = 3\nz_points = 2\n"
     )
     assert run_subcommand("mode-profile", cfg) == 0
-    p = cfg.mode_params()
+    fit = cfg.mode_fit()
+    p = fit.params
     r = np.linspace(p.r0, p.r0 + 300e-9, 3)
     phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, 3)
     z = np.linspace(0.0, math.pi / p.beta, 2, endpoint=False)
@@ -217,7 +218,7 @@ def test_mode_profile_matches_pointwise_evaluation(tmp_path):
         ",".join(f"{v:.9g}" for v in (
             ri * 1e9, pi, zi * 1e9,
             fiber_mode.g_squared_exact(p, ri, pi, zi),
-            fiber_mode.g_squared_simplified(p, ri, pi, zi),
+            fiber_mode.g_squared_simplified(fit, ri, pi, zi),
         ))
         for ri in r for pi in phi for zi in z
     ]
@@ -327,8 +328,13 @@ def test_derived_g0_of_zero_exits_with_code_2(tmp_path, capsys, cavity, n_eff):
     ("saturation", "[saturation]\nN_eff = inf\n", [], "N_eff"),
     ("saturation", "[saturation]\nmodel = quadrature\nsigma_y_over_x0 = nan\n", [],
      "sigma_y_over_x0"),
+    ("saturation", "[saturation]\npower_min_pW = 0\n", [], "power_min_pW"),
+    ("saturation", "[saturation]\npower_points = 0\n", [], "power_points"),
+    ("saturation", "[saturation]\npower_points = -3\n", [], "power_points"),
+    ("saturation", "[saturation]\npower_min_pW = 10\npower_max_pW = 1\n", [], "power_min_pW"),
 ], ids=["grid-max-nan", "grid-min-inf", "probe-grid_max-nan", "band-nan", "band-inf",
-        "power_max_pW-nan", "power_max_pW-inf", "N_eff-inf", "sigma_y_over_x0-nan"])
+        "power_max_pW-nan", "power_max_pW-inf", "N_eff-inf", "sigma_y_over_x0-nan",
+        "power_min_pW-zero", "power_points-zero", "power_points-negative", "power-bounds-reversed"])
 def test_non_finite_input_exits_with_code_2(tmp_path, capsys, command, config, flags, name):
     # these used to write NaN rows with exit 0, or fail the root bracket with exit 3
     path = tmp_path / "run.cfg"

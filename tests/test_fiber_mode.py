@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fiberqed.fiber_mode import (
+    SimplifiedFit,
     bessel_k,
     fit_simplified,
     g_squared_exact,
@@ -15,6 +16,7 @@ from dataclasses import replace
 from scipy import optimize, special
 
 P = make_mode_params()
+FIT = fit_simplified(P)
 
 
 def test_bessel_reference_values():
@@ -48,6 +50,13 @@ def test_bessel_matches_scipy_from_1e_8_to_700():
     for xi in x[::20]:
         for order, ref in enumerate((special.k0(xi), special.k1(xi), special.kn(2, xi))):
             assert bessel_k(order, xi) == pytest.approx(ref, rel=1e-13)
+
+
+def test_orders_0_and_1_stay_finite_where_k2_overflows():
+    # K2(1e-200) ~ 2e400 is past the largest float; K0 and K1 are not
+    assert bessel_k(0, 1e-200) == pytest.approx(special.k0(1e-200), rel=1e-13)
+    assert bessel_k(1, 1e-200) == pytest.approx(special.k1(1e-200), rel=1e-13)
+    assert bessel_k(2, 1e-200) == math.inf
 
 
 def test_bessel_return_types():
@@ -105,15 +114,15 @@ def test_exact_domain_error():
 
 
 def test_simplified_closed_form_points():
-    assert g_squared_simplified(P, P.r0, 0.0, 0.0) == pytest.approx(1.0, rel=1e-15)
+    assert g_squared_simplified(FIT, P.r0, 0.0, 0.0) == pytest.approx(1.0, rel=1e-15)
     # axial minimum leaves only the A weight
     z_min = math.pi / (2.0 * P.beta)
-    assert g_squared_simplified(P, P.r0, 0.0, z_min) == pytest.approx(P.A_mf, rel=1e-12)
-    r = P.r0 + 1.0 / (2.0 * P.qprime)
+    assert g_squared_simplified(FIT, P.r0, 0.0, z_min) == pytest.approx(FIT.A_mf, rel=1e-12)
+    r = P.r0 + 1.0 / (2.0 * FIT.qprime)
     expected = math.exp(-1.0) * P.r0 / r
-    assert g_squared_simplified(P, r, 0.0, 0.0) == pytest.approx(expected, rel=1e-12)
+    assert g_squared_simplified(FIT, r, 0.0, 0.0) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError):
-        g_squared_simplified(P, 0.0, 0.0, 0.0)
+        g_squared_simplified(FIT, 0.0, 0.0, 0.0)
 
 
 def test_symmetries():
@@ -121,10 +130,10 @@ def test_symmetries():
     period = math.pi / P.beta
     z = np.linspace(0.0, period, 5)
     for phi in (0.3, 1.1):
-        for fn in (g_squared_exact, g_squared_simplified):
-            a = fn(P, r, phi, z)
-            assert np.max(np.abs(a - fn(P, r, -phi, z))) < 1e-12
-            assert np.max(np.abs(a - fn(P, r, phi, z + period))) < 1e-12
+        for fn, arg in ((g_squared_exact, P), (g_squared_simplified, FIT)):
+            a = fn(arg, r, phi, z)
+            assert np.max(np.abs(a - fn(arg, r, -phi, z))) < 1e-12
+            assert np.max(np.abs(a - fn(arg, r, phi, z + period))) < 1e-12
 
 
 def test_exact_radially_decreasing():
@@ -136,8 +145,9 @@ def test_exact_radially_decreasing():
 def test_param_validation():
     with pytest.raises(ValueError):
         replace(P, r0=P.a).validate()
-    with pytest.raises(ValueError):
-        replace(P, A_mf=1.5).validate()
+    for bad in (replace(FIT, A_mf=1.5), replace(FIT, params=replace(P, r0=P.a))):
+        with pytest.raises(ValueError):
+            g_squared_simplified(bad, P.r0, 0.0, 0.0)
 
 
 def test_fit_simplified_frozen():
@@ -153,8 +163,7 @@ def test_fit_simplified_frozen():
     assert fit.A_mf == pytest.approx(0.14991, abs=0.005)
     assert fit.B_mf == pytest.approx(1.0 - fit.A_mf, rel=1e-12)
     assert fit.max_rel_error == pytest.approx(0.21266, abs=0.005)
-    assert fit.params.qprime == fit.qprime
-    assert fit.params.A_mf == fit.A_mf and fit.params.B_mf == fit.B_mf
+    assert fit.params == P
 
 
 def _fit_grid(p):
@@ -168,7 +177,7 @@ def _fit_grid(p):
 
 def _residuals(p, qprime, a_mf, grid):
     rr, pp, zz, exact = grid
-    trial = replace(p, qprime=qprime, A_mf=a_mf)
+    trial = SimplifiedFit(qprime=qprime, A_mf=a_mf, max_rel_error=math.nan, params=p)
     return ((g_squared_simplified(trial, rr, pp, zz) - exact) / exact).ravel()
 
 

@@ -121,9 +121,10 @@ def _validation_integrals():
             return np.exp(-u * u) * (1.0 - 1.0 / np.sqrt((1.0 + a_mf * x2 * s) * (1.0 + x2 * s)))
         return integrand
 
-    p = fiber_mode.make_mode_params()
+    fit = fiber_mode.fit_simplified(fiber_mode.make_mode_params())
+    p = fit.params
     yield from ((cloud(x2, sigma), -8.0, 8.0, 1e-13) for x2 in (0.25, 1.0, 4.0) for sigma in (0.0, 0.3))
-    yield lambda z: fiber_mode.g_squared_simplified(p, p.r0, 0.0, z), 0.0, math.pi / p.beta, 1e-14
+    yield lambda z: fiber_mode.g_squared_simplified(fit, p.r0, 0.0, z), 0.0, math.pi / p.beta, 1e-14
 
 
 def test_adaptive_quadrature_matches_the_recursion_on_the_validation_integrals():
