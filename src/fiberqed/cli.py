@@ -194,6 +194,12 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"[saturation] power_points={s.power_points!r} must be at least 1")
     if s.power_points > 1 and not s.power_min_pW < s.power_max_pW:
         raise ConfigError("[saturation] power_min_pW must be below power_max_pW for power_points > 1")
+    m = cfg.mode     # the geometry keys are checked where they are used, by make_mode_params
+    if not 0.0 < m.r_span_nm < math.inf:
+        raise ConfigError(f"[mode] r_span_nm={m.r_span_nm!r} must be positive and finite")
+    for key in ("r_points", "phi_points", "z_points"):
+        if getattr(m, key) < 1:
+            raise ConfigError(f"[mode] {key}={getattr(m, key)!r} must be at least 1")
     try:
         cfg.physical_config().validate()
         saturation.SaturationConfig(which_cavity=s.which_cavity, model=s.model).validate()
@@ -219,20 +225,10 @@ def format_config(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
-    with path.open("w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
-
-
-def _write_spectrum(path: Path, spec: linear_response.SpectrumResult) -> None:
-    rows = ((_fmt(to_mhz(d)), _fmt(t)) for d, t in zip(spec.detunings, spec.transmission))
-    _write_csv(path, "delta_MHz,transmission", rows)
+def _fmt(column) -> list:
+    """A CSV column, flattened, as text: numbers with .9g, strings (a branch) unchanged."""
+    a = np.asarray(column).ravel()
+    return a.tolist() if a.dtype.kind == "U" else [f"{x:.9g}" for x in a.tolist()]
 
 
 def write_svg_lineplot(path: Path, x, y, xlabel: str, ylabel: str, logx: bool = False) -> None:
@@ -275,14 +271,17 @@ def write_svg_lineplot(path: Path, x, y, xlabel: str, ylabel: str, logx: bool = 
     path.write_text("\n".join(svg) + "\n")
 
 
-def _outdir(cfg: RunConfig) -> Path:
+def _emit(cfg: RunConfig, name: str, header: str, columns, plot=None) -> None:
+    """Write <name>.csv into the output directory, one row per element of the flattened
+    columns; with svg among the output formats, also <name>.svg of plot(), which returns
+    the arguments of write_svg_lineplot after its path.  CSV is always written."""
     out = Path(cfg.output.directory)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _want_svg(cfg: RunConfig) -> bool:
-    return "svg" in [f.strip() for f in cfg.output.formats.split(",")]
+    with (out / f"{name}.csv").open("w", newline="\n") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*map(_fmt, columns)))
+    if plot is not None and "svg" in [f.strip() for f in cfg.output.formats.split(",")]:
+        write_svg_lineplot(out / f"{name}.svg", *plot())
 
 
 def cmd_params(cfg: RunConfig, args) -> int:
@@ -294,24 +293,17 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     rates = derive_rates(cfg.physical_config())
     g1, g2 = cfg.loaded_couplings()
     grid = cfg.detuning_grid()
-    spec = linear_response.transmission_spectrum(rates, g1, g2, grid=grid)
-    out = _outdir(cfg)
-    _write_spectrum(out / "spectrum.csv", spec)
-    if _want_svg(cfg):
-        write_svg_lineplot(
-            out / "spectrum.svg",
-            [to_mhz(d) for d in spec.detunings],
-            spec.transmission,
-            "detuning (MHz)",
-            "transmission",
-        )
+    t = linear_response.transmission_spectrum(rates, g1, g2, grid=grid).transmission
+    grid_mhz, header = to_mhz(grid), "delta_MHz,transmission"
+    _emit(cfg, "spectrum", header, (grid_mhz, t),
+          plot=lambda: (grid_mhz, t, "detuning (MHz)", "transmission"))
     if args.band is not None:
         for tag, sign in (("low", -1.0), ("high", 1.0)):
             offset = mhz(args.band) * sign
             gb1 = max(g1 + offset, 0.0) if g1 > 0.0 else 0.0
             gb2 = max(g2 + offset, 0.0) if g2 > 0.0 else 0.0
             band = linear_response.transmission_spectrum(rates, gb1, gb2, grid=grid)
-            _write_spectrum(out / f"spectrum_band_{tag}.csv", band)
+            _emit(cfg, f"spectrum_band_{tag}", header, (grid_mhz, band.transmission))
     return 0
 
 
@@ -348,21 +340,11 @@ def cmd_saturation(cfg: RunConfig, args) -> int:
     curve = saturation.solve_saturation(
         cfg.saturation_config(), rates, lambda_probe=cfg.physical.lambda_probe
     )
-    out = _outdir(cfg)
-    rows = (
-        (_fmt(pt.P_in * 1e12), _fmt(pt.transmission), str(pt.n_roots), pt.branch)
-        for pt in curve.points
-    )
-    _write_csv(out / "saturation.csv", "P_in_pW,transmission,n_roots,branch", rows)
-    if _want_svg(cfg):
-        write_svg_lineplot(
-            out / "saturation.svg",
-            [pt.P_in * 1e12 for pt in curve.points],
-            [pt.transmission for pt in curve.points],
-            "input power (pW)",
-            "transmission",
-            logx=True,
-        )
+    p_pw = [pt.P_in * 1e12 for pt in curve.points]
+    t = [pt.transmission for pt in curve.points]
+    _emit(cfg, "saturation", "P_in_pW,transmission,n_roots,branch",
+          (p_pw, t, [pt.n_roots for pt in curve.points], [pt.branch for pt in curve.points]),
+          plot=lambda: (p_pw, t, "input power (pW)", "transmission", True))
     return 0
 
 
@@ -380,17 +362,8 @@ def cmd_mode_profile(cfg: RunConfig, args) -> int:
         fiber_mode.g_squared_exact(p, rr, pp, zz),
         fiber_mode.g_squared_simplified(fit, rr, pp, zz),
     )
-    out = _outdir(cfg)
-    rows = (map(_fmt, row) for row in zip(*(c.ravel() for c in columns)))
-    _write_csv(out / "mode_profile.csv", "r_nm,phi_rad,z_nm,g2_exact,g2_simplified", rows)
-    if _want_svg(cfg):
-        write_svg_lineplot(
-            out / "mode_profile.svg",
-            r * 1e9,
-            fiber_mode.g_squared_exact(p, r, 0.0, 0.0),
-            "r (nm)",
-            "g^2 / g0^2",
-        )
+    _emit(cfg, "mode_profile", "r_nm,phi_rad,z_nm,g2_exact,g2_simplified", columns,
+          plot=lambda: (r * 1e9, fiber_mode.g_squared_exact(p, r, 0.0, 0.0), "r (nm)", "g^2 / g0^2"))
     return 0
 
 
@@ -461,8 +434,8 @@ def main(argv=None) -> int:
             cfg.atoms.loading = args.atoms
         if args.out is not None:
             cfg.output.directory = args.out
-        if args.band is not None and not math.isfinite(args.band):
-            raise ConfigError(f"--band {args.band!r} must be finite")
+        if args.band is not None and not 0.0 < args.band < math.inf:
+            raise ConfigError(f"--band {args.band!r} must be positive and finite")
         if args.svg and "svg" not in cfg.output.formats:
             cfg.output.formats = cfg.output.formats + ",svg"
         if args.grid is not None:

@@ -48,9 +48,18 @@ def make_mode_params(
 ) -> ModeFunctionParams:
     """Build the fiber geometry, deriving q and h from beta and k.
 
-    The simplified profile on it is fit_simplified(make_mode_params(...)).
+    A non-finite argument, a <= 0, r0 <= a or an unguided beta outside (n2*k, n1*k) is
+    rejected by name.  The simplified profile on it is fit_simplified(make_mode_params(...)).
     """
+    for name, value in dict(beta=beta, wavelength=wavelength, n1=n1, n2=n2, s=s, a=a, r0=r0).items():
+        if not math.isfinite(value):
+            raise ValueError(f"mode parameter {name}={value!r} must be finite")
+    if not 0.0 < a < r0:
+        raise ValueError(f"fiber radius a={a!r} and trap minimum r0={r0!r} must satisfy 0 < a < r0")
     k = 2.0 * math.pi / wavelength
+    if not 0.0 < n2 * k < beta < n1 * k:
+        raise ValueError(f"beta={beta!r} is not guided: 0 < n2*k < beta < n1*k fails, with "
+                         f"(n2*k, n1*k) = ({n2 * k:.6g}, {n1 * k:.6g}) 1/m")
     q = math.sqrt(beta**2 - n2**2 * k**2)
     h = math.sqrt(k**2 * n1**2 - beta**2)
     return ModeFunctionParams(beta=beta, k=k, n1=n1, n2=n2, s=s, a=a, q=q, h=h, r0=r0)

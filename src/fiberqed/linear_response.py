@@ -8,8 +8,9 @@ a1 = -iE(kappa_b'*c2 + v2^2)/Delta, a2 = iE*v1*v2/Delta, b = -E*v1*c2/Delta
 and s_k = -i*g_k*a_k/(gamma_perp + i*delta_a).  Both spectra are normalized to
 the empty chain on resonance, where Delta = Delta_0: the drive and kappa_2r
 cancel, so a transmission point costs one division, T = |Delta_0|^2/|Delta|^2,
-and T = 0 when kappa_2r*v1*v2 == 0.  All expressions broadcast over numpy arrays;
-both spectra run in cache-sized 4096-point blocks, with the floats of one whole-grid call.
+and T = 0 when kappa_2r*v1*v2 == 0.  All expressions broadcast over numpy arrays.
+transmission_spectrum and normal_modes.reduced_spectrum share one evaluator on a required
+grid: one grid check, one norm, and 4096-point blocks with the floats of one whole-grid call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import TWO_PI, DerivedRates
+from .params import DerivedRates
 
 #: |Delta|^2 below which the steady state is treated as singular.
 SINGULAR_FLOOR = 1e-300
@@ -52,11 +53,6 @@ class SpectrumResult:
     transmission: np.ndarray        # normalized output flux
 
 
-def default_grid(span: float = TWO_PI * 30e6, points: int = 601) -> np.ndarray:
-    """Symmetric detuning grid covering [-span, +span] in rad/s."""
-    return np.linspace(-span, span, points)
-
-
 def _check_damped(rates: DerivedRates, dc, da) -> None:
     """An undamped fiber mode or atom has no steady state on its own resonance; elementwise
     over stacked rates, and a float rate compares to a plain bool (no numpy call)."""
@@ -66,11 +62,6 @@ def _check_damped(rates: DerivedRates, dc, da) -> None:
     if (zero := rates.gamma_perp == 0.0) is not False and np.any(zero & (da == 0.0)):
         raise ValueError("gamma_par = 0 with gamma_las = 0 leaves the atoms undamped: "
                          "no steady state at zero atom detuning")
-
-
-def _check_regular(det_sq) -> None:
-    if np.any(det_sq < SINGULAR_FLOOR):
-        raise RuntimeError("steady state is singular: |Delta| underflowed")
 
 
 def _determinant(rates: DerivedRates, dc, da, g1, g2):
@@ -88,7 +79,8 @@ def _determinant(rates: DerivedRates, dc, da, g1, g2):
     det += rates.v1**2 * c2
     det_sq = det.real**2
     det_sq += det.imag**2
-    _check_regular(det_sq)
+    if np.any(det_sq < SINGULAR_FLOOR):
+        raise RuntimeError("steady state is singular: |Delta| underflowed")
     return det, det_sq, gp, c2, m
 
 
@@ -115,17 +107,6 @@ def steady_state(
     return SteadyStateAmplitudes(*map(complex, amps))
 
 
-def _checked_grid(grid: np.ndarray | None) -> np.ndarray:
-    """The default grid if none is given; reject empty, non-finite or non-increasing grids."""
-    if grid is None:
-        grid = default_grid()
-    grid = np.asarray(grid, dtype=float)
-    # NaN fails every comparison, and an increasing grid is finite within finite ends
-    if not (grid.size and (np.diff(grid) > 0.0).all() and -np.inf < grid[0] and grid[-1] < np.inf):
-        raise ValueError("detuning grid must be finite, nonempty and strictly increasing")
-    return grid
-
-
 def _by_block(f, grid: np.ndarray) -> np.ndarray:
     """The elementwise kernel f over grid, one _BLOCK-point block at a time."""
     if grid.size <= _BLOCK:
@@ -143,23 +124,36 @@ def _empty_chain_norm(rates: DerivedRates) -> float:
     return det0_sq if rates.kappa_2r * rates.v1 * rates.v2 != 0.0 else 0.0
 
 
+def _spectrum(rates: DerivedRates, grid, kernel) -> SpectrumResult:
+    """The spectrum kernel(norm, block) over grid, one _BLOCK-point block at a time, with
+    norm = _empty_chain_norm(rates); rejects empty, non-finite or non-increasing grids."""
+    grid = np.asarray(grid, dtype=float)
+    # NaN fails every comparison, and an increasing grid is finite within finite ends
+    if not (grid.size and (np.diff(grid) > 0.0).all() and -np.inf < grid[0] and grid[-1] < np.inf):
+        raise ValueError("detuning grid must be finite, nonempty and strictly increasing")
+    norm = _empty_chain_norm(rates)
+    return SpectrumResult(grid, _by_block(lambda d: kernel(norm, d), grid))
+
+
 def transmission_spectrum(
     rates: DerivedRates,
     g1: float,
     g2: float,
     delta_c_offset: float = 0.0,
-    grid: np.ndarray | None = None,
+    *,
+    grid: np.ndarray,
 ) -> SpectrumResult:
-    """Normalized transmission vs atom-probe detuning.
+    """Normalized transmission vs atom-probe detuning on grid (rad/s, strictly increasing).
 
     The sweep varies delta_a and delta_c together (the cavities track the
     atomic resonance); delta_c_offset = omega_c - omega_a shifts the cavity
     ladder relative to the atoms.  The output flux over the on-resonance
     empty-chain flux is |Delta_0|^2/|Delta|^2 at any drive; it is zero when
-    kappa_2r*v1*v2 == 0 (no light gets through at all).  The grid is evaluated in
-    4096-point blocks, with the floats of one whole-grid evaluation.
+    kappa_2r*v1*v2 == 0 (no light gets through at all).  The grid is required:
+    the CLI's [probe] section holds the one default grid.
     """
-    grid = _checked_grid(grid)
-    det0_sq = _empty_chain_norm(rates)
-    det_sq = _by_block(lambda d: _determinant(rates, d + delta_c_offset, d, g1, g2)[1], grid)
-    return SpectrumResult(detunings=grid, transmission=np.divide(det0_sq, det_sq, out=det_sq))
+    def transmission_at(det0_sq, d):
+        det_sq = _determinant(rates, d + delta_c_offset, d, g1, g2)[1]
+        return np.divide(det0_sq, det_sq, out=det_sq)
+
+    return _spectrum(rates, grid, transmission_at)

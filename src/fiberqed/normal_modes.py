@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linear_response
 from .params import DerivedRates
-from .linear_response import SpectrumResult
+from .linear_response import SpectrumResult, _spectrum
 
 
 @dataclass(frozen=True)
@@ -81,30 +80,28 @@ def decompose(rates: DerivedRates, g1: float, g2: float) -> NormalModeSummary:
 def reduced_spectrum(
     summary: NormalModeSummary,
     rates: DerivedRates,
-    grid: np.ndarray | None = None,
+    grid: np.ndarray,
 ) -> SpectrumResult:
-    """Transmission of the single-mode reduced model (dark mode + two ensembles).
+    """Transmission of the single-mode reduced model (dark mode + two ensembles) on grid.
 
     The dark mode, damped at k = kappa_d + gamma_las, is driven with the projected
     unit amplitude v2/(sqrt(2)*v_tilde) and read out through its cavity-2 weight
     v1/(sqrt(2)*v_tilde), so |a2|^2 = (v1*v2/(2*v_tilde^2))^2 |gamma_perp + i*delta|^2 / |D|^2
     with D = (k + i*delta)(gamma_perp + i*delta) + gd1^2 + gd2^2.  Normalization
     matches the full model: the on-resonance empty-cavity flux of the full chain,
-    and zero when kappa_2r*v1*v2 == 0.  Like transmission_spectrum, the grid is
-    evaluated in 4096-point blocks, with the floats of one whole-grid evaluation.
+    and zero when kappa_2r*v1*v2 == 0.  The grid is required and goes through the
+    evaluator of transmission_spectrum, with the same checks, norm and blocks.
     """
-    grid = linear_response._checked_grid(grid)
-    det0_sq = linear_response._empty_chain_norm(rates)
     k, gp = summary.kappa_d + rates.gamma_las, rates.gamma_perp
 
-    def transmission_at(delta):
+    def transmission_at(det0_sq, delta):
         d2 = delta * delta
         # |D|^2 in real arithmetic, D = (k*gp + gd^2 - delta^2) + i*delta*(k + gp); over
         # the norm, (v1*v2)^2 cancels and |Delta_0|^2 / (2*v_tilde^2)^2 remains
         den_sq = (k * gp + summary.gd1**2 + summary.gd2**2 - d2) ** 2 + d2 * (k + gp) ** 2
         return det0_sq / summary.splitting_bright**4 * (gp * gp + d2) / den_sq
 
-    return SpectrumResult(grid, linear_response._by_block(transmission_at, grid))
+    return _spectrum(rates, grid, transmission_at)
 
 
 def peak_find(spec: SpectrumResult) -> list[tuple[float, float]]:

@@ -332,17 +332,54 @@ def test_derived_g0_of_zero_exits_with_code_2(tmp_path, capsys, cavity, n_eff):
     ("saturation", "[saturation]\npower_points = 0\n", [], "power_points"),
     ("saturation", "[saturation]\npower_points = -3\n", [], "power_points"),
     ("saturation", "[saturation]\npower_min_pW = 10\npower_max_pW = 1\n", [], "power_min_pW"),
+    ("spectrum", "", ["--band", "-1"], "--band"),
+    ("spectrum", "", ["--band", "0"], "--band"),
+    ("mode-profile", "[mode]\nr_points = 0\n", [], "[mode] r_points"),
+    ("mode-profile", "[mode]\nphi_points = 0\n", [], "[mode] phi_points"),
+    ("mode-profile", "[mode]\nz_points = 0\n", [], "[mode] z_points"),
+    ("mode-profile", "[mode]\nr_points = -2\n", [], "[mode] r_points"),
+    ("mode-profile", "[mode]\nr_span_nm = nan\n", [], "[mode] r_span_nm"),
+    ("mode-profile", "[mode]\nr_span_nm = -5\n", [], "[mode] r_span_nm"),
+    ("mode-profile", "[mode]\nbeta = 1e6\n", [], "beta=1000000.0"),
+    ("mode-profile", "[mode]\nn2 = 2\n", [], "n2*k"),
+    ("mode-profile", "[mode]\nbeta = nan\n", [], "beta=nan"),
+    ("mode-profile", "[mode]\ns = nan\n", [], "s=nan"),
+    ("saturation", "[mode]\ns = nan\n", [], "s=nan"),
+    ("mode-profile", "[mode]\na = -1\n", [], "a=-1.0"),
 ], ids=["grid-max-nan", "grid-min-inf", "probe-grid_max-nan", "band-nan", "band-inf",
         "power_max_pW-nan", "power_max_pW-inf", "N_eff-inf", "sigma_y_over_x0-nan",
-        "power_min_pW-zero", "power_points-zero", "power_points-negative", "power-bounds-reversed"])
+        "power_min_pW-zero", "power_points-zero", "power_points-negative", "power-bounds-reversed",
+        "band-negative", "band-zero", "r_points-zero", "phi_points-zero", "z_points-zero",
+        "r_points-negative", "r_span_nm-nan", "r_span_nm-negative", "beta-unguided",
+        "n2-unguided", "beta-nan", "s-nan", "s-nan-saturation", "a-negative"])
 def test_non_finite_input_exits_with_code_2(tmp_path, capsys, command, config, flags, name):
-    # these used to write NaN rows with exit 0, or fail the root bracket with exit 3
+    # each bad input exits 2 before any output, and the message names its key or flag
     path = tmp_path / "run.cfg"
     path.write_text(config)
     out = tmp_path / "out"
     assert main([command, "--config", str(path), "--out", str(out), *flags]) == 2
     assert name in capsys.readouterr().err
     assert list(tmp_path.rglob("*.csv")) == []
+
+
+@pytest.mark.parametrize("svg", ["none", "flag", "formats"])
+@pytest.mark.parametrize("command, flags, names", [
+    ("spectrum", ["--band", "0.5", "--grid=-10:10:21"],
+     {"spectrum.csv", "spectrum_band_low.csv", "spectrum_band_high.csv"}),
+    ("saturation", [], {"saturation.csv"}),
+    ("mode-profile", [], {"mode_profile.csv"}),
+])
+def test_each_command_writes_its_files(tmp_path, command, flags, names, svg):
+    # CSV is canonical and always written; only the main result gets an SVG, never a band
+    path = tmp_path / "run.cfg"
+    path.write_text("[saturation]\npower_points = 3\n[mode]\nr_points = 2\n"
+                    + ("[output]\nformats = svg\n" if svg == "formats" else ""))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out), *flags]
+    assert main(argv + (["--svg"] if svg == "flag" else [])) == 0
+    stem = command.replace("-", "_")
+    expect = names | ({f"{stem}.svg"} if svg != "none" else set())
+    assert {p.name for p in out.iterdir()} == expect
 
 
 def test_main_exit_codes(tmp_path):

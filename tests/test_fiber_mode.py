@@ -145,6 +145,12 @@ def test_exact_radially_decreasing():
 def test_param_validation():
     with pytest.raises(ValueError):
         replace(P, r0=P.a).validate()
+    # make_mode_params names the bad argument: non-finite, or a beta the fiber does not guide
+    with pytest.raises(ValueError, match="s=nan must be finite"):
+        make_mode_params(s=math.nan)
+    for beta in (P.n2 * P.k, 1e6, P.n1 * P.k):
+        with pytest.raises(ValueError, match=rf"beta={beta!r} is not guided"):
+            make_mode_params(beta=beta)
     for bad in (replace(FIT, A_mf=1.5), replace(FIT, params=replace(P, r0=P.a))):
         with pytest.raises(ValueError):
             g_squared_simplified(bad, P.r0, 0.0, 0.0)

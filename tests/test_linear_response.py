@@ -13,7 +13,6 @@ from fiberqed.linear_response import (
     _by_block,
     _determinant,
     _empty_chain_norm,
-    default_grid,
     steady_state,
     transmission_spectrum,
 )
@@ -23,6 +22,7 @@ from dataclasses import fields, replace
 
 CFG = PhysicalConfig()
 RATES = derive_rates(CFG)
+GRID = np.linspace(mhz(-30.0), mhz(30.0), 601)     # the CLI's [probe] default
 
 
 def test_empty_cavity_on_resonance_is_unity():
@@ -31,13 +31,12 @@ def test_empty_cavity_on_resonance_is_unity():
 
 
 def test_empty_spectrum_parity():
-    grid = default_grid()
-    spec = transmission_spectrum(RATES, 0.0, 0.0, grid=grid)
+    spec = transmission_spectrum(RATES, 0.0, 0.0, grid=GRID)
     assert np.max(np.abs(spec.transmission - spec.transmission[::-1])) < 1e-12
 
 
 def test_empty_spectrum_has_three_maxima():
-    spec = transmission_spectrum(RATES, 0.0, 0.0)
+    spec = transmission_spectrum(RATES, 0.0, 0.0, grid=GRID)
     t = spec.transmission
     interior = (t[1:-1] > t[:-2]) & (t[1:-1] > t[2:])
     assert int(np.sum(interior)) == 3
@@ -45,7 +44,7 @@ def test_empty_spectrum_has_three_maxima():
 
 def test_decoupled_output_cavity():
     rates = replace(RATES, v2=0.0)
-    spec = transmission_spectrum(rates, CFG.g1_eff, CFG.g2_eff, grid=default_grid(points=51))
+    spec = transmission_spectrum(rates, CFG.g1_eff, CFG.g2_eff, grid=GRID)
     assert np.all(spec.transmission == 0.0)
     amps = steady_state(rates, ProbeSettings(0.0, 0.0, 1.0), CFG.g1_eff, CFG.g2_eff)
     assert amps.a2 == 0.0
