@@ -14,16 +14,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import inspect
 import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
-from . import fiber_mode, linear_response, normal_modes, saturation
-from .params import PhysicalConfig, derive_rates, mhz, to_mhz, rate_report
+# numpy and the physics modules are imported by the commands that use them
+from .params import (MODE_DEFAULTS, PhysicalConfig, check_saturation_choice, derive_rates,
+                     mhz, to_mhz, rate_report)
 
 
 class ConfigError(Exception):
@@ -32,9 +30,6 @@ class ConfigError(Exception):
 
 #: PhysicalConfig fields that are set in [atoms]; all others are set in [physical].
 _ATOM_KEYS = ("g1_eff", "g2_eff")
-#: make_mode_params arguments that are [mode] keys; the wavelength is
-#: [physical] lambda_probe, and the fit supplies qprime and A_mf.
-_MODE_KEYS = ("beta", "n2", "s", "a", "r0")
 _LOADINGS = ("none", "cavity1", "cavity2", "both")
 
 
@@ -76,9 +71,12 @@ class SaturationSection:
     power_points: int = 61
 
 
-_MODE_DEFAULTS = inspect.signature(fiber_mode.make_mode_params).parameters
+#: Largest [mode] r_span_nm.  The evanescent intensity falls as exp(-2q(r - r0)), with
+#: 1/(2q) = 180 nm at the reference geometry: 100 um out it is below 1e-240, then underflows.
+_R_SPAN_MAX_NM = 1e5
 ModeSection = dataclasses.make_dataclass("ModeSection", [
-    *((name, "float", field(default=_MODE_DEFAULTS[name].default)) for name in _MODE_KEYS),
+    # the geometry keys (the wavelength is [physical] lambda_probe), then the profile grid
+    *((name, "float", field(default=value)) for name, value in MODE_DEFAULTS.items()),
     ("r_span_nm", "float", field(default=300.0)),
     ("r_points", "int", field(default=31)),
     ("phi_points", "int", field(default=5)),
@@ -116,6 +114,7 @@ class RunConfig:
         )
 
     def detuning_grid(self) -> np.ndarray:
+        import numpy as np
         pr = self.probe
         if pr.grid_points < 2 or not -math.inf < pr.grid_min < pr.grid_max < math.inf:
             raise ConfigError("probe grid needs at least 2 points and finite grid_min < grid_max")
@@ -123,12 +122,15 @@ class RunConfig:
 
     def mode_fit(self) -> fiber_mode.SimplifiedFit:
         """The simplified profile fitted on the [mode] geometry at [physical] lambda_probe."""
+        from . import fiber_mode
         return fiber_mode.fit_simplified(fiber_mode.make_mode_params(
             wavelength=self.physical.lambda_probe,
-            **{name: getattr(self.mode, name) for name in _MODE_KEYS},
+            **{name: getattr(self.mode, name) for name in MODE_DEFAULTS},
         ))
 
     def saturation_config(self) -> saturation.SaturationConfig:
+        import numpy as np
+        from . import saturation
         s = self.saturation
         p = self.physical
         g0_key = f"g{s.which_cavity}_0"
@@ -195,14 +197,14 @@ def _validate_config(cfg: RunConfig) -> None:
     if s.power_points > 1 and not s.power_min_pW < s.power_max_pW:
         raise ConfigError("[saturation] power_min_pW must be below power_max_pW for power_points > 1")
     m = cfg.mode     # the geometry keys are checked where they are used, by make_mode_params
-    if not 0.0 < m.r_span_nm < math.inf:
-        raise ConfigError(f"[mode] r_span_nm={m.r_span_nm!r} must be positive and finite")
+    if not 0.0 < m.r_span_nm <= _R_SPAN_MAX_NM:
+        raise ConfigError(f"[mode] r_span_nm={m.r_span_nm!r} must lie in (0, {_R_SPAN_MAX_NM:g}]")
     for key in ("r_points", "phi_points", "z_points"):
         if getattr(m, key) < 1:
             raise ConfigError(f"[mode] {key}={getattr(m, key)!r} must be at least 1")
     try:
         cfg.physical_config().validate()
-        saturation.SaturationConfig(which_cavity=s.which_cavity, model=s.model).validate()
+        check_saturation_choice(s.which_cavity, s.model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.atoms.loading not in _LOADINGS:
@@ -227,12 +229,14 @@ def format_config(cfg: RunConfig) -> str:
 
 def _fmt(column) -> list:
     """A CSV column, flattened, as text: numbers with .9g, strings (a branch) unchanged."""
+    import numpy as np
     a = np.asarray(column).ravel()
     return a.tolist() if a.dtype.kind == "U" else [f"{x:.9g}" for x in a.tolist()]
 
 
 def write_svg_lineplot(path: Path, x, y, xlabel: str, ylabel: str, logx: bool = False) -> None:
     """Minimal line-plot SVG; convenience rendering only, CSV is canonical."""
+    import numpy as np
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if logx:
@@ -290,6 +294,7 @@ def cmd_params(cfg: RunConfig, args) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
+    from . import linear_response
     rates = derive_rates(cfg.physical_config())
     g1, g2 = cfg.loaded_couplings()
     grid = cfg.detuning_grid()
@@ -308,6 +313,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
 
 
 def cmd_normal_modes(cfg: RunConfig, args) -> int:
+    from . import normal_modes
     rates = derive_rates(cfg.physical_config())
     g1, g2 = cfg.loaded_couplings()
     summary = normal_modes.decompose(rates, g1, g2)
@@ -336,6 +342,7 @@ def cmd_normal_modes(cfg: RunConfig, args) -> int:
 
 
 def cmd_saturation(cfg: RunConfig, args) -> int:
+    from . import saturation
     rates = derive_rates(cfg.physical_config())
     curve = saturation.solve_saturation(
         cfg.saturation_config(), rates, lambda_probe=cfg.physical.lambda_probe
@@ -349,18 +356,21 @@ def cmd_saturation(cfg: RunConfig, args) -> int:
 
 
 def cmd_mode_profile(cfg: RunConfig, args) -> int:
+    import numpy as np
+    from . import fiber_mode
     fit = cfg.mode_fit()
     p, m = fit.params, cfg.mode
     r = np.linspace(p.r0, p.r0 + m.r_span_nm * 1e-9, m.r_points)
     phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, m.phi_points)
     z = np.linspace(0.0, math.pi / p.beta, m.z_points, endpoint=False)
-    rr, pp, zz = np.meshgrid(r, phi, z, indexing="ij")
+    grid = np.ix_(r, phi, z)        # an open mesh: the Bessel functions see only the radii
+    rr, pp, zz = np.broadcast_arrays(*grid)
     columns = (
         rr * 1e9,
         pp,
         zz * 1e9,
-        fiber_mode.g_squared_exact(p, rr, pp, zz),
-        fiber_mode.g_squared_simplified(fit, rr, pp, zz),
+        fiber_mode.g_squared_exact(p, *grid),
+        fiber_mode.g_squared_simplified(fit, *grid),
     )
     _emit(cfg, "mode_profile", "r_nm,phi_rad,z_nm,g2_exact,g2_simplified", columns,
           plot=lambda: (r * 1e9, fiber_mode.g_squared_exact(p, r, 0.0, 0.0), "r (nm)", "g^2 / g0^2"))

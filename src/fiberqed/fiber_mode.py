@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import FIBER_INDEX, PhysicalConfig
+from .params import FIBER_INDEX, MODE_DEFAULTS, PhysicalConfig
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -38,13 +38,13 @@ class ModeFunctionParams:
 
 
 def make_mode_params(
-    beta: float = 7.87925e6,
+    beta: float = MODE_DEFAULTS["beta"],
     wavelength: float = PhysicalConfig.lambda_probe,
     n1: float = FIBER_INDEX,
-    n2: float = 1.0,
-    s: float = -0.828,
-    a: float = 200e-9,
-    r0: float = 400e-9,     # typical two-color trap minimum, 200 nm off the surface
+    n2: float = MODE_DEFAULTS["n2"],
+    s: float = MODE_DEFAULTS["s"],
+    a: float = MODE_DEFAULTS["a"],
+    r0: float = MODE_DEFAULTS["r0"],
 ) -> ModeFunctionParams:
     """Build the fiber geometry, deriving q and h from beta and k.
 

@@ -17,6 +17,10 @@ C_VACUUM = 299792458.0          # m/s
 FIBER_INDEX = 1.4525            # silica core index at the probe wavelength
 C_FIBER = C_VACUUM / FIBER_INDEX
 
+#: Nanofiber geometry defaults in SI units, the defaults of fiber_mode.make_mode_params and
+#: of the [mode] keys; r0 is a typical two-color trap minimum, 200 nm off the surface.
+MODE_DEFAULTS = {"beta": 7.87925e6, "n2": 1.0, "s": -0.828, "a": 200e-9, "r0": 400e-9}
+
 
 def mhz(value: float) -> float:
     """Convert a frequency quoted in MHz (meaning 2pi x MHz) to rad/s."""
@@ -155,6 +159,14 @@ def derive_rates(cfg: PhysicalConfig) -> DerivedRates:
         gamma_par=cfg.gamma_par,
         gamma_las=cfg.gamma_las,
     )
+
+
+def check_saturation_choice(which_cavity: int, model: str) -> None:
+    """The [saturation] choices that need no numpy to check: the cavity and the model."""
+    if which_cavity not in (1, 2):
+        raise ValueError("which_cavity must be 1 or 2")
+    if model not in ("closed_form", "quadrature"):
+        raise ValueError(f"unknown saturation model {model!r}")
 
 
 def reference_rates() -> dict:

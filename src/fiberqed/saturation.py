@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linear_response
-from .params import C_VACUUM, DerivedRates, PhysicalConfig
+from .params import C_VACUUM, DerivedRates, PhysicalConfig, check_saturation_choice
 
 HBAR = 1.054571817e-34          # J s
 
@@ -44,12 +44,9 @@ class SaturationConfig:
     q_prime_x0: float = 1.1165317710150833  # q' * r0 (quadrature model)
 
     def validate(self) -> None:
-        if self.which_cavity not in (1, 2):
-            raise ValueError("which_cavity must be 1 or 2")
+        check_saturation_choice(self.which_cavity, self.model)
         if not 0.0 < self.N_eff < math.inf:
             raise ValueError(f"N_eff={self.N_eff!r} must be positive and finite")
-        if self.model not in ("closed_form", "quadrature"):
-            raise ValueError(f"unknown saturation model {self.model!r}")
         if not 0.0 <= (sigma := self.sigma_y_over_x0) < math.inf:
             raise ValueError(f"sigma_y_over_x0={sigma!r} must be non-negative and finite")
         grid = np.asarray(self.power_grid, dtype=float)

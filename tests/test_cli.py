@@ -55,18 +55,25 @@ def test_saturation_config_carries_the_fitted_mode_function():
     assert parse_config("").saturation_config().q_prime_x0 == pytest.approx(1.1165, abs=1e-4)
 
 
+def test_r_span_bound_is_a_parse_error():
+    # the bound is checked before any profile is evaluated, and the bound itself is valid
+    assert parse_config("[mode]\nr_span_nm = 1e5\n").mode.r_span_nm == 1e5
+    with pytest.raises(ConfigError, match=r"r_span_nm=1000000000000.0 must lie in \(0, 100000\]"):
+        parse_config("[mode]\nr_span_nm = 1e12\n")
+
+
 def test_mode_section_defaults_are_make_mode_params_defaults():
     p, m = fiber_mode.make_mode_params(), RunConfig().mode
     assert (m.beta, m.n2, m.s, m.a, m.r0) == (p.beta, p.n2, p.s, p.a, p.r0)
 
 
 def test_cli_import_leaves_out_scipy_optimize_and_mpmath():
-    # fiberqed.oracle is imported by `validate` alone
+    # fiberqed.oracle is imported by `validate` alone, numpy by the commands that use it
     src = os.path.dirname(os.path.dirname(fiber_mode.__file__))
     code = (
         "import sys, fiberqed.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.startswith(('scipy', 'mpmath', 'fiberqed.oracle'))))"
+        "if m.startswith(('scipy', 'mpmath', 'numpy', 'fiberqed.oracle'))))"
     )
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = {**os.environ, "PYTHONPATH": path}
@@ -340,6 +347,7 @@ def test_derived_g0_of_zero_exits_with_code_2(tmp_path, capsys, cavity, n_eff):
     ("mode-profile", "[mode]\nr_points = -2\n", [], "[mode] r_points"),
     ("mode-profile", "[mode]\nr_span_nm = nan\n", [], "[mode] r_span_nm"),
     ("mode-profile", "[mode]\nr_span_nm = -5\n", [], "[mode] r_span_nm"),
+    ("mode-profile", "[mode]\nr_span_nm = 1e12\n", [], "[mode] r_span_nm"),
     ("mode-profile", "[mode]\nbeta = 1e6\n", [], "beta=1000000.0"),
     ("mode-profile", "[mode]\nn2 = 2\n", [], "n2*k"),
     ("mode-profile", "[mode]\nbeta = nan\n", [], "beta=nan"),
@@ -350,8 +358,8 @@ def test_derived_g0_of_zero_exits_with_code_2(tmp_path, capsys, cavity, n_eff):
         "power_max_pW-nan", "power_max_pW-inf", "N_eff-inf", "sigma_y_over_x0-nan",
         "power_min_pW-zero", "power_points-zero", "power_points-negative", "power-bounds-reversed",
         "band-negative", "band-zero", "r_points-zero", "phi_points-zero", "z_points-zero",
-        "r_points-negative", "r_span_nm-nan", "r_span_nm-negative", "beta-unguided",
-        "n2-unguided", "beta-nan", "s-nan", "s-nan-saturation", "a-negative"])
+        "r_points-negative", "r_span_nm-nan", "r_span_nm-negative", "r_span_nm-huge",
+        "beta-unguided", "n2-unguided", "beta-nan", "s-nan", "s-nan-saturation", "a-negative"])
 def test_non_finite_input_exits_with_code_2(tmp_path, capsys, command, config, flags, name):
     # each bad input exits 2 before any output, and the message names its key or flag
     path = tmp_path / "run.cfg"

@@ -1,5 +1,7 @@
 import functools
+import json
 import math
+from importlib import resources
 
 import mpmath
 import numpy as np
@@ -189,6 +191,17 @@ def test_bessel_series_is_bit_identical_on_the_validation_points():
     for x in np.geomspace(1e-3, 30.0, 25):
         for order in (0, 1, 2):
             assert bessel_k_series(order, float(x)) == _factorial_digamma_series(order, float(x))
+
+
+def test_stored_bessel_table_is_the_series():
+    # run_validation reads its reference values from this file.  To regenerate it, write
+    # {"x": x, "K": [[bessel_k_series(n, x_i) for x_i in x] for n in (0, 1, 2)]}, with
+    # x = np.geomspace(1e-3, 30.0, 25).tolist(), to src/fiberqed/data/bessel_k_series.json
+    table = json.loads(resources.files("fiberqed").joinpath("data/bessel_k_series.json").read_text())
+    assert table["x"] == np.geomspace(1e-3, 30.0, 25).tolist()
+    assert len(table["K"]) == 3
+    for order, row in enumerate(table["K"]):
+        assert row == [bessel_k_series(order, x) for x in table["x"]]
 
 
 def test_bessel_series_within_one_ulp_from_1e_6_to_50():

@@ -1,0 +1,86 @@
+"""The package namespace: numpy-free `import fiberqed`, and lazy names that track their modules.
+
+Every test runs in a fresh interpreter, so what it sees imported is what the code under
+test imported, not what earlier tests left in sys.modules.
+"""
+
+import os
+import subprocess
+import sys
+
+import fiberqed.params
+
+SRC = os.path.dirname(os.path.dirname(fiberqed.params.__file__))
+
+#: the public names of the package, by the module that defines them
+OLD_NAMESPACE = {
+    "params": ("PhysicalConfig", "DerivedRates", "derive_rates", "mhz", "to_mhz"),
+    "linear_response": ("ProbeSettings", "SpectrumResult", "SteadyStateAmplitudes",
+                        "steady_state", "transmission_spectrum"),
+    "normal_modes": ("NormalModeSummary", "decompose", "reduced_spectrum", "peak_find"),
+    "fiber_mode": ("ModeFunctionParams", "make_mode_params", "bessel_k", "g_squared_exact",
+                   "g_squared_simplified", "fit_simplified"),
+    "saturation": ("SaturationConfig", "SaturationCurve", "saturation_photon_number",
+                   "collective_saturation_term", "quadrature_saturation_term",
+                   "solve_saturation"),
+}
+
+
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+
+
+def test_params_command_loads_no_numpy():
+    proc = _fresh("-X", "importtime", "-m", "fiberqed.cli", "params")
+    assert proc.stdout.startswith("parameter")
+    imported = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()]
+    assert "fiberqed.params" in imported
+    assert not [m for m in imported if m.split(".")[0] == "numpy"]
+
+
+def test_bare_import_loads_only_params():
+    code = ("import sys, fiberqed; "
+            "print(sorted(m for m in sys.modules if m.startswith(('numpy', 'fiberqed.'))))")
+    assert _fresh("-c", code).stdout.strip() == "['fiberqed.params']"
+
+
+def test_old_namespace_resolves_to_the_module_attributes():
+    code = (
+        "import importlib, fiberqed\n"
+        f"for module, names in {OLD_NAMESPACE!r}.items():\n"
+        "    mod = importlib.import_module('fiberqed.' + module)\n"
+        "    assert getattr(fiberqed, module) is mod, module\n"
+        "    for name in names:\n"
+        "        assert getattr(fiberqed, name) is getattr(mod, name), name\n"
+        "        assert name in fiberqed.__all__, name\n"
+        "print(fiberqed.__version__)"
+    )
+    assert _fresh("-c", code).stdout.strip() == "0.1.0"
+
+
+def test_a_name_rebound_in_its_module_is_seen_through_the_package():
+    code = (
+        "import fiberqed, fiberqed.fiber_mode as fm\n"
+        "original = fiberqed.fit_simplified\n"
+        "fm.fit_simplified = wrapped = lambda p: original(p)\n"
+        "assert fiberqed.fit_simplified is wrapped\n"
+        "fm.fit_simplified = original\n"
+        "print(fiberqed.fit_simplified is original)"
+    )
+    assert _fresh("-c", code).stdout.strip() == "True"
+
+
+def test_unknown_name_raises_attribute_error():
+    code = (
+        "import fiberqed\n"
+        "for name in ('no_such_name', 'oracle_', '_HOMES_'):\n"
+        "    try:\n"
+        "        getattr(fiberqed, name)\n"
+        "    except AttributeError as exc:\n"
+        "        print(exc)\n"
+    )
+    out = _fresh("-c", code).stdout.splitlines()
+    assert out == [f"module 'fiberqed' has no attribute {n!r}"
+                   for n in ("no_such_name", "oracle_", "_HOMES_")]
