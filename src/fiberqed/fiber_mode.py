@@ -170,8 +170,9 @@ def fit_simplified(p: ModeFunctionParams) -> SimplifiedFit:
     # per-r sums over (phi, z): up to a constant, the cost is quadratic in R(r) and A_mf
     uu, ww, uw, su, sw = (x.sum(axis=1) for x in (u * u, w * w, u * w, u, w))
 
+    depth, ratio = r - p.r0, r / p.r0           # the radial factor's fixed parts
     def projected(qprime):
-        rad = np.exp(-2.0 * qprime * (r - p.r0)) / (r / p.r0)
+        rad = np.exp(-2.0 * qprime * depth) / ratio
         rad2 = rad * rad
         a_mf = min(max(float((rad @ sw - rad2 @ uw) / (rad2 @ ww)), 0.01), 0.9)
         cost = rad2 @ (uu + 2.0 * a_mf * uw + a_mf**2 * ww) - 2.0 * rad @ (su + a_mf * sw)

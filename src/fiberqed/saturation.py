@@ -13,9 +13,9 @@ closed form is its one-node case s = w = [1], and a Gaussian cloud takes the
 96-node Gauss-Hermite rule folded onto the 27 positive nodes of weight above
 1e-18 of the largest (within about 1e-17 relative of the full sum).  Because
 y(|X|) does not depend on power, one 400-node scan over the fixed bracket
-|X| in [1e-4, 1e3]*sqrt(n_sat) and about 7 vectorised refinement passes
-serve every power of a curve; all real roots are recorded per power, and
-the reported branch follows continuation from zero drive.
+|X| in [1e-4, 1e3]*sqrt(n_sat), bracketed by np.searchsorted on the sorted
+drives, and about 7 vectorised refinement passes serve every power of a curve;
+all real roots are recorded per power, and the branch is continued from zero drive.
 """
 
 from __future__ import annotations
@@ -79,15 +79,14 @@ def saturation_photon_number(g0: float, rates: DerivedRates) -> float:
 def _per_unit_field(N_eff: float, A_mf: float, x2, s: np.ndarray, w: np.ndarray):
     """N_eff * 2/((1+A)*x2) times the saturated fraction at couplings s summed
     with weights w, and N_eff * (s @ w) at x2 = 0."""
-    xs = np.asarray(x2, dtype=float)[..., np.newaxis] * s
+    x2 = np.asarray(x2, dtype=float)
+    xs = x2[..., np.newaxis] * s
     # 1 - 1/sqrt((1 + A*xs)(1 + xs)), without cancellation at small xs
     fraction = -np.expm1(-0.5 * (np.log1p(A_mf * xs) + np.log1p(xs))) @ w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            x2 > 0.0,
-            N_eff * 2.0 / (1.0 + A_mf) / np.where(x2 > 0.0, x2, 1.0) * fraction,
-            N_eff * (s @ w),
-        )
+    zero = ~(x2 > 0.0)      # these divide by 1 instead and are fixed up; x2 + False is x2
+    out = N_eff * 2.0 / (1.0 + A_mf) / (x2 + zero) * fraction
+    if zero.any():
+        out = np.where(zero, N_eff * (s @ w), out)
     return out if out.ndim else float(out)
 
 
@@ -172,32 +171,48 @@ def _response_function(cfg: SaturationConfig, rates: DerivedRates):
     return F, f0 * f0
 
 
-def _find_roots(F, y: np.ndarray, n_sat: float) -> list[np.ndarray]:
-    """Sorted positive roots of x*F(x^2) = y for every drive in y at once.
+def _expand(first: np.ndarray, stop: np.ndarray):
+    """(k, i) for every i in range(first[k], stop[k]), k by k."""
+    count = np.maximum(stop - first, 0)
+    owner = np.repeat(np.arange(count.size), count)
+    return owner, np.arange(owner.size) + (first - np.cumsum(count) + count)[owner]
 
-    x*F(x^2) does not depend on the drive, so one 400-point log scan over the
-    fixed bracket [1e-4, 1e3]*sqrt(n_sat) serves all drives; a node where
-    x*F(x^2) = y exactly is a root.  All sign changes are refined together
-    by Illinois steps of at least 4e-14*x (so both ends close in), then by
+
+def _brackets(h: np.ndarray, y: np.ndarray):
+    """(drive, cell) pairs with y[drive] strictly between h[cell] and h[cell + 1], drive by
+    drive and up in cell, and (drive, node) pairs with y[drive] == h[node].  y must be
+    non-decreasing: then each cell's and each node's drives are one np.searchsorted range."""
+    cell, drive = _expand(np.searchsorted(y, np.minimum(h[:-1], h[1:]), "right"),  # NaN end: none
+                          np.searchsorted(y, np.maximum(h[:-1], h[1:]), "left"))
+    node, node_drive = _expand(np.searchsorted(y, h, "left"), np.searchsorted(y, h, "right"))
+    order = np.argsort(drive, kind="stable")
+    return drive[order], cell[order], node_drive, node
+
+
+def _find_roots(F, y: np.ndarray, n_sat: float) -> list[np.ndarray]:
+    """Sorted positive roots of x*F(x^2) = y for every drive of the non-decreasing y at once.
+
+    x*F(x^2) does not depend on the drive, so one 400-point log scan h over the fixed
+    bracket [1e-4, 1e3]*sqrt(n_sat) serves all drives; _brackets finds their cells by
+    sorted search, and a node where h = y exactly is a root.  All sign changes are refined
+    together by Illinois steps of at least 4e-14*x (so both ends close in), then by
     bisection after 20 steps, until each bracket's relative width <= 1e-13.
     """
     sqrt_nsat = math.sqrt(n_sat)
     grid = np.geomspace(1e-4 * sqrt_nsat, 1e3 * sqrt_nsat, 400)
     h = grid * F(grid * grid)
-    G = h - y[:, np.newaxis]        # (drive, node): np.nonzero goes drive by drive, up in x
-    at_node = G == 0.0
-    in_cell = G[:, :-1] * G[:, 1:] < 0.0
-    if not np.all(at_node.any(axis=1) | in_cell.any(axis=1)):
+    drive, cell, node_drive, node = _brackets(h, y)
+    per_drive = np.bincount(np.concatenate([node_drive, drive]), minlength=y.size)
+    if not per_drive.all():
         raise RuntimeError(
             "saturation root bracketing failed: no sign change up to |X| = 1e3*sqrt(n_sat)"
         )
-    drive, cell = np.nonzero(in_cell)
     yd = y[drive]
     a, fa, b, fb = grid[cell], h[cell] - yd, grid[cell + 1], h[cell + 1] - yd
     step = 0
-    while np.any(np.abs(b - a) > 1e-13 * np.minimum(a, b)):
+    while ((width := np.abs(b - a)) > 1e-13 * np.minimum(a, b)).any():
         if step < 20:
-            size = np.clip(np.abs(fb * (b - a) / (fb - fa)), 4e-14 * b, np.abs(b - a))
+            size = np.minimum(np.maximum(np.abs(fb * (b - a) / (fb - fa)), 4e-14 * b), width)
             c = b + np.sign(a - b) * size
         else:
             c = 0.5 * (a + b)
@@ -207,11 +222,10 @@ def _find_roots(F, y: np.ndarray, n_sat: float) -> list[np.ndarray]:
         b, fb = c, fc
         step += 1
     x = 0.5 * (a + b)
-    if at_node.any():
-        node_drive, node = np.nonzero(at_node)
+    if node.size:
         x, drive = np.concatenate([grid[node], x]), np.concatenate([node_drive, drive])
         x = x[np.lexsort((x, drive))]
-    ends = np.cumsum(np.bincount(drive, minlength=y.size)).tolist()
+    ends = np.cumsum(per_drive).tolist()
     return [x[i:j] for i, j in zip([0] + ends[:-1], ends)]
 
 
@@ -227,10 +241,10 @@ def solve_saturation(
     roots = _find_roots(F, drives, n_sat)
     n_roots = np.array([len(r) for r in roots])
     low = np.array([r[0] for r in roots])
-    x = low.copy()
-    for i in np.flatnonzero(n_roots[1:] > 1) + 1:   # elsewhere the only root is the low one
-        x[i] = roots[i][np.argmin(np.abs(roots[i] - x[i - 1]))]
-    T = prefactor * x**2 / drives**2
+    x = low.tolist()
+    for i in np.flatnonzero(n_roots[1:] > 1).tolist():  # elsewhere the only root is the low one
+        x[i + 1] = min(roots[i + 1].tolist(), key=lambda r: abs(r - x[i]))  # first nearest
+    T = prefactor * np.square(x) / drives**2
     points = list(map(SaturationPoint, powers.tolist(), T.tolist(), n_roots.tolist(),
-                      np.where(x == low, "low", "high").tolist()))
+                      np.where(low == x, "low", "high").tolist()))
     return SaturationCurve(points=points, n_sat=n_sat)

@@ -19,6 +19,7 @@ from fiberqed.saturation import (
     saturation_photon_number,
     scaled_drive_from_power,
     solve_saturation,
+    _brackets,
     _find_roots,
     _response_function,
 )
@@ -278,7 +279,7 @@ def _reference_curve(cfg):
 @pytest.mark.parametrize("which", [1, 2])
 @pytest.mark.parametrize("model, sigma", [("closed_form", 0.0), ("quadrature", 0.3)])
 @pytest.mark.parametrize("N_eff", [10.0, 300.0, 2000.0])
-def test_shared_scan_matches_per_power_brentq(which, model, sigma, N_eff):
+def test_shared_scan_matches_per_power_brentq(monkeypatch, which, model, sigma, N_eff):
     cfg = _config(which, N_eff=N_eff, model=model, sigma_y_over_x0=sigma,
                   power_grid=np.geomspace(1e-13, 1e-6, 61))
     curve = solve_saturation(cfg, RATES)
@@ -291,9 +292,80 @@ def test_shared_scan_matches_per_power_brentq(which, model, sigma, N_eff):
 
     F, _ = _response_function(cfg, RATES)
     y = scaled_drive_from_power(cfg.power_grid, RATES, curve.n_sat, CFG.lambda_probe)
-    for yi, roots, ref in zip(y, _find_roots(F, y, curve.n_sat), reference_roots):
+    found = _find_roots(F, y, curve.n_sat)
+    for yi, roots, ref in zip(y, found, reference_roots):
         assert np.all(np.abs(roots * F(roots * roots) - yi) <= 1e-12 * yi)
         assert roots == pytest.approx(ref, rel=1e-13)
+    # the sorted-search brackets give the same floats as the sign table they replace
+    with monkeypatch.context() as m:
+        m.setattr(saturation, "_brackets", _sign_table_brackets)
+        sign_table = _find_roots(F, y, curve.n_sat)
+    assert [r.tolist() for r in found] == [r.tolist() for r in sign_table]
+
+
+def _sign_table_brackets(h, y):
+    """The (drive, node) sign table that _brackets replaces: (drive, cell) where h - y
+    changes sign strictly across the cell, drive by drive and up in cell, and
+    (drive, node) where h == y."""
+    G = h - y[:, np.newaxis]
+    drive, cell = np.nonzero(G[:, :-1] * G[:, 1:] < 0.0)
+    node_drive, node = np.nonzero(G == 0.0)
+    return drive, cell, node_drive, node
+
+
+def test_sorted_search_brackets_equal_the_sign_table():
+    rng = np.random.default_rng(1717)
+    seen = dict.fromkeys(("non_monotone", "equal_adjacent", "on_node", "repeated",
+                          "below", "above", "nan"), 0)
+    for case in range(600):
+        # levels on a coarse lattice, so adjacent equal values and exact node hits are common
+        h = 1.0 + 0.25 * rng.integers(0, 12, rng.integers(2, 40))
+        if case % 4 == 0:
+            h = np.sort(h)[::rng.choice([-1, 1])]
+        if case % 10 == 9:
+            h[rng.integers(h.size)] = np.nan
+        y = np.concatenate([rng.choice(h, rng.integers(0, 6)),          # on nodes
+                            rng.uniform(0.5, 4.5, rng.integers(0, 20))])   # inside, below, above
+        y = np.sort(np.repeat(y, rng.integers(1, 3, y.size)))
+        y = y[~np.isnan(y)]
+        got, ref = _brackets(h, y), _sign_table_brackets(h, y)
+        assert got[0].tolist() == ref[0].tolist() and got[1].tolist() == ref[1].tolist()
+        # node pairs come node by node; _find_roots sorts the merged roots anyway
+        got_nodes = sorted(zip(got[2].tolist(), got[3].tolist()))
+        assert got_nodes == list(zip(ref[2].tolist(), ref[3].tolist()))
+        finite = h[~np.isnan(h)]
+        seen["non_monotone"] += bool(np.any(np.diff(finite) > 0) and np.any(np.diff(finite) < 0))
+        seen["equal_adjacent"] += bool(np.any(h[1:] == h[:-1]))
+        seen["on_node"] += ref[2].size > 0
+        seen["repeated"] += bool(np.any(np.diff(y) == 0.0))
+        seen["below"] += bool(np.any(y < finite.min()))
+        seen["above"] += bool(np.any(y > finite.max()))
+        seen["nan"] += bool(np.isnan(h).any())
+    assert min(seen.values()) >= 30, seen
+
+
+def test_find_roots_names_an_unbracketed_drive():
+    cfg = _config(1, N_eff=10.0)
+    n_sat = saturation_photon_number(cfg.g0, RATES)
+    F, _ = _response_function(cfg, RATES)
+    sqrt_nsat = math.sqrt(n_sat)
+    grid = np.geomspace(1e-4 * sqrt_nsat, 1e3 * sqrt_nsat, 400)
+    h = grid * F(grid * grid)
+    assert np.all(np.diff(h) > 0.0)     # monostable: each drive has one bracketing cell
+    inside = 0.5 * (h[200] + h[201])
+    assert _find_roots(F, np.array([inside]), n_sat)[0].size == 1
+    message = ("^saturation root bracketing failed: "
+               r"no sign change up to \|X\| = 1e3\*sqrt\(n_sat\)$")
+    for y in ([0.5 * h[0], inside], [inside, 2.0 * h[-1]]):
+        with pytest.raises(RuntimeError, match=message):
+            _find_roots(F, np.array(y), n_sat)
+
+    def F_nan(x2):      # NaN at the two nodes that bracket the drive
+        at = (x2 == grid[200] * grid[200]) | (x2 == grid[201] * grid[201])
+        return np.where(at, np.nan, F(x2))
+
+    with pytest.raises(RuntimeError, match=message):
+        _find_roots(F_nan, np.array([inside]), n_sat)
 
 
 def test_bracketing_failure_outside_the_scan():
