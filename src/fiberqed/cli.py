@@ -136,12 +136,17 @@ class RunConfig:
         g0_key = f"g{s.which_cavity}_0"
         g0_mhz = s.g0 if s.g0 > 0.0 else getattr(p, g0_key)
         if not g0_mhz > 0.0:
-            raise ConfigError(
-                f"[saturation] g0 = 0 takes [physical] {g0_key}, which is {g0_mhz!r}; "
-                "one of them must be positive"
-            )
-        g_eff_mhz = self.atoms.g1_eff if s.which_cavity == 1 else self.atoms.g2_eff
-        n_eff = s.N_eff if s.N_eff > 0.0 else (g_eff_mhz / g0_mhz) ** 2
+            raise ConfigError(f"[saturation] g0 = 0 takes [physical] {g0_key}, which is {g0_mhz!r}; "
+                              "one of them must be positive")
+        g_eff_key = f"g{s.which_cavity}_eff"
+        try:
+            n_eff = s.N_eff or (getattr(self.atoms, g_eff_key) / g0_mhz) ** 2
+        except OverflowError:
+            n_eff = math.inf
+        if not 0.0 < n_eff < math.inf:      # a derived N_eff: _validate_config checked the key
+            source = "[saturation] g0" if s.g0 > 0.0 else f"[physical] {g0_key}"
+            raise ConfigError(f"[saturation] N_eff = 0 takes ([atoms] {g_eff_key} / {source})^2, "
+                              f"which is {n_eff!r}; it must be positive and finite")
         grid = np.geomspace(s.power_min_pW * 1e-12, s.power_max_pW * 1e-12, s.power_points)
         fit = self.mode_fit()
         return saturation.SaturationConfig(
@@ -196,14 +201,14 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"[saturation] power_points={s.power_points!r} must be at least 1")
     if s.power_points > 1 and not s.power_min_pW < s.power_max_pW:
         raise ConfigError("[saturation] power_min_pW must be below power_max_pW for power_points > 1")
-    m = cfg.mode     # the geometry keys are checked where they are used, by make_mode_params
+    m = cfg.mode     # the geometry keys are checked where they are used, by ModeFunctionParams
     if not 0.0 < m.r_span_nm <= _R_SPAN_MAX_NM:
         raise ConfigError(f"[mode] r_span_nm={m.r_span_nm!r} must lie in (0, {_R_SPAN_MAX_NM:g}]")
     for key in ("r_points", "phi_points", "z_points"):
         if getattr(m, key) < 1:
             raise ConfigError(f"[mode] {key}={getattr(m, key)!r} must be at least 1")
     try:
-        cfg.physical_config().validate()
+        cfg.physical_config()       # a PhysicalConfig checks its fields when built
         check_saturation_choice(s.which_cavity, s.model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -408,28 +413,17 @@ def run_subcommand(name: str, cfg: RunConfig, args=None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fiberqed",
-        description="Fiber-coupled two-cavity QED model: rates, spectra, normal modes, saturation.",
-    )
+    parser = argparse.ArgumentParser(prog="fiberqed", description=(
+        "Fiber-coupled two-cavity QED model: rates, spectra, normal modes, saturation."))
     parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", type=str, default=None, help="path to config file")
-    parser.add_argument("--out", type=str, default=None, help="output directory")
+    parser.add_argument("--config", help="path to config file")
+    parser.add_argument("--out", help="output directory")
     parser.add_argument("--svg", action="store_true", help="also emit SVG plots")
-    parser.add_argument(
-        "--grid", type=str, default=None, metavar="MIN:MAX:POINTS",
-        help="detuning grid in MHz, e.g. -30:30:601",
-    )
-    parser.add_argument("--lf", type=float, default=None, help="connecting fiber length override (m)")
-    parser.add_argument(
-        "--atoms", type=str, default=None,
-        choices=_LOADINGS,
-        help="atom loading condition override",
-    )
-    parser.add_argument(
-        "--band", type=float, default=None, metavar="MHZ",
-        help="also emit spectra with both couplings shifted by +/- this amount",
-    )
+    parser.add_argument("--grid", metavar="MIN:MAX:POINTS", help="detuning grid in MHz, e.g. -30:30:601")
+    parser.add_argument("--lf", type=float, help="connecting fiber length override (m)")
+    parser.add_argument("--atoms", choices=_LOADINGS, help="atom loading condition override")
+    parser.add_argument("--band", type=float, metavar="MHZ",
+                        help="also emit spectra with both couplings shifted by +/- this amount")
     parser.add_argument("--kv", action="store_true", help="normal-modes: print key=value lines")
     return parser
 
@@ -457,15 +451,10 @@ def main(argv=None) -> int:
             except ValueError as exc:
                 raise ConfigError(f"bad --grid specification {args.grid!r}") from exc
         _validate_config(cfg)
+        return run_subcommand(args.command, cfg, args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        return run_subcommand(args.command, cfg, args)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -1,11 +1,12 @@
 """Evanescent-field coupling profile g^2(r, phi, z) around the nanofiber.
 
-`make_mode_params` builds the fiber geometry.  The exact quasi-linearly-polarized
-HE11 intensity profile on it is built from modified Bessel functions K0, K1, K2
-(a numpy trapezoid rule).  The simplified separable form (axial cosine weight x
-radial exponential x cos^2 phi) that the saturation model consumes is the
-least-squares fit to it, `fit_simplified`: its qprime and A_mf are the
-simplified profile.  Both are normalized to 1 at the trap minimum (r0, 0, 0).
+`make_mode_params` builds the fiber geometry, which checks itself when built.  The
+exact quasi-linearly-polarized HE11 intensity profile on it is built from modified
+Bessel functions K0, K1, K2 (a numpy trapezoid rule).  The simplified separable form
+(axial cosine weight x radial exponential x cos^2 phi) that the saturation model
+consumes is the least-squares fit to it, `fit_simplified`: its qprime and A_mf are
+the simplified profile.  Both are normalized to 1 at the trap minimum (r0, 0, 0), so
+an r0 whose exact intensity underflows (from about 135 um out) is rejected.
 """
 
 from __future__ import annotations
@@ -22,19 +23,31 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class ModeFunctionParams:
+    """Fiber geometry: finite fields, 0 < a < r0 and a guided n2*k < beta < n1*k."""
+
     beta: float         # propagation constant, 1/m
     k: float            # free-space wavenumber, 1/m
     n1: float           # core index
     n2: float           # cladding (vacuum) index
     s: float            # mode-geometry parameter
     a: float            # fiber radius, m
-    q: float            # external transverse decay constant, 1/m
-    h: float            # internal transverse constant, 1/m
     r0: float           # trap-minimum radial position, m
 
-    def validate(self) -> None:
-        if not self.r0 > self.a:
-            raise ValueError("trap minimum r0 must lie outside the fiber surface")
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"mode parameter {name}={value!r} must be finite")
+        if not 0.0 < self.a < self.r0:
+            raise ValueError(f"fiber radius a={self.a!r} and trap minimum r0={self.r0!r} "
+                             "must satisfy 0 < a < r0")
+        lo, hi = self.n2 * self.k, self.n1 * self.k
+        if not 0.0 < lo < self.beta < hi:
+            raise ValueError(f"beta={self.beta!r} is not guided: 0 < n2*k < beta < n1*k fails, with "
+                             f"(n2*k, n1*k) = ({lo:.6g}, {hi:.6g}) 1/m")
+
+    @property
+    def q(self) -> float:       # external transverse decay constant, 1/m
+        return math.sqrt(self.beta**2 - self.n2**2 * self.k**2)
 
 
 def make_mode_params(
@@ -46,23 +59,11 @@ def make_mode_params(
     a: float = MODE_DEFAULTS["a"],
     r0: float = MODE_DEFAULTS["r0"],
 ) -> ModeFunctionParams:
-    """Build the fiber geometry, deriving q and h from beta and k.
-
-    A non-finite argument, a <= 0, r0 <= a or an unguided beta outside (n2*k, n1*k) is
-    rejected by name.  The simplified profile on it is fit_simplified(make_mode_params(...)).
-    """
-    for name, value in dict(beta=beta, wavelength=wavelength, n1=n1, n2=n2, s=s, a=a, r0=r0).items():
-        if not math.isfinite(value):
-            raise ValueError(f"mode parameter {name}={value!r} must be finite")
-    if not 0.0 < a < r0:
-        raise ValueError(f"fiber radius a={a!r} and trap minimum r0={r0!r} must satisfy 0 < a < r0")
-    k = 2.0 * math.pi / wavelength
-    if not 0.0 < n2 * k < beta < n1 * k:
-        raise ValueError(f"beta={beta!r} is not guided: 0 < n2*k < beta < n1*k fails, with "
-                         f"(n2*k, n1*k) = ({n2 * k:.6g}, {n1 * k:.6g}) 1/m")
-    q = math.sqrt(beta**2 - n2**2 * k**2)
-    h = math.sqrt(k**2 * n1**2 - beta**2)
-    return ModeFunctionParams(beta=beta, k=k, n1=n1, n2=n2, s=s, a=a, q=q, h=h, r0=r0)
+    """The fiber geometry at a free-space wavelength, k = 2*pi/wavelength.  The simplified
+    profile on it is fit_simplified(make_mode_params(...))."""
+    if not 0.0 < wavelength < math.inf:
+        raise ValueError(f"mode parameter wavelength={wavelength!r} must be positive and finite")
+    return ModeFunctionParams(beta=beta, k=2.0 * math.pi / wavelength, n1=n1, n2=n2, s=s, a=a, r0=r0)
 
 
 def _bessel_k012(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,10 +111,12 @@ def _exact_unnormalized(p: ModeFunctionParams, r, phi, z):
 
 def g_squared_exact(p: ModeFunctionParams, r, phi, z):
     """Exact profile normalized to 1 at the trap minimum (r0, 0, 0)."""
-    p.validate()
     if not np.all((np.asarray(r) > p.a) & np.isfinite(r)):
         raise ValueError("radial position must be finite and outside the fiber (r > a)")
     norm = _exact_unnormalized(p, p.r0, 0.0, 0.0)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"trap minimum r0={p.r0!r} lies too far out: its exact intensity "
+                         f"{float(norm)!r} must be positive and finite")
     out = _exact_unnormalized(p, r, phi, z) / norm
     return out if np.ndim(out) else float(out)
 
@@ -127,6 +130,13 @@ class SimplifiedFit:
     max_rel_error: float
     params: ModeFunctionParams      # the geometry the fit is for
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.A_mf <= 1.0:
+            raise ValueError("axial weight A_mf must lie in [0, 1]")
+        for name in ("qprime", "max_rel_error"):
+            if not 0.0 <= (value := getattr(self, name)) < math.inf:
+                raise ValueError(f"{name}={value!r} must be non-negative and finite")
+
     @property
     def B_mf(self) -> float:
         return 1.0 - self.A_mf
@@ -135,9 +145,6 @@ class SimplifiedFit:
 def g_squared_simplified(fit: SimplifiedFit, r, phi, z):
     """Simplified separable profile, normalized to 1 at (r0, 0, 0)."""
     p = fit.params
-    p.validate()
-    if not 0.0 <= fit.A_mf <= 1.0:
-        raise ValueError("axial weight A_mf must lie in [0, 1]")
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("radial position must be positive")
@@ -159,7 +166,6 @@ def fit_simplified(p: ModeFunctionParams) -> SimplifiedFit:
     [0.5q, 3q] is left: variable projection (Golub & Pereyra, Inverse Problems
     19, R1 (2003)).
     """
-    p.validate()
     r = np.linspace(p.r0, p.r0 + 300e-9, 41)
     phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, 9)[:, np.newaxis]
     z = np.linspace(0.0, math.pi / p.beta, 17, endpoint=False)
@@ -178,10 +184,11 @@ def fit_simplified(p: ModeFunctionParams) -> SimplifiedFit:
         cost = rad2 @ (uu + 2.0 * a_mf * uw + a_mf**2 * ww) - 2.0 * rad @ (su + a_mf * sw)
         return cost, a_mf, rad
 
-    lo, hi = 0.5 * p.q, 3.0 * p.q
+    q = p.q
+    lo, hi = 0.5 * q, 3.0 * q
     x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
     f1, f2 = projected(x1)[0], projected(x2)[0]
-    while hi - lo > 1e-9 * p.q:
+    while hi - lo > 1e-9 * q:
         if f1 <= f2:        # keep [lo, x2]; the old x1 becomes the new x2
             hi, x2, f2, x1 = x2, x1, f1, x2 - _GOLDEN * (x2 - lo)
             f1 = projected(x1)[0]

@@ -29,12 +29,18 @@ _BLOCK = 4096
 
 @dataclass(frozen=True)
 class ProbeSettings:
+    """One probe, or a stack of them: each field may be an array, checked elementwise when
+    built (a float field compares to a plain bool, so it needs no numpy call)."""
+
     delta_c: float = 0.0        # cavity-probe detuning, rad/s
     delta_a: float = 0.0        # atom-probe detuning, rad/s
     drive_E1: float = 1.0       # probe drive amplitude into cavity 1 (real, >= 0)
 
-    def validate(self) -> None:
-        if self.drive_E1 < 0.0:
+    def __post_init__(self) -> None:
+        for name in ("delta_c", "delta_a"):
+            if (ok := abs(getattr(self, name)) < np.inf) is not True and not np.all(ok):
+                raise ValueError(f"{name} must be finite")
+        if (ok := self.drive_E1 >= 0.0) is not True and not np.all(ok):     # NaN fails too
             raise ValueError("drive_E1 must be non-negative (global phase convention)")
 
 
@@ -96,11 +102,8 @@ def _amplitudes(rates: DerivedRates, dc, da, drive, g1: float, g2: float):
     return a1, a2, b, s1, s2
 
 
-def steady_state(
-    rates: DerivedRates, probe: ProbeSettings, g1: float, g2: float
-) -> SteadyStateAmplitudes:
+def steady_state(rates: DerivedRates, probe: ProbeSettings, g1: float, g2: float) -> SteadyStateAmplitudes:
     """Steady-state field and coherence amplitudes at one probe detuning."""
-    probe.validate()
     if g1 < 0.0 or g2 < 0.0:
         raise ValueError("coupling strengths must be non-negative")
     amps = _amplitudes(rates, probe.delta_c, probe.delta_a, probe.drive_E1, g1, g2)
@@ -135,14 +138,8 @@ def _spectrum(rates: DerivedRates, grid, kernel) -> SpectrumResult:
     return SpectrumResult(grid, _by_block(lambda d: kernel(norm, d), grid))
 
 
-def transmission_spectrum(
-    rates: DerivedRates,
-    g1: float,
-    g2: float,
-    delta_c_offset: float = 0.0,
-    *,
-    grid: np.ndarray,
-) -> SpectrumResult:
+def transmission_spectrum(rates: DerivedRates, g1: float, g2: float, delta_c_offset: float = 0.0, *,
+                          grid: np.ndarray) -> SpectrumResult:
     """Normalized transmission vs atom-probe detuning on grid (rad/s, strictly increasing).
 
     The sweep varies delta_a and delta_c together (the cavities track the

@@ -45,7 +45,8 @@ class PhysicalConfig:
     (dimensionless), lengths are in meters, all rates in rad/s.
     Defaults are the reference experimental configuration.  The CLI config
     keys are these field names; a field whose metadata carries "mhz" is a
-    rate quoted in MHz there, every other field keeps its SI unit.
+    rate quoted in MHz there, every other field keeps its SI unit.  A config
+    is checked once, when it is built, and a bad field is rejected by name.
     """
 
     T1: float = 0.13
@@ -67,7 +68,7 @@ class PhysicalConfig:
     c_fiber: float = C_FIBER
     lambda_probe: float = 852e-9
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("T1", "T2", "T3", "T4"):
             t = getattr(self, name)
             if not math.isfinite(t) or not 0.0 < t < 1.0:
@@ -122,7 +123,6 @@ def derive_rates(cfg: PhysicalConfig) -> DerivedRates:
     kappa_loss = -(c/2L)*ln(1 - alpha), and the cavity-fiber coupling
     rates v_i = (c/2)*sqrt(T/(L_i*L_f)).
     """
-    cfg.validate()
     c = cfg.c_fiber
 
     kappa_1l = c * cfg.T1 / (4.0 * cfg.L1)

@@ -16,6 +16,7 @@ y(|X|) does not depend on power, one 400-node scan over the fixed bracket
 |X| in [1e-4, 1e3]*sqrt(n_sat), bracketed by np.searchsorted on the sorted
 drives, and about 7 vectorised refinement passes serve every power of a curve;
 all real roots are recorded per power, and the branch is continued from zero drive.
+A SaturationConfig checks its fields when built, so solve_saturation does not.
 """
 
 from __future__ import annotations
@@ -43,12 +44,18 @@ class SaturationConfig:
     sigma_y_over_x0: float = 0.0        # cloud width / trap radius (quadrature model)
     q_prime_x0: float = 1.1165317710150833  # q' * r0 (quadrature model)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_saturation_choice(self.which_cavity, self.model)
+        if not 0.0 <= self.g0 < math.inf:       # solve_saturation needs g0 > 0
+            raise ValueError(f"g0={self.g0!r} must be non-negative and finite")
         if not 0.0 < self.N_eff < math.inf:
             raise ValueError(f"N_eff={self.N_eff!r} must be positive and finite")
         if not 0.0 <= (sigma := self.sigma_y_over_x0) < math.inf:
             raise ValueError(f"sigma_y_over_x0={sigma!r} must be non-negative and finite")
+        if not 0.0 <= self.A_mf <= 1.0:
+            raise ValueError(f"axial weight A_mf={self.A_mf!r} must lie in [0, 1]")
+        if not 0.0 < self.q_prime_x0 < math.inf:
+            raise ValueError(f"q_prime_x0={self.q_prime_x0!r} must be positive and finite")
         grid = np.asarray(self.power_grid, dtype=float)
         increasing = grid.size > 0 and np.all(np.diff(grid) > 0.0)     # False on any NaN
         if not (increasing and 0.0 < grid[0] and grid[-1] < math.inf):
@@ -112,8 +119,8 @@ _ONE_NODE = (np.ones(1), np.ones(1))      # every atom samples the trap-minimum 
 
 
 def _cloud_term(N_eff: float, A_mf: float, s: np.ndarray, w: np.ndarray, X_abs2):
-    """_per_unit_field for a caller's |X|^2, which must be non-negative."""
-    if np.any(np.asarray(X_abs2) < 0.0):
+    """_per_unit_field for a caller's |X|^2, which must be non-negative (not NaN)."""
+    if not np.all(np.asarray(X_abs2) >= 0.0):
         raise ValueError("X_abs2 must be non-negative")
     return _per_unit_field(N_eff, A_mf, X_abs2, s, w)
 
@@ -127,9 +134,8 @@ def collective_saturation_term(N_eff: float, A_mf: float, X_abs2) -> float:
     return _cloud_term(N_eff, A_mf, *_ONE_NODE, X_abs2)
 
 
-def quadrature_saturation_term(
-    N_eff: float, A_mf: float, sigma_y_over_x0: float, q_prime_x0: float, X_abs2
-) -> float:
+def quadrature_saturation_term(N_eff: float, A_mf: float, sigma_y_over_x0: float, q_prime_x0: float,
+                               X_abs2) -> float:
     """Gauss-Hermite evaluation of the atom summation over a Gaussian cloud.
 
     Reduces to collective_saturation_term when sigma_y_over_x0 = 0 (all atoms
@@ -138,9 +144,7 @@ def quadrature_saturation_term(
     return _cloud_term(N_eff, A_mf, *_cloud_rule(sigma_y_over_x0, q_prime_x0), X_abs2)
 
 
-def scaled_drive_from_power(
-    P_in, rates: DerivedRates, n_sat: float, lambda_probe: float
-) -> float:
+def scaled_drive_from_power(P_in, rates: DerivedRates, n_sat: float, lambda_probe: float) -> float:
     """Invert P_in = y^2 * (2*pi*hbar*c/lambda) * kappa_1p^2/(2*kappa_1l) * n_sat.
 
     Accepts a scalar power (returns a float) or an array of powers.
@@ -233,7 +237,6 @@ def solve_saturation(
     cfg: SaturationConfig, rates: DerivedRates, lambda_probe: float = PhysicalConfig.lambda_probe
 ) -> SaturationCurve:
     """Transmission vs input power along the branch continued from zero drive."""
-    cfg.validate()
     n_sat = saturation_photon_number(cfg.g0, rates)
     F, prefactor = _response_function(cfg, rates)
     powers = np.asarray(cfg.power_grid, dtype=float)

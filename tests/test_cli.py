@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -354,12 +355,15 @@ def test_derived_g0_of_zero_exits_with_code_2(tmp_path, capsys, cavity, n_eff):
     ("mode-profile", "[mode]\ns = nan\n", [], "s=nan"),
     ("saturation", "[mode]\ns = nan\n", [], "s=nan"),
     ("mode-profile", "[mode]\na = -1\n", [], "a=-1.0"),
+    ("saturation", "[atoms]\ng1_eff = 0\n", [], "([atoms] g1_eff / [physical] g1_0)"),
+    ("saturation", "[physical]\ng1_0 = 1e-300\n", [], "([atoms] g1_eff / [physical] g1_0)"),
 ], ids=["grid-max-nan", "grid-min-inf", "probe-grid_max-nan", "band-nan", "band-inf",
         "power_max_pW-nan", "power_max_pW-inf", "N_eff-inf", "sigma_y_over_x0-nan",
         "power_min_pW-zero", "power_points-zero", "power_points-negative", "power-bounds-reversed",
         "band-negative", "band-zero", "r_points-zero", "phi_points-zero", "z_points-zero",
         "r_points-negative", "r_span_nm-nan", "r_span_nm-negative", "r_span_nm-huge",
-        "beta-unguided", "n2-unguided", "beta-nan", "s-nan", "s-nan-saturation", "a-negative"])
+        "beta-unguided", "n2-unguided", "beta-nan", "s-nan", "s-nan-saturation", "a-negative",
+        "derived-N_eff-zero", "derived-N_eff-overflow"])
 def test_non_finite_input_exits_with_code_2(tmp_path, capsys, command, config, flags, name):
     # each bad input exits 2 before any output, and the message names its key or flag
     path = tmp_path / "run.cfg"
@@ -368,6 +372,21 @@ def test_non_finite_input_exits_with_code_2(tmp_path, capsys, command, config, f
     assert main([command, "--config", str(path), "--out", str(out), *flags]) == 2
     assert name in capsys.readouterr().err
     assert list(tmp_path.rglob("*.csv")) == []
+
+
+@pytest.mark.parametrize("r0", ["1e-3", "400"])
+@pytest.mark.parametrize("command", ["saturation", "mode-profile"])
+def test_far_trap_minimum_exits_with_code_2(tmp_path, capsys, command, r0):
+    # from about 135 um out the exact intensity at r0 underflows: a named error, not a NaN fit
+    path = tmp_path / "far.cfg"
+    path.write_text(f"[mode]\nr0 = {r0}\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert f"trap minimum r0={float(r0)!r}" in err and "Warning" not in err
+    assert list(tmp_path.glob("*.csv")) == []
 
 
 @pytest.mark.parametrize("svg", ["none", "flag", "formats"])

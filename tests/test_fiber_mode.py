@@ -80,8 +80,22 @@ def test_bessel_domain_errors():
 
 def test_transverse_constants():
     assert P.q**2 + P.n2**2 * P.k**2 == pytest.approx(P.beta**2, rel=1e-9)
-    assert P.h**2 + P.beta**2 == pytest.approx(P.n1**2 * P.k**2, rel=1e-9)
     assert P.q == pytest.approx(2.77e6, rel=0.01)
+
+
+def test_q_follows_a_replaced_beta():
+    # q is derived from beta, n2 and k, so a replaced geometry cannot carry a stale q
+    assert replace(P, beta=8.5e6).q == make_mode_params(beta=8.5e6).q
+    assert make_mode_params(beta=8.5e6).q == pytest.approx(4.23e6, rel=0.01)
+    assert g_squared_exact(replace(P, beta=8.5e6), 500e-9, 0.0, 0.0) == pytest.approx(0.3323, abs=1e-4)
+
+
+def test_far_trap_minimum_is_rejected_by_name():
+    # from r0 of about 135 um the exact intensity at r0 underflows: no NaN fit, an error
+    far = make_mode_params(r0=1e-3)
+    for call in (lambda: g_squared_exact(far, far.r0, 0.0, 0.0), lambda: fit_simplified(far)):
+        with pytest.raises(ValueError, match=r"trap minimum r0=0\.001"):
+            call()
 
 
 def test_exact_normalization_point():
@@ -143,17 +157,19 @@ def test_exact_radially_decreasing():
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        replace(P, r0=P.a).validate()
+    # the geometry is checked when built: replace builds a new one
+    with pytest.raises(ValueError, match="0 < a < r0"):
+        replace(P, r0=P.a)
     # make_mode_params names the bad argument: non-finite, or a beta the fiber does not guide
     with pytest.raises(ValueError, match="s=nan must be finite"):
         make_mode_params(s=math.nan)
     for beta in (P.n2 * P.k, 1e6, P.n1 * P.k):
         with pytest.raises(ValueError, match=rf"beta={beta!r} is not guided"):
             make_mode_params(beta=beta)
-    for bad in (replace(FIT, A_mf=1.5), replace(FIT, params=replace(P, r0=P.a))):
-        with pytest.raises(ValueError):
-            g_squared_simplified(bad, P.r0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="beta=12000000.0 is not guided"):
+        replace(P, beta=1.2e7)
+    with pytest.raises(ValueError, match="A_mf must lie in"):
+        replace(FIT, A_mf=1.5)
 
 
 def test_fit_simplified_frozen():
@@ -183,7 +199,7 @@ def _fit_grid(p):
 
 def _residuals(p, qprime, a_mf, grid):
     rr, pp, zz, exact = grid
-    trial = SimplifiedFit(qprime=qprime, A_mf=a_mf, max_rel_error=math.nan, params=p)
+    trial = SimplifiedFit(qprime=qprime, A_mf=a_mf, max_rel_error=0.0, params=p)   # not read
     return ((g_squared_simplified(trial, rr, pp, zz) - exact) / exact).ravel()
 
 

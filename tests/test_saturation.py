@@ -164,7 +164,7 @@ def test_folded_rule_matches_the_full_96_node_sum(sigma, qx):
                                    rtol=1e-15, atol=0.0)
 
 
-@pytest.mark.parametrize("x2", [-0.5, -50.0, np.array([1.0, -1e-12])])
+@pytest.mark.parametrize("x2", [-0.5, -50.0, np.array([1.0, -1e-12]), math.nan, np.array([1.0, math.nan])])
 def test_both_terms_reject_negative_field(x2):
     with pytest.raises(ValueError, match="X_abs2 must be non-negative"):
         collective_saturation_term(92.0, 0.17, x2)
@@ -393,27 +393,33 @@ def test_scaled_drive_roundtrip():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        _config(3).validate()
+    # a config is checked when built
+    with pytest.raises(ValueError, match="which_cavity"):
+        _config(3)
     with pytest.raises(ValueError, match="g0 must be positive"):
         solve_saturation(_config(1, g0=0.0), RATES)     # via saturation_photon_number
-    with pytest.raises(ValueError):
-        _config(1, N_eff=-1.0).validate()
-    with pytest.raises(ValueError):
-        _config(1, model="mystery").validate()
-    with pytest.raises(ValueError):
-        _config(1, power_grid=np.array([1e-9, 1e-10])).validate()
-    with pytest.raises(ValueError):
-        _config(1, power_grid=np.array([])).validate()
-    # non-finite inputs are named instead of failing the root bracket
+    with pytest.raises(ValueError, match="N_eff"):
+        _config(1, N_eff=-1.0)
+    with pytest.raises(ValueError, match="mystery"):
+        _config(1, model="mystery")
+    with pytest.raises(ValueError, match="power_grid"):
+        _config(1, power_grid=np.array([1e-9, 1e-10]))
+    with pytest.raises(ValueError, match="power_grid"):
+        _config(1, power_grid=np.array([]))
+    # non-finite or out-of-range inputs are named instead of failing the root bracket
     for field, value in (
+        ("g0", -1.0), ("g0", math.inf),
         ("N_eff", math.inf), ("N_eff", math.nan),
         ("sigma_y_over_x0", -0.1), ("sigma_y_over_x0", math.inf), ("sigma_y_over_x0", math.nan),
+        ("A_mf", math.nan), ("A_mf", 7.0), ("A_mf", -0.1),
+        ("q_prime_x0", math.nan), ("q_prime_x0", -3.0), ("q_prime_x0", 0.0), ("q_prime_x0", math.inf),
         ("power_grid", np.array([1e-12, math.nan, 1e-6])), ("power_grid", np.array([1e-12, math.inf])),
         ("power_grid", np.array([math.nan])), ("power_grid", np.array([0.0, 1e-6])),
     ):
         with pytest.raises(ValueError, match=field):
-            solve_saturation(_config(1, model="quadrature", **{field: value}), RATES)
+            _config(1, model="quadrature", **{field: value})
+    with pytest.raises(ValueError, match="A_mf"):      # the case that used to solve silently
+        _config(1, A_mf=7.0, q_prime_x0=-3.0)
 
 
 def test_default_mode_function_is_the_reference_fit():
