@@ -115,10 +115,7 @@ class RunConfig:
 
     def detuning_grid(self) -> np.ndarray:
         import numpy as np
-        pr = self.probe
-        if pr.grid_points < 2 or not -math.inf < pr.grid_min < pr.grid_max < math.inf:
-            raise ConfigError("probe grid needs at least 2 points and finite grid_min < grid_max")
-        return np.linspace(mhz(pr.grid_min), mhz(pr.grid_max), pr.grid_points)
+        return np.linspace(mhz(self.probe.grid_min), mhz(self.probe.grid_max), self.probe.grid_points)
 
     def mode_fit(self) -> fiber_mode.SimplifiedFit:
         """The simplified profile fitted on the [mode] geometry at [physical] lambda_probe."""
@@ -135,6 +132,7 @@ class RunConfig:
         p = self.physical
         g0_key = f"g{s.which_cavity}_0"
         g0_mhz = s.g0 if s.g0 > 0.0 else getattr(p, g0_key)
+        source = "[saturation] g0" if s.g0 > 0.0 else f"[physical] {g0_key}"
         if not g0_mhz > 0.0:
             raise ConfigError(f"[saturation] g0 = 0 takes [physical] {g0_key}, which is {g0_mhz!r}; "
                               "one of them must be positive")
@@ -144,9 +142,13 @@ class RunConfig:
         except OverflowError:
             n_eff = math.inf
         if not 0.0 < n_eff < math.inf:      # a derived N_eff: _validate_config checked the key
-            source = "[saturation] g0" if s.g0 > 0.0 else f"[physical] {g0_key}"
             raise ConfigError(f"[saturation] N_eff = 0 takes ([atoms] {g_eff_key} / {source})^2, "
                               f"which is {n_eff!r}; it must be positive and finite")
+        if p.gamma_par > 0.0:       # else the atoms leave n_sat at 0 (or undamped), not g0
+            try:
+                saturation.saturation_photon_number(mhz(g0_mhz), derive_rates(self.physical_config()))
+            except ValueError as exc:
+                raise ConfigError(f"{source} = {g0_mhz!r} MHz: {exc}") from exc
         grid = np.geomspace(s.power_min_pW * 1e-12, s.power_max_pW * 1e-12, s.power_points)
         fit = self.mode_fit()
         return saturation.SaturationConfig(
@@ -190,6 +192,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate_config(cfg: RunConfig) -> None:
+    if cfg.probe.grid_points < 2 or not -math.inf < cfg.probe.grid_min < cfg.probe.grid_max < math.inf:
+        raise ConfigError("probe grid needs at least 2 points and finite grid_min < grid_max")
     s = cfg.saturation
     for key in ("g0", "N_eff", "power_min_pW", "power_max_pW"):
         value = getattr(s, key)
@@ -445,9 +449,7 @@ def main(argv=None) -> int:
         if args.grid is not None:
             try:
                 lo, hi, n = args.grid.split(":")
-                cfg.probe.grid_min = float(lo)
-                cfg.probe.grid_max = float(hi)
-                cfg.probe.grid_points = int(n)
+                cfg.probe = ProbeSection(float(lo), float(hi), int(n))
             except ValueError as exc:
                 raise ConfigError(f"bad --grid specification {args.grid!r}") from exc
         _validate_config(cfg)

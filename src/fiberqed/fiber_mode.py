@@ -6,7 +6,7 @@ Bessel functions K0, K1, K2 (a numpy trapezoid rule).  The simplified separable 
 (axial cosine weight x radial exponential x cos^2 phi) that the saturation model
 consumes is the least-squares fit to it, `fit_simplified`: its qprime and A_mf are
 the simplified profile.  Both are normalized to 1 at the trap minimum (r0, 0, 0), so
-an r0 whose exact intensity underflows (from about 135 um out) is rejected.
+an r0 whose exact intensity is not a normal float (from about 128 um out) is rejected.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class ModeFunctionParams:
 def make_mode_params(
     beta: float = MODE_DEFAULTS["beta"],
     wavelength: float = PhysicalConfig.lambda_probe,
-    n1: float = FIBER_INDEX,
     n2: float = MODE_DEFAULTS["n2"],
     s: float = MODE_DEFAULTS["s"],
     a: float = MODE_DEFAULTS["a"],
@@ -63,7 +62,7 @@ def make_mode_params(
     profile on it is fit_simplified(make_mode_params(...))."""
     if not 0.0 < wavelength < math.inf:
         raise ValueError(f"mode parameter wavelength={wavelength!r} must be positive and finite")
-    return ModeFunctionParams(beta=beta, k=2.0 * math.pi / wavelength, n1=n1, n2=n2, s=s, a=a, r0=r0)
+    return ModeFunctionParams(beta, 2.0 * math.pi / wavelength, FIBER_INDEX, n2, s, a, r0)
 
 
 def _bessel_k012(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,9 +113,9 @@ def g_squared_exact(p: ModeFunctionParams, r, phi, z):
     if not np.all((np.asarray(r) > p.a) & np.isfinite(r)):
         raise ValueError("radial position must be finite and outside the fiber (r > a)")
     norm = _exact_unnormalized(p, p.r0, 0.0, 0.0)
-    if not 0.0 < norm < math.inf:
+    if not np.finfo(float).tiny <= norm < math.inf:     # a subnormal norm degrades the fit
         raise ValueError(f"trap minimum r0={p.r0!r} lies too far out: its exact intensity "
-                         f"{float(norm)!r} must be positive and finite")
+                         f"{float(norm)!r} must be finite and a normal float, at least 2.2e-308")
     out = _exact_unnormalized(p, r, phi, z) / norm
     return out if np.ndim(out) else float(out)
 

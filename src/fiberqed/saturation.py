@@ -15,8 +15,8 @@ closed form is its one-node case s = w = [1], and a Gaussian cloud takes the
 y(|X|) does not depend on power, one 400-node scan over the fixed bracket
 |X| in [1e-4, 1e3]*sqrt(n_sat), bracketed by np.searchsorted on the sorted
 drives, and about 7 vectorised refinement passes serve every power of a curve;
-all real roots are recorded per power, and the branch is continued from zero drive.
-A SaturationConfig checks its fields when built, so solve_saturation does not.
+each power counts its roots and takes T from the lowest, the up-sweep (a down-sweep
+would take the highest).  A SaturationConfig is checked when built, not when solved.
 """
 
 from __future__ import annotations
@@ -31,6 +31,20 @@ from . import linear_response
 from .params import C_VACUUM, DerivedRates, PhysicalConfig, check_saturation_choice
 
 HBAR = 1.054571817e-34          # J s
+
+def _check_atom_sum(N_eff, A_mf, sigma_y_over_x0=0.0, q_prime_x0=1.0, X_abs2=0.0) -> None:
+    """SaturationConfig's rules on the atom-sum inputs, which both public terms check too."""
+    if not 0.0 < N_eff < math.inf:
+        raise ValueError(f"N_eff={N_eff!r} must be positive and finite")
+    if not 0.0 <= sigma_y_over_x0 < math.inf:
+        raise ValueError(f"sigma_y_over_x0={sigma_y_over_x0!r} must be non-negative and finite")
+    if not 0.0 <= A_mf <= 1.0:
+        raise ValueError(f"axial weight A_mf={A_mf!r} must lie in [0, 1]")
+    if not 0.0 < q_prime_x0 < math.inf:
+        raise ValueError(f"q_prime_x0={q_prime_x0!r} must be positive and finite")
+    if not np.all(np.asarray(X_abs2) >= 0.0):       # NaN included
+        raise ValueError("X_abs2 must be non-negative")
+
 
 @dataclass(frozen=True)
 class SaturationConfig:
@@ -48,14 +62,7 @@ class SaturationConfig:
         check_saturation_choice(self.which_cavity, self.model)
         if not 0.0 <= self.g0 < math.inf:       # solve_saturation needs g0 > 0
             raise ValueError(f"g0={self.g0!r} must be non-negative and finite")
-        if not 0.0 < self.N_eff < math.inf:
-            raise ValueError(f"N_eff={self.N_eff!r} must be positive and finite")
-        if not 0.0 <= (sigma := self.sigma_y_over_x0) < math.inf:
-            raise ValueError(f"sigma_y_over_x0={sigma!r} must be non-negative and finite")
-        if not 0.0 <= self.A_mf <= 1.0:
-            raise ValueError(f"axial weight A_mf={self.A_mf!r} must lie in [0, 1]")
-        if not 0.0 < self.q_prime_x0 < math.inf:
-            raise ValueError(f"q_prime_x0={self.q_prime_x0!r} must be positive and finite")
+        _check_atom_sum(self.N_eff, self.A_mf, self.sigma_y_over_x0, self.q_prime_x0)
         grid = np.asarray(self.power_grid, dtype=float)
         increasing = grid.size > 0 and np.all(np.diff(grid) > 0.0)     # False on any NaN
         if not (increasing and 0.0 < grid[0] and grid[-1] < math.inf):
@@ -67,7 +74,7 @@ class SaturationPoint:
     P_in: float                 # input power, W
     transmission: float
     n_roots: int
-    branch: str                 # "low" | "high"
+    branch: str = "low"         # the lowest root, until sweep directions label branches
 
 
 @dataclass(frozen=True)
@@ -77,10 +84,15 @@ class SaturationCurve:
 
 
 def saturation_photon_number(g0: float, rates: DerivedRates) -> float:
-    """n_sat = gamma_perp * gamma_par / (4 g0^2)."""
-    if g0 <= 0.0:
-        raise ValueError("g0 must be positive")
-    return rates.gamma_perp * rates.gamma_par / (4.0 * g0**2)
+    """n_sat = gamma_perp * gamma_par / (4 g0^2), which must come out positive and finite."""
+    try:
+        n_sat = rates.gamma_perp * rates.gamma_par / (4.0 * g0**2) if g0 > 0.0 else 0.0
+    except (ZeroDivisionError, OverflowError):      # g0^2 underflows to 0, or overflows
+        n_sat = 0.0
+    if not 0.0 < n_sat < math.inf:
+        raise ValueError("g0 must be positive, and with gamma_perp and gamma_par give a positive, "
+                         f"finite n_sat = gamma_perp*gamma_par/(4 g0^2): g0={g0!r} rad/s")
+    return n_sat
 
 
 def _per_unit_field(N_eff: float, A_mf: float, x2, s: np.ndarray, w: np.ndarray):
@@ -108,8 +120,6 @@ def _gauss_hermite():
 
 def _cloud_rule(sigma_y_over_x0: float, q_prime_x0: float):
     """Relative couplings s of a Gaussian cloud at the folded nodes, and their weights."""
-    if sigma_y_over_x0 < 0.0:
-        raise ValueError("sigma_y_over_x0 must be non-negative")
     u, w = _gauss_hermite()
     ratio2 = (sigma_y_over_x0 * u) ** 2
     return np.exp(-2.0 * q_prime_x0 * (np.sqrt(1.0 + ratio2) - 1.0)) / (1.0 + ratio2) ** 1.5, w
@@ -118,20 +128,14 @@ def _cloud_rule(sigma_y_over_x0: float, q_prime_x0: float):
 _ONE_NODE = (np.ones(1), np.ones(1))      # every atom samples the trap-minimum field
 
 
-def _cloud_term(N_eff: float, A_mf: float, s: np.ndarray, w: np.ndarray, X_abs2):
-    """_per_unit_field for a caller's |X|^2, which must be non-negative (not NaN)."""
-    if not np.all(np.asarray(X_abs2) >= 0.0):
-        raise ValueError("X_abs2 must be non-negative")
-    return _per_unit_field(N_eff, A_mf, X_abs2, s, w)
-
-
 def collective_saturation_term(N_eff: float, A_mf: float, X_abs2) -> float:
     """Collective atomic response summed over the trap, per unit cooperativity.
 
     Decreases monotonically from N_eff at zero field to
     2*N_eff/((1+A)*|X|^2) at strong saturation.
     """
-    return _cloud_term(N_eff, A_mf, *_ONE_NODE, X_abs2)
+    _check_atom_sum(N_eff, A_mf, X_abs2=X_abs2)
+    return _per_unit_field(N_eff, A_mf, X_abs2, *_ONE_NODE)
 
 
 def quadrature_saturation_term(N_eff: float, A_mf: float, sigma_y_over_x0: float, q_prime_x0: float,
@@ -141,7 +145,8 @@ def quadrature_saturation_term(N_eff: float, A_mf: float, sigma_y_over_x0: float
     Reduces to collective_saturation_term when sigma_y_over_x0 = 0 (all atoms
     sample the trap-minimum field).
     """
-    return _cloud_term(N_eff, A_mf, *_cloud_rule(sigma_y_over_x0, q_prime_x0), X_abs2)
+    _check_atom_sum(N_eff, A_mf, sigma_y_over_x0, q_prime_x0, X_abs2)
+    return _per_unit_field(N_eff, A_mf, X_abs2, *_cloud_rule(sigma_y_over_x0, q_prime_x0))
 
 
 def scaled_drive_from_power(P_in, rates: DerivedRates, n_sat: float, lambda_probe: float) -> float:
@@ -193,8 +198,9 @@ def _brackets(h: np.ndarray, y: np.ndarray):
     return drive[order], cell[order], node_drive, node
 
 
-def _find_roots(F, y: np.ndarray, n_sat: float) -> list[np.ndarray]:
-    """Sorted positive roots of x*F(x^2) = y for every drive of the non-decreasing y at once.
+def _find_roots(F, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted positive roots of x*F(x^2) = y for every drive of the non-decreasing y at once,
+    drive by drive in one flat array, and each drive's number of roots.
 
     x*F(x^2) does not depend on the drive, so one 400-point log scan h over the fixed
     bracket [1e-4, 1e3]*sqrt(n_sat) serves all drives; _brackets finds their cells by
@@ -229,25 +235,18 @@ def _find_roots(F, y: np.ndarray, n_sat: float) -> list[np.ndarray]:
     if node.size:
         x, drive = np.concatenate([grid[node], x]), np.concatenate([node_drive, drive])
         x = x[np.lexsort((x, drive))]
-    ends = np.cumsum(per_drive).tolist()
-    return [x[i:j] for i, j in zip([0] + ends[:-1], ends)]
+    return x, per_drive
 
 
 def solve_saturation(
     cfg: SaturationConfig, rates: DerivedRates, lambda_probe: float = PhysicalConfig.lambda_probe
 ) -> SaturationCurve:
-    """Transmission vs input power along the branch continued from zero drive."""
+    """Transmission vs input power on the up-sweep: each power's lowest root."""
+    F, prefactor = _response_function(cfg, rates)      # first, to name undamped atoms
     n_sat = saturation_photon_number(cfg.g0, rates)
-    F, prefactor = _response_function(cfg, rates)
     powers = np.asarray(cfg.power_grid, dtype=float)
     drives = scaled_drive_from_power(powers, rates, n_sat, lambda_probe)
-    roots = _find_roots(F, drives, n_sat)
-    n_roots = np.array([len(r) for r in roots])
-    low = np.array([r[0] for r in roots])
-    x = low.tolist()
-    for i in np.flatnonzero(n_roots[1:] > 1).tolist():  # elsewhere the only root is the low one
-        x[i + 1] = min(roots[i + 1].tolist(), key=lambda r: abs(r - x[i]))  # first nearest
-    T = prefactor * np.square(x) / drives**2
-    points = list(map(SaturationPoint, powers.tolist(), T.tolist(), n_roots.tolist(),
-                      np.where(low == x, "low", "high").tolist()))
+    roots, n_roots = _find_roots(F, drives, n_sat)
+    T = prefactor * np.square(roots[np.cumsum(n_roots) - n_roots]) / drives**2
+    points = list(map(SaturationPoint, powers.tolist(), T.tolist(), n_roots.tolist()))
     return SaturationCurve(points=points, n_sat=n_sat)

@@ -357,13 +357,19 @@ def test_derived_g0_of_zero_exits_with_code_2(tmp_path, capsys, cavity, n_eff):
     ("mode-profile", "[mode]\na = -1\n", [], "a=-1.0"),
     ("saturation", "[atoms]\ng1_eff = 0\n", [], "([atoms] g1_eff / [physical] g1_0)"),
     ("saturation", "[physical]\ng1_0 = 1e-300\n", [], "([atoms] g1_eff / [physical] g1_0)"),
+    ("saturation", "[physical]\ng1_0 = 1e-300\n[saturation]\nN_eff = 100\n", [], "[physical] g1_0"),
+    ("saturation", "[saturation]\ng0 = 1e-300\nN_eff = 100\n", [], "[saturation] g0"),
+    ("saturation", "[saturation]\ng0 = 1e-160\nN_eff = 100\n", [], "[saturation] g0"),
+    ("params", "", ["--grid=-30:nan:5"], "grid_max"),
+    ("normal-modes", "[probe]\ngrid_points = 1\n", [], "at least 2 points"),
 ], ids=["grid-max-nan", "grid-min-inf", "probe-grid_max-nan", "band-nan", "band-inf",
         "power_max_pW-nan", "power_max_pW-inf", "N_eff-inf", "sigma_y_over_x0-nan",
         "power_min_pW-zero", "power_points-zero", "power_points-negative", "power-bounds-reversed",
         "band-negative", "band-zero", "r_points-zero", "phi_points-zero", "z_points-zero",
         "r_points-negative", "r_span_nm-nan", "r_span_nm-negative", "r_span_nm-huge",
         "beta-unguided", "n2-unguided", "beta-nan", "s-nan", "s-nan-saturation", "a-negative",
-        "derived-N_eff-zero", "derived-N_eff-overflow"])
+        "derived-N_eff-zero", "derived-N_eff-overflow", "g1_0-squared-underflow",
+        "g0-squared-underflow", "g0-n_sat-overflow", "params-grid-max-nan", "normal-modes-one-point"])
 def test_non_finite_input_exits_with_code_2(tmp_path, capsys, command, config, flags, name):
     # each bad input exits 2 before any output, and the message names its key or flag
     path = tmp_path / "run.cfg"
@@ -374,10 +380,11 @@ def test_non_finite_input_exits_with_code_2(tmp_path, capsys, command, config, f
     assert list(tmp_path.rglob("*.csv")) == []
 
 
-@pytest.mark.parametrize("r0", ["1e-3", "400"])
+@pytest.mark.parametrize("r0", ["1e-3", "400", "1.33e-4"])
 @pytest.mark.parametrize("command", ["saturation", "mode-profile"])
 def test_far_trap_minimum_exits_with_code_2(tmp_path, capsys, command, r0):
-    # from about 135 um out the exact intensity at r0 underflows: a named error, not a NaN fit
+    # from about 128 um out the exact intensity at r0 is subnormal, and from about 135 um it
+    # underflows: a named error, not a degraded or NaN fit
     path = tmp_path / "far.cfg"
     path.write_text(f"[mode]\nr0 = {r0}\n")
     with warnings.catch_warnings(record=True) as caught:

@@ -98,6 +98,14 @@ def test_far_trap_minimum_is_rejected_by_name():
             call()
 
 
+def test_subnormal_trap_minimum_intensity_is_rejected():
+    # the norm at r0 is 3.2e-308 at 127 um but subnormal, 1.2e-310, at 128 um
+    with pytest.raises(ValueError, match=r"trap minimum r0=0\.000128 "):
+        fit_simplified(make_mode_params(r0=1.28e-4))
+    fit = fit_simplified(make_mode_params(r0=1.27e-4))
+    assert fit.qprime / fit.params.q == pytest.approx(0.88153, abs=1e-4)
+
+
 def test_exact_normalization_point():
     assert g_squared_exact(P, P.r0, 0.0, 0.0) == pytest.approx(1.0, rel=1e-15)
 

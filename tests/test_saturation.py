@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -57,6 +58,13 @@ def test_saturation_photon_number_unit_case():
     assert saturation_photon_number(g0, RATES) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         saturation_photon_number(0.0, RATES)
+
+
+@pytest.mark.parametrize("g0", [1e-300, 1e-160, 1e200, math.nan])
+def test_n_sat_must_come_out_positive_and_finite(g0):
+    # g0^2 underflows to 0 (1e-300), n_sat overflows (1e-160) or g0^2 overflows (1e200)
+    with pytest.raises(ValueError, match="g0 must be positive"):
+        saturation_photon_number(g0, RATES)
 
 
 def test_effective_atom_numbers():
@@ -172,6 +180,24 @@ def test_both_terms_reject_negative_field(x2):
         quadrature_saturation_term(92.0, 0.17, 0.3, 1.4424, x2)
 
 
+@pytest.mark.parametrize("N_eff, A_mf, sigma, qx, name", [
+    (-5.0, 0.17, 0.0, 1.4424, "N_eff"), (math.nan, 0.17, 0.0, 1.4424, "N_eff"),
+    (92.0, 7.0, 0.0, 1.4424, "A_mf"), (92.0, math.nan, 0.0, 1.4424, "A_mf"),
+    (92.0, 0.17, math.nan, 1.4424, "sigma_y_over_x0"), (92.0, 0.17, -0.3, 1.4424, "sigma_y_over_x0"),
+    (92.0, 0.17, 0.3, math.nan, "q_prime_x0"), (92.0, 0.17, 0.3, -3.0, "q_prime_x0"),
+])
+def test_both_terms_check_their_inputs_as_saturation_config_does(N_eff, A_mf, sigma, qx, name):
+    # one rule per input: the config and both public terms reject it with the same message
+    with pytest.raises(ValueError, match=name) as config_error:
+        SaturationConfig(N_eff=N_eff, A_mf=A_mf, sigma_y_over_x0=sigma, q_prime_x0=qx)
+    message = f"^{re.escape(str(config_error.value))}$"
+    with pytest.raises(ValueError, match=message):
+        quadrature_saturation_term(N_eff, A_mf, sigma, qx, 1.0)
+    if name in ("N_eff", "A_mf"):
+        with pytest.raises(ValueError, match=message):
+            collective_saturation_term(N_eff, A_mf, 1.0)
+
+
 def test_import_builds_no_gauss_hermite_rule():
     src = os.path.dirname(os.path.dirname(saturation.__file__))
     code = "import fiberqed; print(fiberqed.saturation._gauss_hermite.cache_info().currsize)"
@@ -260,6 +286,11 @@ def _reference_roots(F, y, n_sat):
     return sorted(roots)
 
 
+def _per_drive(roots, n_roots):
+    """_find_roots' flat root array split into each drive's roots."""
+    return np.split(roots, np.cumsum(n_roots)[:-1])
+
+
 def _reference_curve(cfg):
     """Power by power: (T, n_roots, branch) along the nearest-root continuation,
     and every power's roots."""
@@ -292,14 +323,14 @@ def test_shared_scan_matches_per_power_brentq(monkeypatch, which, model, sigma, 
 
     F, _ = _response_function(cfg, RATES)
     y = scaled_drive_from_power(cfg.power_grid, RATES, curve.n_sat, CFG.lambda_probe)
-    found = _find_roots(F, y, curve.n_sat)
+    found = _per_drive(*_find_roots(F, y, curve.n_sat))
     for yi, roots, ref in zip(y, found, reference_roots):
         assert np.all(np.abs(roots * F(roots * roots) - yi) <= 1e-12 * yi)
         assert roots == pytest.approx(ref, rel=1e-13)
     # the sorted-search brackets give the same floats as the sign table they replace
     with monkeypatch.context() as m:
         m.setattr(saturation, "_brackets", _sign_table_brackets)
-        sign_table = _find_roots(F, y, curve.n_sat)
+        sign_table = _per_drive(*_find_roots(F, y, curve.n_sat))
     assert [r.tolist() for r in found] == [r.tolist() for r in sign_table]
 
 
@@ -353,7 +384,7 @@ def test_find_roots_names_an_unbracketed_drive():
     h = grid * F(grid * grid)
     assert np.all(np.diff(h) > 0.0)     # monostable: each drive has one bracketing cell
     inside = 0.5 * (h[200] + h[201])
-    assert _find_roots(F, np.array([inside]), n_sat)[0].size == 1
+    assert _find_roots(F, np.array([inside]), n_sat)[1].tolist() == [1]
     message = ("^saturation root bracketing failed: "
                r"no sign change up to \|X\| = 1e3\*sqrt\(n_sat\)$")
     for y in ([0.5 * h[0], inside], [inside, 2.0 * h[-1]]):
@@ -523,7 +554,7 @@ def test_a_drive_on_a_scan_node_gives_that_node_once_in_order():
     middle = np.flatnonzero(np.diff(h) < 0.0) + 1      # nodes on the unstable middle branch
     k = middle[middle.size // 2]
     y = np.array([0.5 * h[k], h[k], 2.0 * h[k]])
-    roots = _find_roots(F, y, n_sat)
+    roots = _per_drive(*_find_roots(F, y, n_sat))
     node_roots = roots[1]
     assert np.count_nonzero(node_roots == grid[k]) == 1
     assert node_roots.size == 3 and node_roots[1] == grid[k]
