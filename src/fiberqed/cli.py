@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 # numpy and the physics modules are imported by the commands that use them
-from .params import (MODE_DEFAULTS, PhysicalConfig, check_saturation_choice, derive_rates,
-                     mhz, to_mhz, rate_report)
+from .params import (MODE_DEFAULTS, DerivedRates, PhysicalConfig, check_saturation_choice,
+                     derive_rates, mhz, to_mhz, rate_report)
 
 
 class ConfigError(Exception):
@@ -61,9 +61,7 @@ AtomsSection = dataclasses.make_dataclass(
 
 @dataclass
 class SaturationSection:
-    which_cavity: int = 1
-    g0: float = 0.0                 # MHz; 0 means "use g1_0/g2_0 from [physical]"
-    N_eff: float = 0.0              # 0 means "use (g_eff/g0)^2"
+    which_cavity: int = 1           # k: g0 is [physical] g{k}_0, N_eff ([atoms] g{k}_eff / g0)^2
     model: str = "closed_form"
     sigma_y_over_x0: float = 0.0
     power_min_pW: float = 1.0
@@ -125,34 +123,29 @@ class RunConfig:
             **{name: getattr(self.mode, name) for name in MODE_DEFAULTS},
         ))
 
-    def saturation_config(self) -> saturation.SaturationConfig:
+    def saturation_config(self, rates: DerivedRates) -> saturation.SaturationConfig:
+        """The SaturationConfig of [saturation] (see which_cavity) at derive_rates(physical_config())."""
         import numpy as np
         from . import saturation
-        s = self.saturation
-        p = self.physical
-        g0_key = f"g{s.which_cavity}_0"
-        g0_mhz = s.g0 if s.g0 > 0.0 else getattr(p, g0_key)
-        source = "[saturation] g0" if s.g0 > 0.0 else f"[physical] {g0_key}"
-        if not g0_mhz > 0.0:
-            raise ConfigError(f"[saturation] g0 = 0 takes [physical] {g0_key}, which is {g0_mhz!r}; "
-                              "one of them must be positive")
-        g_eff_key = f"g{s.which_cavity}_eff"
+        s, k = self.saturation, self.saturation.which_cavity
+        g0, g_eff = getattr(self.physical, f"g{k}_0"), getattr(self.atoms, f"g{k}_eff")
         try:
-            n_eff = s.N_eff or (getattr(self.atoms, g_eff_key) / g0_mhz) ** 2
-        except OverflowError:
+            n_eff = (g_eff / g0) ** 2
+        except ArithmeticError:     # g0 = 0, or the square overflows
             n_eff = math.inf
-        if not 0.0 < n_eff < math.inf:      # a derived N_eff: _validate_config checked the key
-            raise ConfigError(f"[saturation] N_eff = 0 takes ([atoms] {g_eff_key} / {source})^2, "
-                              f"which is {n_eff!r}; it must be positive and finite")
-        if p.gamma_par > 0.0:       # else the atoms leave n_sat at 0 (or undamped), not g0
+        if not 0.0 < n_eff < math.inf:
+            raise ConfigError(f"N_eff = ([atoms] g{k}_eff / [physical] g{k}_0)^2 = ({g_eff!r} / {g0!r})^2 "
+                              f"is {n_eff!r}; it must be positive and finite")
+        if rates.gamma_perp > 0.0:      # else solve_saturation names the undamped atoms
             try:
-                saturation.saturation_photon_number(mhz(g0_mhz), derive_rates(self.physical_config()))
+                saturation.saturation_photon_number(mhz(g0), rates)
             except ValueError as exc:
-                raise ConfigError(f"{source} = {g0_mhz!r} MHz: {exc}") from exc
+                raise ConfigError(f"[physical] g{k}_0 = {g0!r} with [physical] gamma_par = "
+                                  f"{self.physical.gamma_par!r} gives no positive, finite n_sat") from exc
         grid = np.geomspace(s.power_min_pW * 1e-12, s.power_max_pW * 1e-12, s.power_points)
         fit = self.mode_fit()
         return saturation.SaturationConfig(
-            which_cavity=s.which_cavity, g0=mhz(g0_mhz), N_eff=n_eff, A_mf=fit.A_mf,
+            which_cavity=k, g0=mhz(g0), N_eff=n_eff, A_mf=fit.A_mf,
             power_grid=grid, model=s.model, sigma_y_over_x0=s.sigma_y_over_x0,
             q_prime_x0=fit.qprime * fit.params.r0,
         )
@@ -195,12 +188,9 @@ def _validate_config(cfg: RunConfig) -> None:
     if cfg.probe.grid_points < 2 or not -math.inf < cfg.probe.grid_min < cfg.probe.grid_max < math.inf:
         raise ConfigError("probe grid needs at least 2 points and finite grid_min < grid_max")
     s = cfg.saturation
-    for key in ("g0", "N_eff", "power_min_pW", "power_max_pW"):
-        value = getattr(s, key)
-        if not 0.0 <= value < math.inf:     # NaN included; 0 means "derive it" for g0, N_eff
-            raise ConfigError(f"[saturation] {key}={value!r} must be non-negative and finite")
-        if value == 0.0 and key.startswith("power"):
-            raise ConfigError(f"[saturation] {key}={value!r} must be positive")
+    for key in ("power_min_pW", "power_max_pW"):
+        if not 0.0 < getattr(s, key) < math.inf:        # NaN included
+            raise ConfigError(f"[saturation] {key}={getattr(s, key)!r} must be positive and finite")
     if s.power_points < 1:
         raise ConfigError(f"[saturation] power_points={s.power_points!r} must be at least 1")
     if s.power_points > 1 and not s.power_min_pW < s.power_max_pW:
@@ -354,7 +344,7 @@ def cmd_saturation(cfg: RunConfig, args) -> int:
     from . import saturation
     rates = derive_rates(cfg.physical_config())
     curve = saturation.solve_saturation(
-        cfg.saturation_config(), rates, lambda_probe=cfg.physical.lambda_probe
+        cfg.saturation_config(rates), rates, lambda_probe=cfg.physical.lambda_probe
     )
     p_pw = [pt.P_in * 1e12 for pt in curve.points]
     t = [pt.transmission for pt in curve.points]

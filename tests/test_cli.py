@@ -1,9 +1,11 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,26 +36,48 @@ def test_empty_config_is_defaults():
 
 @pytest.mark.parametrize("section,key", [
     ("saturation", "A_mf"), ("mode", "A_mf"), ("mode", "wavelength"), ("mode", "n1"),
+    ("saturation", "g0"), ("saturation", "N_eff"),
 ])
 def test_removed_mode_keys_exit_with_code_2(tmp_path, section, key):
     # the fit supplies A_mf; the wavelength is [physical] lambda_probe and n1
-    # is params.FIBER_INDEX
+    # is params.FIBER_INDEX; g0 is [physical] g{k}_0 and N_eff = ([atoms] g{k}_eff / g0)^2
     path = tmp_path / "old.cfg"
     path.write_text(f"[{section}]\n{key} = 0.17\n")
     assert main(["params", "--config", str(path)]) == 2
 
 
+def _saturation_config(cfg):
+    return cfg.saturation_config(derive_rates(cfg.physical_config()))
+
+
 def test_saturation_config_carries_the_fitted_mode_function():
-    for text in ("", "[mode]\nr0 = 450e-9\n", "[physical]\nlambda_probe = 8.5e-7\n"):
+    for text in ("", "[mode]\nr0 = 450e-9\n", "[physical]\nlambda_probe = 8.5e-7\n",
+                 "[saturation]\nwhich_cavity = 2\n",
+                 "[physical]\ng1_0 = 0.9\ng2_0 = 0.6\n[atoms]\ng1_eff = 3.1\ng2_eff = 11.7\n"
+                 "[saturation]\nwhich_cavity = 2\n"):
         cfg = parse_config(text)
         fit = fiber_mode.fit_simplified(fiber_mode.make_mode_params(
             wavelength=cfg.physical.lambda_probe, r0=cfg.mode.r0,
         ))
-        sat = cfg.saturation_config()
+        sat = _saturation_config(cfg)
         assert sat.A_mf == fit.A_mf
         assert sat.q_prime_x0 == fit.qprime * cfg.mode.r0
         assert cfg.mode_fit() == fit
-    assert parse_config("").saturation_config().q_prime_x0 == pytest.approx(1.1165, abs=1e-4)
+        # g0 and N_eff have one source each, the cavity's [physical] and [atoms] keys
+        k = cfg.saturation.which_cavity
+        g0, g_eff = getattr(cfg.physical, f"g{k}_0"), getattr(cfg.atoms, f"g{k}_eff")
+        assert sat.which_cavity == k
+        assert sat.g0 == mhz(g0)
+        assert sat.N_eff == (g_eff / g0) ** 2
+    assert _saturation_config(parse_config("")).q_prime_x0 == pytest.approx(1.1165, abs=1e-4)
+
+
+def test_readme_example_config_parses():
+    # the documented example must not show a key the parser no longer knows
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    parse_config(blocks[0])
 
 
 def test_r_span_bound_is_a_parse_error():
@@ -295,33 +319,18 @@ def test_undamped_mode_on_resonance_exits_with_code_2(tmp_path, capsys, physical
         assert main([command, "--config", str(path)]) == 0
 
 
-@pytest.mark.parametrize("key", ["g0", "N_eff"])
-@pytest.mark.parametrize("value", ["-5", "nan"])
-def test_negative_saturation_value_exits_with_code_2(tmp_path, capsys, key, value):
-    # 0 means "derive it"; a negative value is an error, not a request to derive
-    path = tmp_path / "sat.cfg"
-    path.write_text(f"[saturation]\n{key} = {value}\n")
-    assert main(["saturation", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert f"[saturation] {key}=" in capsys.readouterr().err
-    assert list(tmp_path.glob("*.csv")) == []
-    path.write_text(f"[saturation]\n{key} = 0\n")
-    assert main(["saturation", "--config", str(path), "--out", str(tmp_path)]) == 0
-
-
 @pytest.mark.parametrize("cavity", [1, 2])
-@pytest.mark.parametrize("n_eff", ["0", "100"])
-def test_derived_g0_of_zero_exits_with_code_2(tmp_path, capsys, cavity, n_eff):
-    # [saturation] g0 = 0 derives g0 from [physical] g1_0 or g2_0; a zero there
-    # is a config error naming both keys, not a division by zero
-    text = f"[physical]\ng{cavity}_0 = 0\n[saturation]\nwhich_cavity = {cavity}\nN_eff = {n_eff}\n"
+def test_zero_g0_exits_with_code_2(tmp_path, capsys, cavity):
+    # g0 is [physical] g1_0 or g2_0; a zero there is a config error naming the key, not a
+    # division by zero
     path = tmp_path / "sat.cfg"
-    path.write_text(text + "g0 = 0\n")
-    with pytest.raises(ConfigError, match=rf"\[saturation\] g0 .*\[physical\] g{cavity}_0"):
-        parse_config(path.read_text()).saturation_config()
+    path.write_text(f"[physical]\ng{cavity}_0 = 0\n[saturation]\nwhich_cavity = {cavity}\n")
+    with pytest.raises(ConfigError, match=rf"\[physical\] g{cavity}_0"):
+        _saturation_config(parse_config(path.read_text()))
     assert main(["saturation", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert f"[physical] g{cavity}_0" in capsys.readouterr().err
     assert list(tmp_path.glob("*.csv")) == []
-    path.write_text(text + "g0 = 0.9\n")
+    path.write_text(f"[physical]\ng{cavity}_0 = 0.9\n[saturation]\nwhich_cavity = {cavity}\n")
     assert main(["saturation", "--config", str(path), "--out", str(tmp_path)]) == 0
 
 
@@ -333,7 +342,6 @@ def test_derived_g0_of_zero_exits_with_code_2(tmp_path, capsys, cavity, n_eff):
     ("spectrum", "", ["--band", "inf"], "--band"),
     ("saturation", "[saturation]\npower_max_pW = nan\n", [], "power_max_pW"),
     ("saturation", "[saturation]\npower_max_pW = inf\n", [], "power_max_pW"),
-    ("saturation", "[saturation]\nN_eff = inf\n", [], "N_eff"),
     ("saturation", "[saturation]\nmodel = quadrature\nsigma_y_over_x0 = nan\n", [],
      "sigma_y_over_x0"),
     ("saturation", "[saturation]\npower_min_pW = 0\n", [], "power_min_pW"),
@@ -357,19 +365,19 @@ def test_derived_g0_of_zero_exits_with_code_2(tmp_path, capsys, cavity, n_eff):
     ("mode-profile", "[mode]\na = -1\n", [], "a=-1.0"),
     ("saturation", "[atoms]\ng1_eff = 0\n", [], "([atoms] g1_eff / [physical] g1_0)"),
     ("saturation", "[physical]\ng1_0 = 1e-300\n", [], "([atoms] g1_eff / [physical] g1_0)"),
-    ("saturation", "[physical]\ng1_0 = 1e-300\n[saturation]\nN_eff = 100\n", [], "[physical] g1_0"),
-    ("saturation", "[saturation]\ng0 = 1e-300\nN_eff = 100\n", [], "[saturation] g0"),
-    ("saturation", "[saturation]\ng0 = 1e-160\nN_eff = 100\n", [], "[saturation] g0"),
+    ("saturation", "[physical]\ng1_0 = 1e-300\n[atoms]\ng1_eff = 1e-299\n", [], "[physical] g1_0"),
+    ("saturation", "[physical]\ng1_0 = 1e-160\n[atoms]\ng1_eff = 1e-155\n", [], "[physical] g1_0"),
+    ("saturation", "[physical]\ngamma_par = 0\n", [], "[physical] gamma_par"),
     ("params", "", ["--grid=-30:nan:5"], "grid_max"),
     ("normal-modes", "[probe]\ngrid_points = 1\n", [], "at least 2 points"),
 ], ids=["grid-max-nan", "grid-min-inf", "probe-grid_max-nan", "band-nan", "band-inf",
-        "power_max_pW-nan", "power_max_pW-inf", "N_eff-inf", "sigma_y_over_x0-nan",
+        "power_max_pW-nan", "power_max_pW-inf", "sigma_y_over_x0-nan",
         "power_min_pW-zero", "power_points-zero", "power_points-negative", "power-bounds-reversed",
         "band-negative", "band-zero", "r_points-zero", "phi_points-zero", "z_points-zero",
         "r_points-negative", "r_span_nm-nan", "r_span_nm-negative", "r_span_nm-huge",
         "beta-unguided", "n2-unguided", "beta-nan", "s-nan", "s-nan-saturation", "a-negative",
         "derived-N_eff-zero", "derived-N_eff-overflow", "g1_0-squared-underflow",
-        "g0-squared-underflow", "g0-n_sat-overflow", "params-grid-max-nan", "normal-modes-one-point"])
+        "g1_0-n_sat-overflow", "gamma_par-zero", "params-grid-max-nan", "normal-modes-one-point"])
 def test_non_finite_input_exits_with_code_2(tmp_path, capsys, command, config, flags, name):
     # each bad input exits 2 before any output, and the message names its key or flag
     path = tmp_path / "run.cfg"
