@@ -67,6 +67,16 @@ def test_n_sat_must_come_out_positive_and_finite(g0):
         saturation_photon_number(g0, RATES)
 
 
+def test_n_sat_names_gamma_par_when_it_is_zero():
+    # gamma_par = 0 with gamma_las > 0: damped atoms, but n_sat is 0 for any g0
+    rates = derive_rates(PhysicalConfig(gamma_par=0.0))
+    message = r"^gamma_par=0\.0 rad/s must be positive for a positive n_sat$"
+    with pytest.raises(ValueError, match=message):
+        saturation_photon_number(CFG.g1_0, rates)
+    with pytest.raises(ValueError, match=message):
+        solve_saturation(SaturationConfig(g0=CFG.g1_0, N_eff=92.0), rates)
+
+
 def test_effective_atom_numbers():
     assert (CFG.g1_eff / CFG.g1_0) ** 2 == pytest.approx(92.0, abs=1.0)
     assert (CFG.g2_eff / CFG.g2_0) ** 2 == pytest.approx(37.0, abs=1.0)
@@ -379,8 +389,7 @@ def test_find_roots_names_an_unbracketed_drive():
     cfg = _config(1, N_eff=10.0)
     n_sat = saturation_photon_number(cfg.g0, RATES)
     F, _ = _response_function(cfg, RATES)
-    sqrt_nsat = math.sqrt(n_sat)
-    grid = np.geomspace(1e-4 * sqrt_nsat, 1e3 * sqrt_nsat, 400)
+    grid = saturation._scan_grid(n_sat)
     h = grid * F(grid * grid)
     assert np.all(np.diff(h) > 0.0)     # monostable: each drive has one bracketing cell
     inside = 0.5 * (h[200] + h[201])
@@ -548,8 +557,7 @@ def test_a_drive_on_a_scan_node_gives_that_node_once_in_order():
     cfg = _config(1, N_eff=2000.0)
     n_sat = saturation_photon_number(cfg.g0, RATES)
     F, _ = _response_function(cfg, RATES)
-    sqrt_nsat = math.sqrt(n_sat)
-    grid = np.geomspace(1e-4 * sqrt_nsat, 1e3 * sqrt_nsat, 400)
+    grid = saturation._scan_grid(n_sat)
     h = grid * F(grid * grid)
     middle = np.flatnonzero(np.diff(h) < 0.0) + 1      # nodes on the unstable middle branch
     k = middle[middle.size // 2]
@@ -583,4 +591,42 @@ def test_one_curve_is_one_scan_and_a_few_refinement_passes(monkeypatch, which, m
     cfg = _config(which, N_eff=N_eff, model=model, sigma_y_over_x0=sigma,
                   power_grid=np.geomspace(1e-13, 1e-6, 61))
     solve_saturation(cfg, RATES)
-    assert sizes[0] == 400 and len(sizes) <= 10
+    assert sizes[0] == 400 and len(sizes) <= 7     # the scan and at most 6 passes
+
+
+# bistable curves of the saturation_sweep benchmark on which a step-size-only stop never
+# ends: near a turning point the noisy slope keeps the Newton steps above 1e-14*x
+@pytest.mark.parametrize("which, model, N_eff, sigma, A_mf, q_prime_x0", [
+    (1, "closed_form", 187.22161682051984, 0.0, 0.15052588768764683, 1.1165317710150833),
+    (1, "quadrature", 345.392556891872, 0.372301395286757, 0.149620761351845, 1.1455761517096021),
+    (2, "quadrature", 88.62023797459986, 0.16253719936056896, 0.149483824183305,
+     1.1590782198831076),
+])
+def test_bistable_curves_converge_to_the_per_power_roots(which, model, N_eff, sigma, A_mf,
+                                                         q_prime_x0):
+    cfg = _config(which, N_eff=N_eff, model=model, sigma_y_over_x0=sigma, A_mf=A_mf,
+                  q_prime_x0=q_prime_x0, power_grid=np.geomspace(1e-12, 1e-6, 61))
+    n_sat = saturation_photon_number(cfg.g0, RATES)
+    F, _ = _response_function(cfg, RATES)
+    y = scaled_drive_from_power(cfg.power_grid, RATES, n_sat, CFG.lambda_probe)
+    found = _per_drive(*_find_roots(F, y, n_sat))      # RuntimeError past the pass cap
+    assert any(roots.size == 3 for roots in found)
+    for yi, roots in zip(y, found):
+        assert roots == pytest.approx(_reference_roots(F, yi, n_sat), rel=1e-13)
+
+
+def test_nan_inside_a_bracket_is_a_refinement_error_not_a_nan_root():
+    cfg = _config(1, N_eff=10.0)
+    n_sat = saturation_photon_number(cfg.g0, RATES)
+    F, _ = _response_function(cfg, RATES)
+    grid = saturation._scan_grid(n_sat)
+    h = grid * F(grid * grid)
+    inside = np.array([0.5 * (h[200] + h[201])])
+
+    def F_nan(x2):      # finite at every scan node, NaN strictly inside the drive's cell
+        cell = (x2 > grid[200] * grid[200]) & (x2 < grid[201] * grid[201])
+        return np.where(cell, np.nan, F(x2))
+
+    with pytest.raises(RuntimeError,
+                       match="^saturation root refinement did not converge in 60 passes$"):
+        _find_roots(F_nan, inside, n_sat)
