@@ -377,7 +377,7 @@ def cmd_mode_profile(cfg: RunConfig, args) -> int:
 
 
 def cmd_validate(cfg: RunConfig, args) -> int:
-    from . import oracle    # only validate needs the oracles (and mpmath)
+    from . import oracle    # only validate needs the oracles
     results = oracle.run_validation(cfg.physical_config())
     ok = True
     for res in results:

@@ -145,8 +145,8 @@ def g_squared_simplified(fit: SimplifiedFit, r, phi, z):
     """Simplified separable profile, normalized to 1 at (r0, 0, 0)."""
     p = fit.params
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radial position must be positive")
+    if not np.all((r > 0.0) & np.isfinite(r)):
+        raise ValueError("radial position must be finite and positive")
     axial = 0.5 * (1.0 + fit.A_mf + fit.B_mf * np.cos(2.0 * p.beta * np.asarray(z)))
     radial = np.exp(-2.0 * fit.qprime * (r - p.r0)) / (r / p.r0)
     out = axial * radial * np.cos(np.asarray(phi)) ** 2

@@ -4,9 +4,9 @@ Everything here deliberately avoids the closed-form code paths: the linear
 response is checked against a dense 5x5 complex solve of the stationarity
 equations as written (all random cases in one stacked closed-form call and one
 stacked solve), quadratures against adaptive Simpson, and the Bessel
-evaluations against an arbitrary-precision ascending series (stored at the
-validation points in data/bessel_k_series.json, which a test recomputes).  The integrands
-handed to `adaptive_quadrature` must broadcast over numpy arrays.
+evaluations against 60-digit ascending-series values stored at the validation
+points in data/bessel_k_series.json, which the tests recompute exactly.  The
+integrands handed to `adaptive_quadrature` must broadcast over numpy arrays.
 """
 
 from __future__ import annotations
@@ -97,6 +97,9 @@ def adaptive_quadrature(f, lo: float, hi: float, tol: float = 1e-12) -> float:
     by depth 40 raises), and the accepted pieces are summed in the recursion's
     order, so the result is the recursive one whenever `f` evaluates alike.
     """
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not math.isfinite(bound):
+            raise ValueError(f"integration bound {name}={bound!r} must be finite")
     a, m, b = np.array([lo]), np.array([0.5 * (lo + hi)]), np.array([hi])
     fa, fm, fb = np.split(f(np.concatenate((a, m, b))), 3)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -108,6 +111,8 @@ def adaptive_quadrature(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
+        if not np.isfinite(delta).all():    # NaN never passes the test: every split would follow
+            raise RuntimeError(f"adaptive quadrature met a non-finite integrand at depth {depth}")
         done = np.abs(delta) <= 15.0 * eps
         levels.append((left + right + delta / 15.0, done))
         if done.all():
@@ -130,63 +135,6 @@ def adaptive_quadrature(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         children = levels[depth + 1][0]
         value[~done] = children[0::2] + children[1::2]
     return float(levels[0][0][0])
-
-
-def bessel_k_series(order: int, x: float, dps: int = 60) -> float:
-    """K_n(x) for n = 0, 1, 2 from the ascending series in arbitrary precision.
-
-    Each term is built from the previous one: (x^2/4)^k / (k! (n+k)!) by one
-    ratio, and the digamma weight psi(k+1) + psi(n+k+1) = H_k + H_{n+k} - 2 gamma
-    by the two harmonic-number steps 1/k + 1/(n+k).
-    """
-    import mpmath       # only this oracle needs arbitrary precision
-    if x <= 0.0:
-        raise ValueError("bessel_k_series requires x > 0")
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1, or 2")
-    n = order
-    with mpmath.workdps(dps):
-        xm = mpmath.mpf(x)
-        half = xm / 2
-        log_half = mpmath.log(half)
-        quarter_x2 = xm**2 / 4
-        negligible = mpmath.mpf(10) ** (-dps - 5)
-
-        def bessel_i(nu):
-            term = half**nu / mpmath.factorial(nu)      # (x/2)^(2k+nu) / (k! (k+nu)!)
-            total = mpmath.mpf(0)
-            k = 0
-            while True:
-                total += term
-                if abs(term) < negligible * (abs(total) + 1):
-                    return total
-                k += 1
-                term *= quarter_x2 / (k * (k + nu))
-
-        # finite sum of the singular part
-        finite = mpmath.mpf(0)
-        for k in range(n):
-            finite += mpmath.factorial(n - k - 1) / mpmath.factorial(k) * (-quarter_x2) ** k
-        finite *= half ** (-n) / 2
-
-        # regular series with digamma weights
-        power = 1 / mpmath.factorial(n)                 # (x^2/4)^k / (k! (n+k)!)
-        weight = mpmath.fsum(1 / mpmath.mpf(j) for j in range(1, n + 1)) - 2 * mpmath.euler
-        tail = mpmath.mpf(0)
-        k = 0
-        while True:
-            term = weight * power
-            tail += term
-            if abs(term) < negligible * (abs(tail) + 1):
-                break
-            k += 1
-            step = k * (n + k)
-            power *= quarter_x2 / step
-            weight += mpmath.mpf(2 * k + n) / step      # 1/k + 1/(n+k)
-        tail *= (-1) ** n * half**n / 2
-
-        value = finite + (-1) ** (n + 1) * log_half * bessel_i(n) + tail
-        return float(value)
 
 
 @dataclass(frozen=True)

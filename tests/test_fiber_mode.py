@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bessel_series import bessel_k_series
 from fiberqed.fiber_mode import (
     SimplifiedFit,
     bessel_k,
@@ -11,7 +12,7 @@ from fiberqed.fiber_mode import (
     g_squared_simplified,
     make_mode_params,
 )
-from fiberqed.oracle import adaptive_quadrature, bessel_k_series
+from fiberqed.oracle import adaptive_quadrature
 from dataclasses import replace
 from scipy import optimize, special
 
@@ -143,8 +144,10 @@ def test_simplified_closed_form_points():
     r = P.r0 + 1.0 / (2.0 * FIT.qprime)
     expected = math.exp(-1.0) * P.r0 / r
     assert g_squared_simplified(FIT, r, 0.0, 0.0) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        g_squared_simplified(FIT, 0.0, 0.0, 0.0)
+    # checked as the exact profile checks r: mode-profile evaluates both on one grid
+    for bad in (0.0, -P.r0, np.nan, np.inf, [P.r0, np.nan]):
+        with pytest.raises(ValueError, match="finite and positive"):
+            g_squared_simplified(FIT, bad, 0.0, 0.0)
 
 
 def test_symmetries():

@@ -4,9 +4,11 @@ Every test runs in a fresh interpreter, so what it sees imported is what the cod
 test imported, not what earlier tests left in sys.modules.
 """
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import fiberqed.params
 
@@ -30,6 +32,25 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
+
+
+def test_runtime_imports_only_the_standard_library_and_numpy():
+    # every absolute import, function-local ones included, in every module of the package
+    imported = set()
+    for path in Path(SRC, "fiberqed").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module))
+    foreign = {(name, module) for name, module in imported
+               if module.split(".")[0] not in sys.stdlib_module_names | {"numpy"}}
+    assert not foreign
+    # and validate runs with mpmath and scipy unimportable
+    code = ("import sys; sys.modules['mpmath'] = sys.modules['scipy'] = None; "
+            "from fiberqed.cli import main; sys.exit(main(['validate']))")
+    lines = _fresh("-c", code).stdout.splitlines()
+    assert len(lines) == 4 and all(line.startswith("PASS") for line in lines)
 
 
 def test_params_command_loads_no_numpy():
