@@ -23,11 +23,10 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class ModeFunctionParams:
-    """Fiber geometry: finite fields, 0 < a < r0 and a guided n2*k < beta < n1*k."""
+    """Fiber geometry: finite fields, 0 < a < r0 and a guided n2*k < beta < n1*k, n1 = params.FIBER_INDEX."""
 
     beta: float         # propagation constant, 1/m
     k: float            # free-space wavenumber, 1/m
-    n1: float           # core index
     n2: float           # cladding (vacuum) index
     s: float            # mode-geometry parameter
     a: float            # fiber radius, m
@@ -40,7 +39,7 @@ class ModeFunctionParams:
         if not 0.0 < self.a < self.r0:
             raise ValueError(f"fiber radius a={self.a!r} and trap minimum r0={self.r0!r} "
                              "must satisfy 0 < a < r0")
-        lo, hi = self.n2 * self.k, self.n1 * self.k
+        lo, hi = self.n2 * self.k, FIBER_INDEX * self.k
         if not 0.0 < lo < self.beta < hi:
             raise ValueError(f"beta={self.beta!r} is not guided: 0 < n2*k < beta < n1*k fails, with "
                              f"(n2*k, n1*k) = ({lo:.6g}, {hi:.6g}) 1/m")
@@ -62,7 +61,7 @@ def make_mode_params(
     profile on it is fit_simplified(make_mode_params(...))."""
     if not 0.0 < wavelength < math.inf:
         raise ValueError(f"mode parameter wavelength={wavelength!r} must be positive and finite")
-    return ModeFunctionParams(beta, 2.0 * math.pi / wavelength, FIBER_INDEX, n2, s, a, r0)
+    return ModeFunctionParams(beta, 2.0 * math.pi / wavelength, n2, s, a, r0)
 
 
 def _bessel_k012(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,8 +107,15 @@ def _exact_unnormalized(p: ModeFunctionParams, r, phi, z):
     return cos_part * np.cos(bz) ** 2 + sin_part * np.sin(bz) ** 2
 
 
+def _check_phi_z(phi, z) -> None:
+    for name, value in (("phi", phi), ("z", z)):
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"coordinate {name} must be finite")
+
+
 def g_squared_exact(p: ModeFunctionParams, r, phi, z):
     """Exact profile normalized to 1 at the trap minimum (r0, 0, 0)."""
+    _check_phi_z(phi, z)
     if not np.all((np.asarray(r) > p.a) & np.isfinite(r)):
         raise ValueError("radial position must be finite and outside the fiber (r > a)")
     norm = _exact_unnormalized(p, p.r0, 0.0, 0.0)
@@ -143,6 +149,7 @@ class SimplifiedFit:
 
 def g_squared_simplified(fit: SimplifiedFit, r, phi, z):
     """Simplified separable profile, normalized to 1 at (r0, 0, 0)."""
+    _check_phi_z(phi, z)
     p = fit.params
     r = np.asarray(r, dtype=float)
     if not np.all((r > 0.0) & np.isfinite(r)):

@@ -139,10 +139,15 @@ def adaptive_quadrature(f, lo: float, hi: float, tol: float = 1e-12) -> float:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One oracle verdict: it passes when max_error < tolerance, so a NaN error fails."""
+
     name: str
-    passed: bool
     max_error: float
     tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_error < self.tolerance
 
 
 def _check_linear_closed_form(rates: DerivedRates, cfg: PhysicalConfig, draws: int, seed: int):
@@ -151,9 +156,7 @@ def _check_linear_closed_form(rates: DerivedRates, cfg: PhysicalConfig, draws: i
     rng = np.random.default_rng(seed)
     drawn = ("kappa_1l", "kappa_1loss", "kappa_2r", "kappa_2loss", "kappa_bloss", "v1", "v2")
     d = {name: getattr(rates, name) * 10.0 ** rng.uniform(-1.0, 1.0, draws) for name in drawn}
-    k1, k2, las = d["kappa_1l"] + d["kappa_1loss"], d["kappa_2r"] + d["kappa_2loss"], rates.gamma_las
-    r = replace(rates, **d, kappa_1=k1, kappa_2=k2, kappa_1p=k1 + las, kappa_2p=k2 + las,
-                kappa_b=d["kappa_bloss"] + las)
+    r = replace(rates, **d)                 # the composite rates follow the drawn arrays
     # delta_c, delta_a, drive_E1, g1, g2: drawn in this order
     probe = ProbeSettings(rng.uniform(-mhz(50), mhz(50), draws), rng.uniform(-mhz(50), mhz(50), draws),
                           rng.uniform(0.1, 10.0, draws))
@@ -174,7 +177,7 @@ def run_validation(cfg: PhysicalConfig | None = None, draws: int = 200, seed: in
     results = []
 
     err = _check_linear_closed_form(rates, cfg, draws, seed)
-    results.append(CheckResult("linear closed form vs dense solve", err < 1e-9, err, 1e-9))
+    results.append(CheckResult("linear closed form vs dense solve", err, 1e-9))
 
     # Gauss-Hermite collective term vs adaptive quadrature of the cloud integral
     a_mf, qx = saturation.SaturationConfig.A_mf, saturation.SaturationConfig.q_prime_x0
@@ -195,13 +198,13 @@ def run_validation(cfg: PhysicalConfig | None = None, draws: int = 200, seed: in
                 * adaptive_quadrature(integrand, -8.0, 8.0, 1e-13)
             )
             worst = max(worst, abs(gh - ref) / abs(ref))
-    results.append(CheckResult("Gauss-Hermite vs adaptive quadrature", worst < 1e-9, worst, 1e-9))
+    results.append(CheckResult("Gauss-Hermite vs adaptive quadrature", worst, 1e-9))
 
     # production Bessel evaluations vs the stored series values, K[order][i] at x[i]
     table = json.loads(resources.files("fiberqed").joinpath("data/bessel_k_series.json").read_text())
     worst = max(abs(fiber_mode.bessel_k(order, x) - ref) / abs(ref)
                 for order, row in enumerate(table["K"]) for x, ref in zip(table["x"], row))
-    results.append(CheckResult("Bessel K vs series oracle", worst < 1e-7, worst, 1e-7))
+    results.append(CheckResult("Bessel K vs series oracle", worst, 1e-7))
 
     # axial average of the fitted simplified profile vs its closed form (1 + A)/2
     fit = fiber_mode.fit_simplified(fiber_mode.make_mode_params())
@@ -210,6 +213,6 @@ def run_validation(cfg: PhysicalConfig | None = None, draws: int = 200, seed: in
         lambda z: fiber_mode.g_squared_simplified(fit, fit.params.r0, 0.0, z), 0.0, period, 1e-14
     ) / period
     err = abs(avg - 0.5 * (1.0 + fit.A_mf))
-    results.append(CheckResult("axial average of simplified profile", err < 1e-10, err, 1e-10))
+    results.append(CheckResult("axial average of simplified profile", err, 1e-10))
 
     return results

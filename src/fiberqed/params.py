@@ -91,10 +91,12 @@ class PhysicalConfig:
 class DerivedRates:
     """All model rates computed from a PhysicalConfig (rad/s).
 
-    The primed rates fold in the laser linewidth as extra phase damping:
-    kappa_1p = kappa_1 + gamma_las, and likewise for cavity 2 and the fiber.
-    gamma_par and gamma_las are carried over from the config unchanged.  The
-    fields are declared in the order of rate_report.
+    The eleven init fields are independent; the six composites kappa_1, kappa_2,
+    kappa_1p, kappa_2p, kappa_b and gamma_perp are computed from them when built,
+    so dataclasses.replace recomputes them and none can be set.  The primed rates
+    fold in the laser linewidth as extra phase damping: kappa_1p = kappa_1 +
+    gamma_las, and likewise for cavity 2 and the fiber.  The fields are declared
+    in the order of rate_report; numpy arrays stack one rate set per element.
     """
 
     kappa_1l: float
@@ -106,14 +108,21 @@ class DerivedRates:
     kappa_bloss: float
     v1: float
     v2: float
-    kappa_1: float
-    kappa_2: float
-    kappa_1p: float
-    kappa_2p: float
-    kappa_b: float
+    kappa_1: float = field(init=False)
+    kappa_2: float = field(init=False)
+    kappa_1p: float = field(init=False)
+    kappa_2p: float = field(init=False)
+    kappa_b: float = field(init=False)
     gamma_par: float
     gamma_las: float
-    gamma_perp: float
+    gamma_perp: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        k1, k2, las = self.kappa_1l + self.kappa_1loss, self.kappa_2r + self.kappa_2loss, self.gamma_las
+        names = ("kappa_1", "kappa_2", "kappa_1p", "kappa_2p", "kappa_b", "gamma_perp")
+        values = (k1, k2, k1 + las, k2 + las, self.kappa_bloss + las, 0.5 * self.gamma_par + las)
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)       # frozen: set once, here
 
 
 def derive_rates(cfg: PhysicalConfig) -> DerivedRates:
@@ -121,41 +130,21 @@ def derive_rates(cfg: PhysicalConfig) -> DerivedRates:
 
     Mirror decay rates follow kappa = c*T/(4L), intrinsic losses
     kappa_loss = -(c/2L)*ln(1 - alpha), and the cavity-fiber coupling
-    rates v_i = (c/2)*sqrt(T/(L_i*L_f)).
+    rates v_i = (c/2)*sqrt(T/(L_i*L_f)).  Only these eleven independent rates
+    are passed: DerivedRates computes kappa_1, kappa_2, kappa_1p, kappa_2p,
+    kappa_b and gamma_perp from them, and dataclasses.replace recomputes them.
     """
     c = cfg.c_fiber
-
-    kappa_1l = c * cfg.T1 / (4.0 * cfg.L1)
-    kappa_1r = c * cfg.T2 / (4.0 * cfg.L1)
-    kappa_2l = c * cfg.T3 / (4.0 * cfg.L2)
-    kappa_2r = c * cfg.T4 / (4.0 * cfg.L2)
-
-    kappa_1loss = -0.5 * c / cfg.L1 * math.log(1.0 - cfg.alpha1)
-    kappa_2loss = -0.5 * c / cfg.L2 * math.log(1.0 - cfg.alpha2)
-    kappa_bloss = -0.5 * c / cfg.Lf * math.log(1.0 - cfg.alphaf)
-
-    kappa_1 = kappa_1l + kappa_1loss
-    kappa_2 = kappa_2r + kappa_2loss
-
-    v1 = 0.5 * c * math.sqrt(cfg.T2 / (cfg.L1 * cfg.Lf))
-    v2 = 0.5 * c * math.sqrt(cfg.T3 / (cfg.L2 * cfg.Lf))
-
     return DerivedRates(
-        kappa_1l=kappa_1l,
-        kappa_1r=kappa_1r,
-        kappa_2l=kappa_2l,
-        kappa_2r=kappa_2r,
-        kappa_1loss=kappa_1loss,
-        kappa_2loss=kappa_2loss,
-        kappa_bloss=kappa_bloss,
-        kappa_1=kappa_1,
-        kappa_2=kappa_2,
-        kappa_1p=kappa_1 + cfg.gamma_las,
-        kappa_2p=kappa_2 + cfg.gamma_las,
-        kappa_b=kappa_bloss + cfg.gamma_las,
-        v1=v1,
-        v2=v2,
-        gamma_perp=0.5 * cfg.gamma_par + cfg.gamma_las,
+        kappa_1l=c * cfg.T1 / (4.0 * cfg.L1),
+        kappa_1r=c * cfg.T2 / (4.0 * cfg.L1),
+        kappa_2l=c * cfg.T3 / (4.0 * cfg.L2),
+        kappa_2r=c * cfg.T4 / (4.0 * cfg.L2),
+        kappa_1loss=-0.5 * c / cfg.L1 * math.log(1.0 - cfg.alpha1),
+        kappa_2loss=-0.5 * c / cfg.L2 * math.log(1.0 - cfg.alpha2),
+        kappa_bloss=-0.5 * c / cfg.Lf * math.log(1.0 - cfg.alphaf),
+        v1=0.5 * c * math.sqrt(cfg.T2 / (cfg.L1 * cfg.Lf)),
+        v2=0.5 * c * math.sqrt(cfg.T3 / (cfg.L2 * cfg.Lf)),
         gamma_par=cfg.gamma_par,
         gamma_las=cfg.gamma_las,
     )

@@ -13,6 +13,7 @@ from fiberqed.fiber_mode import (
     make_mode_params,
 )
 from fiberqed.oracle import adaptive_quadrature
+from fiberqed.params import FIBER_INDEX
 from dataclasses import replace
 from scipy import optimize, special
 
@@ -134,6 +135,12 @@ def test_exact_domain_error():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="finite"):
             g_squared_exact(P, [P.r0, bad], 0.0, 0.0)
+    # both profiles name a non-finite phi or z before any trig call, which warns on inf
+    for phi, z, name in ((0.0, np.inf, "z"), (0.0, np.nan, "z"), (np.nan, 0.0, "phi"), (np.inf, 0.0, "phi"),
+                         ([0.0, np.nan], 0.0, "phi")):
+        for fn, arg in ((g_squared_exact, P), (g_squared_simplified, FIT)):
+            with pytest.raises(ValueError, match=rf"coordinate {name} must be finite"):
+                fn(arg, P.r0, phi, z)
 
 
 def test_simplified_closed_form_points():
@@ -174,7 +181,7 @@ def test_param_validation():
     # make_mode_params names the bad argument: non-finite, or a beta the fiber does not guide
     with pytest.raises(ValueError, match="s=nan must be finite"):
         make_mode_params(s=math.nan)
-    for beta in (P.n2 * P.k, 1e6, P.n1 * P.k):
+    for beta in (P.n2 * P.k, 1e6, FIBER_INDEX * P.k):
         with pytest.raises(ValueError, match=rf"beta={beta!r} is not guided"):
             make_mode_params(beta=beta)
     with pytest.raises(ValueError, match="beta=12000000.0 is not guided"):

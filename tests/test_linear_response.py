@@ -118,7 +118,8 @@ def test_delta_c_offset_shifts_empty_resonances():
 def test_undamped_bright_resonance_raises_without_warning():
     # every damping rate 0 and v1 = 3, v2 = 4: the bright modes sit at
     # +-sqrt(v1^2 + v2^2) = +-5 rad/s undamped, so Delta = 0 exactly there
-    rates = replace(RATES, **{f: 0.0 for f in vars(RATES) if f not in ("v1", "v2")}, v1=3.0, v2=4.0)
+    rates = replace(RATES, **{f.name: 0.0 for f in fields(RATES) if f.init and f.name not in ("v1", "v2")},
+                    v1=3.0, v2=4.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="singular"):
@@ -128,7 +129,7 @@ def test_undamped_bright_resonance_raises_without_warning():
             transmission_spectrum(rates, 0.0, 0.0, grid=np.array([4.0, 5.0, 6.0]))
         # lossless cavities with a damped fiber: the fiber-dark mode is undamped on
         # resonance, where the empty-chain norm is taken
-        dark = replace(rates, kappa_b=1.0, gamma_perp=1.0)
+        dark = replace(rates, kappa_bloss=1.0, gamma_par=2.0)
         with pytest.raises(RuntimeError, match="singular"):
             steady_state(dark, ProbeSettings(0.0, 0.0, 1.0), 0.0, 0.0)
         with pytest.raises(RuntimeError, match="singular"):
@@ -183,7 +184,7 @@ def test_empty_chain_is_unity_on_resonance_for_every_config():
 def _stacked(rates_list):
     """One DerivedRates whose fields are (n, 1) arrays, config by config."""
     return DerivedRates(**{f.name: np.array([[getattr(r, f.name)] for r in rates_list])
-                           for f in fields(DerivedRates)})
+                           for f in fields(DerivedRates) if f.init})
 
 
 def test_amplitudes_on_stacked_rates_equal_the_per_config_calls():
@@ -201,8 +202,8 @@ def test_amplitudes_on_stacked_rates_equal_the_per_config_calls():
 
 def test_stacked_rates_with_one_undamped_member_raise():
     rates = [derive_rates(cfg) for cfg, _ in _design_configs(np.random.default_rng(12), 4)]
-    undamped_fiber = replace(rates[2], kappa_b=0.0)
-    undamped_atoms = replace(rates[1], gamma_perp=0.0)
+    undamped_fiber = replace(rates[2], kappa_bloss=0.0, gamma_las=0.0)
+    undamped_atoms = replace(rates[1], gamma_par=0.0, gamma_las=0.0)
     grid = np.linspace(-mhz(10.0), mhz(10.0), 11)       # holds zero detuning
     for member, match in ((undamped_fiber, "alphaf = 0"), (undamped_atoms, "gamma_par = 0")):
         stack = _stacked(rates[:1] + [member] + rates[2:])
@@ -236,7 +237,7 @@ def test_blocked_spectra_equal_the_whole_grid_evaluation(points):
 
 
 def test_undamped_fiber_raises_from_the_last_block():
-    rates = replace(RATES, kappa_b=0.0)
+    rates = replace(RATES, kappa_bloss=0.0, gamma_las=0.0)
     grid = np.linspace(-mhz(40.0), 0.0, 2 * _BLOCK + 5)    # zero detuning is the last point
     kernel = lambda d: _determinant(rates, d, d, 0.0, 0.0)[1]   # noqa: E731
     assert np.all(_by_block(kernel, grid[:-1]) > 0.0)       # the first blocks are regular

@@ -77,13 +77,13 @@ def test_decay_rate_combinations():
 def test_rabi_radicand_simplification():
     # kappa_d == gamma_perp makes the splitting exactly sqrt(gd1^2+gd2^2)
     s = decompose(RATES, CFG.g1_eff, CFG.g2_eff)
-    r = replace(RATES, gamma_perp=s.kappa_d)
+    r = replace(RATES, gamma_par=2.0 * s.kappa_d, gamma_las=0.0)
     s2 = decompose(r, CFG.g1_eff, CFG.g2_eff)
     assert s2.rabi_splitting == pytest.approx(math.hypot(s2.gd1, s2.gd2), rel=1e-15)
 
 
 def test_unresolved_regime_clamps_to_zero():
-    r = replace(RATES, gamma_perp=mhz(50.0))
+    r = replace(RATES, gamma_par=mhz(100.0), gamma_las=0.0)
     s = decompose(r, mhz(0.1), mhz(0.1))
     assert s.rabi_splitting == 0.0
     assert not s.resolved

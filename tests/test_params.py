@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from fiberqed.params import (
     C_FIBER,
     C_VACUUM,
     FIBER_INDEX,
+    DerivedRates,
     PhysicalConfig,
     derive_rates,
     mhz,
@@ -13,7 +15,7 @@ from fiberqed.params import (
     reference_rates,
     to_mhz,
 )
-from dataclasses import replace
+from dataclasses import fields, replace
 
 
 def test_unit_helpers_roundtrip():
@@ -70,6 +72,25 @@ def test_derived_rate_identities():
     assert r.kappa_2p == pytest.approx(r.kappa_2 + cfg.gamma_las, rel=1e-15)
     assert r.kappa_b == pytest.approx(r.kappa_bloss + cfg.gamma_las, rel=1e-15)
     assert r.gamma_perp == pytest.approx(0.5 * cfg.gamma_par + cfg.gamma_las, rel=1e-15)
+    # the composites are computed when built, so replace recomputes them from the new parts
+    cut = replace(r, kappa_2r=0.0)
+    assert (cut.kappa_2, cut.kappa_2p) == (r.kappa_2loss, r.kappa_2loss + r.gamma_las)
+    doubled = replace(r, kappa_1l=2 * r.kappa_1l)
+    k1 = 2 * r.kappa_1l + r.kappa_1loss
+    assert (doubled.kappa_1, doubled.kappa_1p) == (k1, k1 + r.gamma_las)
+    no_las = replace(r, gamma_las=0.0)
+    assert (no_las.kappa_1p, no_las.kappa_2p, no_las.kappa_b, no_las.gamma_perp) == (
+        r.kappa_1, r.kappa_2, r.kappa_bloss, 0.5 * r.gamma_par)
+    with pytest.raises(ValueError, match="kappa_b"):
+        replace(r, kappa_b=1.0)
+    # (n, 1) arrays of the init fields give each config's composites elementwise
+    configs = [PhysicalConfig(Lf=0.83), PhysicalConfig(Lf=2.27, alpha1=0.0, gamma_las=0.0),
+               PhysicalConfig(T4=0.2, alphaf=0.05, gamma_par=mhz(3.1), gamma_las=mhz(1.1))]
+    rates = [derive_rates(c) for c in configs]
+    stacked = DerivedRates(**{f.name: np.array([[getattr(x, f.name)] for x in rates])
+                              for f in fields(DerivedRates) if f.init})
+    for f in fields(DerivedRates):
+        assert np.array_equal(getattr(stacked, f.name), [[getattr(x, f.name)] for x in rates]), f.name
 
 
 def test_frozen_rate_values():
