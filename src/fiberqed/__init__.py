@@ -12,7 +12,7 @@ import importlib
 import sys
 import types
 
-from .params import PhysicalConfig, DerivedRates, derive_rates, mhz, to_mhz
+from .params import PhysicalConfig, DerivedRates, ModeFunctionParams, derive_rates, mhz, to_mhz
 
 __version__ = "0.1.0"
 
@@ -20,14 +20,14 @@ _LAZY = {
     "linear_response": ("ProbeSettings", "SpectrumResult", "SteadyStateAmplitudes",
                         "steady_state", "transmission_spectrum"),
     "normal_modes": ("NormalModeSummary", "decompose", "reduced_spectrum", "peak_find"),
-    "fiber_mode": ("ModeFunctionParams", "make_mode_params", "bessel_k", "g_squared_exact",
+    "fiber_mode": ("make_mode_params", "bessel_k", "g_squared_exact",
                    "g_squared_simplified", "fit_simplified"),
     "saturation": ("SaturationConfig", "SaturationCurve", "saturation_photon_number",
                    "collective_saturation_term", "quadrature_saturation_term",
                    "solve_saturation"),
 }
-__all__ = ["PhysicalConfig", "DerivedRates", "derive_rates", "mhz", "to_mhz", "params",
-           *_LAZY, *(name for names in _LAZY.values() for name in names)]
+__all__ = ["PhysicalConfig", "DerivedRates", "ModeFunctionParams", "derive_rates", "mhz", "to_mhz",
+           "params", *_LAZY, *(name for names in _LAZY.values() for name in names)]
 
 
 # the package's module type: a property per name looks up faster than a __getattr__ miss

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 # numpy and the physics modules are imported by the commands that use them
-from .params import (MODE_DEFAULTS, DerivedRates, PhysicalConfig, check_saturation_choice,
+from .params import (DerivedRates, ModeFunctionParams, PhysicalConfig, check_saturation_choice,
                      derive_rates, mhz, to_mhz, rate_report)
 
 
@@ -72,9 +72,11 @@ class SaturationSection:
 #: Largest [mode] r_span_nm.  The evanescent intensity falls as exp(-2q(r - r0)), with
 #: 1/(2q) = 180 nm at the reference geometry: 100 um out it is below 1e-240, then underflows.
 _R_SPAN_MAX_NM = 1e5
+#: The [mode] geometry keys: ModeFunctionParams' fields but wavelength ([physical] lambda_probe).
+_GEOMETRY = [f for f in fields(ModeFunctionParams) if f.name != "wavelength"]
 ModeSection = dataclasses.make_dataclass("ModeSection", [
-    # the geometry keys (the wavelength is [physical] lambda_probe), then the profile grid
-    *((name, "float", field(default=value)) for name, value in MODE_DEFAULTS.items()),
+    # the geometry keys with their defaults, then the profile grid
+    *((f.name, "float", field(default=f.default)) for f in _GEOMETRY),
     ("r_span_nm", "float", field(default=300.0)),
     ("r_points", "int", field(default=31)),
     ("phi_points", "int", field(default=5)),
@@ -118,9 +120,9 @@ class RunConfig:
     def mode_fit(self) -> fiber_mode.SimplifiedFit:
         """The simplified profile fitted on the [mode] geometry at [physical] lambda_probe."""
         from . import fiber_mode
-        return fiber_mode.fit_simplified(fiber_mode.make_mode_params(
+        return fiber_mode.fit_simplified(ModeFunctionParams(
             wavelength=self.physical.lambda_probe,
-            **{name: getattr(self.mode, name) for name in MODE_DEFAULTS},
+            **{f.name: getattr(self.mode, f.name) for f in _GEOMETRY},
         ))
 
     def saturation_config(self, rates: DerivedRates) -> saturation.SaturationConfig:
@@ -432,8 +434,11 @@ def main(argv=None) -> int:
             cfg.atoms.loading = args.atoms
         if args.out is not None:
             cfg.output.directory = args.out
-        if args.band is not None and not 0.0 < args.band < math.inf:
-            raise ConfigError(f"--band {args.band!r} must be positive and finite")
+        if args.band is not None:   # the shifted couplings are squared in rad/s
+            shifted = max(cfg.loaded_couplings()) + mhz(args.band)
+            if not (args.band > 0.0 and shifted * shifted < math.inf):     # NaN fails too
+                raise ConfigError(f"--band {args.band!r} must be positive and finite, and so must "
+                                  "the square in (rad/s)^2 of each coupling it shifts")
         if args.svg and "svg" not in cfg.output.formats:
             cfg.output.formats = cfg.output.formats + ",svg"
         if args.grid is not None:

@@ -1,12 +1,13 @@
 """Evanescent-field coupling profile g^2(r, phi, z) around the nanofiber.
 
-`make_mode_params` builds the fiber geometry, which checks itself when built.  The
-exact quasi-linearly-polarized HE11 intensity profile on it is built from modified
-Bessel functions K0, K1, K2 (a numpy trapezoid rule).  The simplified separable form
-(axial cosine weight x radial exponential x cos^2 phi) that the saturation model
-consumes is the least-squares fit to it, `fit_simplified`: its qprime and A_mf are
-the simplified profile.  Both are normalized to 1 at the trap minimum (r0, 0, 0), so
-an r0 whose exact intensity is not a normal float (from about 128 um out) is rejected.
+The fiber geometry is `params.ModeFunctionParams`, also named `make_mode_params` here,
+which checks itself when built.  The exact quasi-linearly-polarized HE11 intensity
+profile on it is built from modified Bessel functions K0, K1, K2 (a numpy trapezoid
+rule).  The simplified separable form (axial cosine weight x radial exponential x
+cos^2 phi) that the saturation model consumes is the least-squares fit to it,
+`fit_simplified`: its qprime and A_mf are the simplified profile.  Both are normalized
+to 1 at the trap minimum (r0, 0, 0), so an r0 whose exact intensity is not a normal
+float (from about 128 um out) is rejected.
 """
 
 from __future__ import annotations
@@ -16,52 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import FIBER_INDEX, MODE_DEFAULTS, PhysicalConfig
+from .params import ModeFunctionParams
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class ModeFunctionParams:
-    """Fiber geometry: finite fields, 0 < a < r0 and a guided n2*k < beta < n1*k, n1 = params.FIBER_INDEX."""
-
-    beta: float         # propagation constant, 1/m
-    k: float            # free-space wavenumber, 1/m
-    n2: float           # cladding (vacuum) index
-    s: float            # mode-geometry parameter
-    a: float            # fiber radius, m
-    r0: float           # trap-minimum radial position, m
-
-    def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            if not math.isfinite(value):
-                raise ValueError(f"mode parameter {name}={value!r} must be finite")
-        if not 0.0 < self.a < self.r0:
-            raise ValueError(f"fiber radius a={self.a!r} and trap minimum r0={self.r0!r} "
-                             "must satisfy 0 < a < r0")
-        lo, hi = self.n2 * self.k, FIBER_INDEX * self.k
-        if not 0.0 < lo < self.beta < hi:
-            raise ValueError(f"beta={self.beta!r} is not guided: 0 < n2*k < beta < n1*k fails, with "
-                             f"(n2*k, n1*k) = ({lo:.6g}, {hi:.6g}) 1/m")
-
-    @property
-    def q(self) -> float:       # external transverse decay constant, 1/m
-        return math.sqrt(self.beta**2 - self.n2**2 * self.k**2)
-
-
-def make_mode_params(
-    beta: float = MODE_DEFAULTS["beta"],
-    wavelength: float = PhysicalConfig.lambda_probe,
-    n2: float = MODE_DEFAULTS["n2"],
-    s: float = MODE_DEFAULTS["s"],
-    a: float = MODE_DEFAULTS["a"],
-    r0: float = MODE_DEFAULTS["r0"],
-) -> ModeFunctionParams:
-    """The fiber geometry at a free-space wavelength, k = 2*pi/wavelength.  The simplified
-    profile on it is fit_simplified(make_mode_params(...))."""
-    if not 0.0 < wavelength < math.inf:
-        raise ValueError(f"mode parameter wavelength={wavelength!r} must be positive and finite")
-    return ModeFunctionParams(beta, 2.0 * math.pi / wavelength, n2, s, a, r0)
+make_mode_params = ModeFunctionParams      # the geometry's other name
 
 
 def _bessel_k012(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -85,8 +85,10 @@ def _determinant(rates: DerivedRates, dc, da, g1, g2):
     det += rates.v1**2 * c2
     det_sq = det.real**2
     det_sq += det.imag**2
-    if np.any(det_sq < SINGULAR_FLOOR):
-        raise RuntimeError("steady state is singular: |Delta| underflowed")
+    if not np.all(det_sq >= SINGULAR_FLOOR):        # NaN fails too: Delta overflowed, inf - inf
+        small = np.any(det_sq < SINGULAR_FLOOR)
+        raise RuntimeError("steady state is singular: |Delta| underflowed" if small else
+                           "|Delta| overflowed to NaN: the detunings or couplings are too large")
     return det, det_sq, gp, c2, m
 
 

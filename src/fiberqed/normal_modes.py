@@ -24,10 +24,16 @@ class NormalModeSummary:
     gd2: float                  # dark-mode coupling to ensemble 2, rad/s
     kappa_d: float              # dark-mode decay, rad/s (no laser linewidth)
     kappa_plus: float           # decay of both bright modes, rad/s
-    splitting_bright: float     # sqrt(2)*v_tilde, rad/s
-    rabi_splitting: float       # half-splitting of the dark-mode doublet, rad/s
-    resolved: bool              # False when the Rabi radicand is negative
+    rabi_splitting: float       # half-splitting of the dark-mode doublet, rad/s; 0 unresolved
     mode_vectors: np.ndarray    # rows (d, c+, c-) on the basis (a1, a2, b)
+
+    @property
+    def splitting_bright(self) -> float:    # sqrt(2)*v_tilde, rad/s
+        return math.sqrt(2.0) * self.v_tilde
+
+    @property
+    def resolved(self) -> bool:     # False when the Rabi radicand is not positive
+        return self.rabi_splitting > 0.0
 
 
 def decompose(rates: DerivedRates, g1: float, g2: float) -> NormalModeSummary:
@@ -61,8 +67,7 @@ def decompose(rates: DerivedRates, g1: float, g2: float) -> NormalModeSummary:
     )
 
     radicand = gd1**2 + gd2**2 - 0.25 * (kappa_d - rates.gamma_perp) ** 2
-    resolved = radicand > 0.0
-    rabi = math.sqrt(radicand) if resolved else 0.0
+    rabi = math.sqrt(radicand) if radicand > 0.0 else 0.0     # so resolved is rabi > 0
 
     return NormalModeSummary(
         v_tilde=v_tilde,
@@ -70,9 +75,7 @@ def decompose(rates: DerivedRates, g1: float, g2: float) -> NormalModeSummary:
         gd2=gd2,
         kappa_d=kappa_d,
         kappa_plus=kappa_pm,
-        splitting_bright=s2v,
         rabi_splitting=rabi,
-        resolved=resolved,
         mode_vectors=mode_vectors,
     )
 

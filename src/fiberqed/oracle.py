@@ -19,7 +19,7 @@ from importlib import resources
 import numpy as np
 
 from . import fiber_mode, linear_response, saturation
-from .params import PhysicalConfig, DerivedRates, derive_rates, mhz
+from .params import ModeFunctionParams, PhysicalConfig, DerivedRates, derive_rates, mhz
 from .linear_response import ProbeSettings, SteadyStateAmplitudes
 
 
@@ -174,13 +174,14 @@ def run_validation(cfg: PhysicalConfig | None = None, draws: int = 200, seed: in
     if cfg is None:
         cfg = PhysicalConfig()
     rates = derive_rates(cfg)
+    fit = fiber_mode.fit_simplified(ModeFunctionParams())    # the reference fit
     results = []
 
     err = _check_linear_closed_form(rates, cfg, draws, seed)
     results.append(CheckResult("linear closed form vs dense solve", err, 1e-9))
 
     # Gauss-Hermite collective term vs adaptive quadrature of the cloud integral
-    a_mf, qx = saturation.SaturationConfig.A_mf, saturation.SaturationConfig.q_prime_x0
+    a_mf, qx = fit.A_mf, fit.qprime * fit.params.r0
     worst = 0.0
     for x2 in (0.25, 1.0, 4.0):
         for sigma in (0.0, 0.3):
@@ -207,7 +208,6 @@ def run_validation(cfg: PhysicalConfig | None = None, draws: int = 200, seed: in
     results.append(CheckResult("Bessel K vs series oracle", worst, 1e-7))
 
     # axial average of the fitted simplified profile vs its closed form (1 + A)/2
-    fit = fiber_mode.fit_simplified(fiber_mode.make_mode_params())
     period = math.pi / fit.params.beta
     avg = adaptive_quadrature(
         lambda z: fiber_mode.g_squared_simplified(fit, fit.params.r0, 0.0, z), 0.0, period, 1e-14

@@ -17,10 +17,6 @@ C_VACUUM = 299792458.0          # m/s
 FIBER_INDEX = 1.4525            # silica core index at the probe wavelength
 C_FIBER = C_VACUUM / FIBER_INDEX
 
-#: Nanofiber geometry defaults in SI units, the defaults of fiber_mode.make_mode_params and
-#: of the [mode] keys; r0 is a typical two-color trap minimum, 200 nm off the surface.
-MODE_DEFAULTS = {"beta": 7.87925e6, "n2": 1.0, "s": -0.828, "a": 200e-9, "r0": 400e-9}
-
 
 def mhz(value: float) -> float:
     """Convert a frequency quoted in MHz (meaning 2pi x MHz) to rad/s."""
@@ -83,8 +79,46 @@ class PhysicalConfig:
                 raise ValueError(f"{name}={x!r} must be positive and finite")
         for f in fields(self):
             r = getattr(self, f.name)
-            if "mhz" in f.metadata and (not math.isfinite(r) or r < 0.0):
-                raise ValueError(f"rate {f.name}={r!r} must be non-negative and finite")
+            if "mhz" in f.metadata and not (r >= 0.0 and r * r < math.inf):    # NaN fails too
+                raise ValueError(f"rate {f.name}={r!r} must be non-negative and finite, "
+                                 "and so must its square in (rad/s)^2")
+
+
+@dataclass(frozen=True)
+class ModeFunctionParams:
+    """Nanofiber geometry in SI units, k = 2*pi/wavelength.  The CLI's [mode] keys are these
+    fields but the wavelength ([physical] lambda_probe), with these defaults; r0 is a typical
+    two-color trap minimum, 200 nm off the surface.  Checked when built: a positive wavelength,
+    finite fields, 0 < a < r0 and a guided n2*k < beta < n1*k, n1 = FIBER_INDEX."""
+
+    beta: float = 7.87925e6                             # propagation constant, 1/m
+    wavelength: float = PhysicalConfig.lambda_probe     # free-space wavelength, m
+    n2: float = 1.0                                     # cladding (vacuum) index
+    s: float = -0.828                                   # mode-geometry parameter
+    a: float = 200e-9                                   # fiber radius, m
+    r0: float = 400e-9                                  # trap-minimum radial position, m
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.wavelength < math.inf:
+            raise ValueError(f"mode parameter wavelength={self.wavelength!r} must be positive and finite")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"mode parameter {name}={value!r} must be finite")
+        if not 0.0 < self.a < self.r0:
+            raise ValueError(f"fiber radius a={self.a!r} and trap minimum r0={self.r0!r} "
+                             "must satisfy 0 < a < r0")
+        lo, hi = self.n2 * self.k, FIBER_INDEX * self.k
+        if not 0.0 < lo < self.beta < hi:
+            raise ValueError(f"beta={self.beta!r} is not guided: 0 < n2*k < beta < n1*k fails, with "
+                             f"(n2*k, n1*k) = ({lo:.6g}, {hi:.6g}) 1/m")
+
+    @property
+    def k(self) -> float:       # free-space wavenumber, 1/m
+        return 2.0 * math.pi / self.wavelength
+
+    @property
+    def q(self) -> float:       # external transverse decay constant, 1/m
+        return math.sqrt(self.beta**2 - self.n2**2 * self.k**2)
 
 
 @dataclass(frozen=True)

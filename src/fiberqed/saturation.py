@@ -6,11 +6,12 @@ y = |X| * F(|X|^2) in the scaled drive y and scaled intracavity amplitude
 |X| (Lugiato, Prog. Opt. 21, 69 (1984)).  F is read off the linear closed
 form of linear_response: there f = 1/(kappa_1p*|a_k|) of the atom cavity k
 is affine in g_k^2, so its values f0 without atoms and f1 with N_eff
-unsaturated atoms give F(|X|^2) = f0 + (f1 - f0) * term(|X|^2) / N_eff, and
-the transmission is T = (f0*|X|/y)^2.  The atom summation term is one rule
-for both models, a weighted sum over relative couplings s: the collective
-closed form is its one-node case s = w = [1], and a Gaussian cloud takes the
-96-node Gauss-Hermite rule folded onto the 27 positive nodes of weight above
+unsaturated atoms give F(|X|^2) = f0 + (f1 - f0) * term(|X|^2) / N_eff, where
+term / N_eff is the atom sum per atom, and the transmission is T = (f0*|X|/y)^2.
+The atom summation term is one rule for both models, a weighted sum over
+relative couplings s: the collective closed form is its one-node case
+s = w = [1], and a Gaussian cloud takes the 96-node Gauss-Hermite rule
+folded onto the 27 positive nodes of weight above
 1e-18 of the largest (within about 1e-17 relative of the full sum).  Because
 y(|X|) does not depend on power, one 400-node scan over the fixed bracket
 |X| in [1e-4, 1e3]*sqrt(n_sat), bracketed by np.searchsorted on the sorted drives,
@@ -97,17 +98,17 @@ def saturation_photon_number(g0: float, rates: DerivedRates) -> float:
     return n_sat
 
 
-def _per_unit_field(N_eff: float, A_mf: float, x2, s: np.ndarray, w: np.ndarray):
-    """N_eff * 2/((1+A)*x2) times the saturated fraction at couplings s summed
-    with weights w, and N_eff * (s @ w) at x2 = 0."""
+def _per_unit_field(A_mf: float, x2, s: np.ndarray, w: np.ndarray):
+    """The atom sum per atom: 2/((1+A)*x2) times the saturated fraction at couplings s
+    summed with weights w, and s @ w at x2 = 0."""
     x2 = np.asarray(x2, dtype=float)
     xs = x2[..., np.newaxis] * s
     # 1 - 1/sqrt((1 + A*xs)(1 + xs)), without cancellation at small xs
     fraction = -np.expm1(-0.5 * (np.log1p(A_mf * xs) + np.log1p(xs))) @ w
     zero = ~(x2 > 0.0)      # these divide by 1 instead and are fixed up; x2 + False is x2
-    out = N_eff * 2.0 / (1.0 + A_mf) / (x2 + zero) * fraction
+    out = 2.0 / (1.0 + A_mf) / (x2 + zero) * fraction
     if zero.any():
-        out = np.where(zero, N_eff * (s @ w), out)
+        out = np.where(zero, s @ w, out)
     return out if out.ndim else float(out)
 
 
@@ -138,7 +139,7 @@ def collective_saturation_term(N_eff: float, A_mf: float, X_abs2) -> float:
     2*N_eff/((1+A)*|X|^2) at strong saturation.
     """
     _check_atom_sum(N_eff, A_mf, X_abs2=X_abs2)
-    return _per_unit_field(N_eff, A_mf, X_abs2, *_ONE_NODE)
+    return N_eff * _per_unit_field(A_mf, X_abs2, *_ONE_NODE)
 
 
 def quadrature_saturation_term(N_eff: float, A_mf: float, sigma_y_over_x0: float, q_prime_x0: float,
@@ -149,7 +150,7 @@ def quadrature_saturation_term(N_eff: float, A_mf: float, sigma_y_over_x0: float
     sample the trap-minimum field).
     """
     _check_atom_sum(N_eff, A_mf, sigma_y_over_x0, q_prime_x0, X_abs2)
-    return _per_unit_field(N_eff, A_mf, X_abs2, *_cloud_rule(sigma_y_over_x0, q_prime_x0))
+    return N_eff * _per_unit_field(A_mf, X_abs2, *_cloud_rule(sigma_y_over_x0, q_prime_x0))
 
 
 def scaled_drive_from_power(P_in, rates: DerivedRates, n_sat: float, lambda_probe: float) -> float:
@@ -175,10 +176,9 @@ def _response_function(cfg: SaturationConfig, rates: DerivedRates):
     couplings = (g, 0.0) if cfg.which_cavity == 1 else (0.0, g)
     a_k = linear_response._amplitudes(rates, 0.0, 0.0, 1.0, *couplings)[cfg.which_cavity - 1]
     f0, f1 = 1.0 / (rates.kappa_1p * np.abs(a_k))
-    slope = (f1 - f0) / cfg.N_eff
 
     def F(x2):
-        return f0 + slope * _per_unit_field(cfg.N_eff, cfg.A_mf, x2, s, w)
+        return f0 + (f1 - f0) * _per_unit_field(cfg.A_mf, x2, s, w)
 
     return F, f0 * f0
 

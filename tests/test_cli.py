@@ -19,7 +19,7 @@ from fiberqed.cli import (
     parse_config,
     run_subcommand,
 )
-from fiberqed.params import PhysicalConfig, derive_rates, mhz, to_mhz
+from fiberqed.params import ModeFunctionParams, PhysicalConfig, derive_rates, mhz, to_mhz
 
 
 def test_empty_config_is_defaults():
@@ -87,9 +87,12 @@ def test_r_span_bound_is_a_parse_error():
         parse_config("[mode]\nr_span_nm = 1e12\n")
 
 
-def test_mode_section_defaults_are_make_mode_params_defaults():
-    p, m = fiber_mode.make_mode_params(), RunConfig().mode
-    assert (m.beta, m.n2, m.s, m.a, m.r0) == (p.beta, p.n2, p.s, p.a, p.r0)
+def test_mode_geometry_keys_are_the_mode_function_params_fields():
+    # every geometry field but the wavelength, which is [physical] lambda_probe, with its default
+    grid = ("r_span_nm", "r_points", "phi_points", "z_points")
+    keys = {f.name: f.default for f in fields(RunConfig().mode) if f.name not in grid}
+    assert keys == {f.name: f.default for f in fields(ModeFunctionParams) if f.name != "wavelength"}
+    assert ModeFunctionParams.wavelength == RunConfig().physical.lambda_probe
 
 
 def test_cli_import_leaves_out_scipy_optimize_and_mpmath():
@@ -368,6 +371,10 @@ def test_zero_g0_exits_with_code_2(tmp_path, capsys, cavity):
     ("saturation", "[physical]\ng1_0 = 1e-300\n[atoms]\ng1_eff = 1e-299\n", [], "[physical] g1_0"),
     ("saturation", "[physical]\ng1_0 = 1e-160\n[atoms]\ng1_eff = 1e-155\n", [], "[physical] g1_0"),
     ("saturation", "[physical]\ngamma_par = 0\n", [], "[physical] gamma_par"),
+    ("spectrum", "[atoms]\ng1_eff = 1e300\n", [], "rate g1_eff="),
+    ("params", "[physical]\ngamma_par = 3e147\n", [], "rate gamma_par="),
+    ("spectrum", "", ["--band", "1e300"], "--band"),
+    ("spectrum", "[atoms]\ng2_eff = 2e147\n", ["--band", "2e147"], "--band"),
     ("params", "", ["--grid=-30:nan:5"], "grid_max"),
     ("normal-modes", "[probe]\ngrid_points = 1\n", [], "at least 2 points"),
 ], ids=["grid-max-nan", "grid-min-inf", "probe-grid_max-nan", "band-nan", "band-inf",
@@ -377,7 +384,9 @@ def test_zero_g0_exits_with_code_2(tmp_path, capsys, cavity):
         "r_points-negative", "r_span_nm-nan", "r_span_nm-negative", "r_span_nm-huge",
         "beta-unguided", "n2-unguided", "beta-nan", "s-nan", "s-nan-saturation", "a-negative",
         "derived-N_eff-zero", "derived-N_eff-overflow", "g1_0-squared-underflow",
-        "g1_0-n_sat-overflow", "gamma_par-zero", "params-grid-max-nan", "normal-modes-one-point"])
+        "g1_0-n_sat-overflow", "gamma_par-zero", "g1_eff-square-overflow", "gamma_par-square-overflow",
+        "band-square-overflow", "shifted-coupling-square-overflow", "params-grid-max-nan",
+        "normal-modes-one-point"])
 def test_non_finite_input_exits_with_code_2(tmp_path, capsys, command, config, flags, name):
     # each bad input exits 2 before any output, and the message names its key or flag
     path = tmp_path / "run.cfg"
@@ -386,6 +395,20 @@ def test_non_finite_input_exits_with_code_2(tmp_path, capsys, command, config, f
     assert main([command, "--config", str(path), "--out", str(out), *flags]) == 2
     assert name in capsys.readouterr().err
     assert list(tmp_path.rglob("*.csv")) == []
+
+
+def test_overflowing_detuning_grid_exits_with_code_3(tmp_path, capsys):
+    # out at +-1e300 MHz |Delta|^2 is inf - inf = NaN: a named failure, not NaN rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)     # numpy's overflow warnings
+        assert main(["spectrum", "--out", str(tmp_path), "--grid=-1e300:1e300:5"]) == 3
+        assert "|Delta| overflowed" in capsys.readouterr().err
+        assert list(tmp_path.glob("*.csv")) == []
+        # out at +-1e150 MHz |Delta|^2 overflows to inf, not NaN, and T = 0 there
+        assert main(["spectrum", "--out", str(tmp_path), "--grid=-1e150:1e150:5"]) == 0
+    rows = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert rows == ["delta_MHz,transmission", "-1e+150,0", "-5e+149,0", "0,0.00396812394",
+                    "5e+149,0", "1e+150,0"]
 
 
 @pytest.mark.parametrize("r0", ["1e-3", "400", "1.33e-4"])

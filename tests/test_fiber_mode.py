@@ -12,9 +12,11 @@ from fiberqed.fiber_mode import (
     g_squared_simplified,
     make_mode_params,
 )
+import fiberqed
+from fiberqed import params
 from fiberqed.oracle import adaptive_quadrature
 from fiberqed.params import FIBER_INDEX
-from dataclasses import replace
+from dataclasses import fields, replace
 from scipy import optimize, special
 
 P = make_mode_params()
@@ -90,6 +92,23 @@ def test_q_follows_a_replaced_beta():
     assert replace(P, beta=8.5e6).q == make_mode_params(beta=8.5e6).q
     assert make_mode_params(beta=8.5e6).q == pytest.approx(4.23e6, rel=0.01)
     assert g_squared_exact(replace(P, beta=8.5e6), 500e-9, 0.0, 0.0) == pytest.approx(0.3323, abs=1e-4)
+
+
+def test_geometry_is_one_class_that_stores_its_wavelength():
+    # make_mode_params is ModeFunctionParams, defined next to PhysicalConfig; k and q are derived
+    assert fiberqed.make_mode_params is fiberqed.ModeFunctionParams is params.ModeFunctionParams
+    assert [f.name for f in fields(P)] == ["beta", "wavelength", "n2", "s", "a", "r0"]
+    assert P.wavelength == params.PhysicalConfig.lambda_probe
+    w = 900e-9
+    moved = replace(P, wavelength=w)
+    assert moved.k == 2.0 * math.pi / w and moved.q != P.q
+    assert moved.q == math.sqrt(moved.beta**2 - moved.n2**2 * moved.k**2)
+
+
+@pytest.mark.parametrize("w", [0.0, math.inf, -852e-9, math.nan])
+def test_wavelength_must_be_positive_and_finite(w):
+    with pytest.raises(ValueError, match=rf"^mode parameter wavelength={w!r} must be positive and finite$"):
+        params.ModeFunctionParams(wavelength=w)
 
 
 def test_far_trap_minimum_is_rejected_by_name():

@@ -9,7 +9,7 @@ from fiberqed import oracle
 from fiberqed.linear_response import ProbeSettings, SpectrumResult, transmission_spectrum
 from fiberqed.normal_modes import decompose, peak_find, reduced_spectrum
 from fiberqed.params import PhysicalConfig, derive_rates, mhz, to_mhz
-from dataclasses import replace
+from dataclasses import fields, replace
 
 CFG = PhysicalConfig()
 RATES = derive_rates(CFG)
@@ -31,6 +31,15 @@ def test_bright_splittings_across_fiber_lengths():
         s = decompose(r, CFG.g1_eff, CFG.g2_eff)
         assert to_mhz(s.splitting_bright) == pytest.approx(expected, abs=0.05)
         assert s.splitting_bright == pytest.approx(math.sqrt(2.0) * s.v_tilde, rel=1e-15)
+
+
+def test_summary_stores_only_independent_values():
+    # splitting_bright and resolved follow v_tilde and rabi_splitting, also through replace
+    s = decompose(RATES, CFG.g1_eff, CFG.g2_eff)
+    assert [f.name for f in fields(s)] == ["v_tilde", "gd1", "gd2", "kappa_d", "kappa_plus",
+                                           "rabi_splitting", "mode_vectors"]
+    assert replace(s, v_tilde=2.0).splitting_bright == math.sqrt(2.0) * 2.0
+    assert not replace(s, rabi_splitting=0.0).resolved
 
 
 def test_symmetric_chain():

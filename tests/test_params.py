@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +147,15 @@ def test_validation_rejects_bad_inputs(bad):
     (name,) = bad
     with pytest.raises(ValueError, match=name):
         replace(PhysicalConfig(), **bad)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(PhysicalConfig) if "mhz" in f.metadata])
+def test_rate_whose_square_overflows_is_rejected(name):
+    # every rate is squared somewhere in rad/s: up to sqrt(max float) = 1.34e154 rad/s it may be
+    top = math.sqrt(sys.float_info.max)
+    replace(PhysicalConfig(), **{name: top})
+    with pytest.raises(ValueError, match=rf"rate {name}=.* and so must its square"):
+        replace(PhysicalConfig(), **{name: math.nextafter(top, math.inf)})
 
 
 def test_rate_report_format():
