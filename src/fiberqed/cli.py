@@ -401,11 +401,14 @@ _COMMANDS = {
 
 def run_subcommand(name: str, cfg: RunConfig, args=None) -> int:
     """Dispatch a subcommand; args carries optional CLI-only flags."""
-    if args is None:
-        args = argparse.Namespace(band=None, kv=False)
     if name not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {name!r}")
-    return _COMMANDS[name](cfg, args)
+    args = args or argparse.Namespace(band=None, kv=False)
+    if name == "params":        # the one command that loads no numpy
+        return cmd_params(cfg, args)
+    import numpy as np
+    with np.errstate(all="ignore"):     # a numeric failure has its own error: no numpy warnings
+        return _COMMANDS[name](cfg, args)
 
 
 def _build_parser() -> argparse.ArgumentParser:

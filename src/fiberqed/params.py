@@ -133,23 +133,23 @@ class DerivedRates:
     in the order of rate_report; numpy arrays stack one rate set per element.
     """
 
-    kappa_1l: float
-    kappa_1loss: float
-    kappa_1r: float
-    kappa_2l: float
-    kappa_2loss: float
-    kappa_2r: float
-    kappa_bloss: float
-    v1: float
-    v2: float
-    kappa_1: float = field(init=False)
-    kappa_2: float = field(init=False)
-    kappa_1p: float = field(init=False)
-    kappa_2p: float = field(init=False)
-    kappa_b: float = field(init=False)
-    gamma_par: float
-    gamma_las: float
-    gamma_perp: float = field(init=False)
+    kappa_1l: float = field(metadata={"from": "c_fiber, T1, L1"})
+    kappa_1loss: float = field(metadata={"from": "c_fiber, L1, alpha1"})
+    kappa_1r: float = field(metadata={"from": "c_fiber, T2, L1"})
+    kappa_2l: float = field(metadata={"from": "c_fiber, T3, L2"})
+    kappa_2loss: float = field(metadata={"from": "c_fiber, L2, alpha2"})
+    kappa_2r: float = field(metadata={"from": "c_fiber, T4, L2"})
+    kappa_bloss: float = field(metadata={"from": "c_fiber, Lf, alphaf"})
+    v1: float = field(metadata={"from": "c_fiber, T2, L1, Lf"})
+    v2: float = field(metadata={"from": "c_fiber, T3, L2, Lf"})
+    kappa_1: float = field(init=False, metadata={"from": "c_fiber, T1, L1, alpha1"})
+    kappa_2: float = field(init=False, metadata={"from": "c_fiber, T4, L2, alpha2"})
+    kappa_1p: float = field(init=False, metadata={"from": "c_fiber, T1, L1, alpha1, gamma_las"})
+    kappa_2p: float = field(init=False, metadata={"from": "c_fiber, T4, L2, alpha2, gamma_las"})
+    kappa_b: float = field(init=False, metadata={"from": "c_fiber, Lf, alphaf, gamma_las"})
+    gamma_par: float = field(metadata={"from": "gamma_par"})
+    gamma_las: float = field(metadata={"from": "gamma_las"})
+    gamma_perp: float = field(init=False, metadata={"from": "gamma_par, gamma_las"})
 
     def __post_init__(self) -> None:
         k1, k2, las = self.kappa_1l + self.kappa_1loss, self.kappa_2r + self.kappa_2loss, self.gamma_las
@@ -157,6 +157,11 @@ class DerivedRates:
         values = (k1, k2, k1 + las, k2 + las, self.kappa_bloss + las, 0.5 * self.gamma_par + las)
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)       # frozen: set once, here
+        for f in fields(self):      # PhysicalConfig's rule; a float gives a bool, a stacked rate an array
+            ok = (r := getattr(self, f.name)) * r < math.inf       # NaN fails too
+            if ok is False or ok is not True and not ok.all():
+                raise ValueError(f"rate {f.name}={r!r} rad/s, from [physical] {f.metadata['from']}, must be "
+                                 "finite, and so must its square in (rad/s)^2")
 
 
 def derive_rates(cfg: PhysicalConfig) -> DerivedRates:

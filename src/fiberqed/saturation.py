@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,11 +54,11 @@ class SaturationConfig:
     g0: float = 0.0                     # trap-minimum single-atom coupling, rad/s
     N_eff: float = 1.0                  # effective atom number
     # A_mf and q_prime_x0 default to the reference fit, fit_simplified(make_mode_params())
-    A_mf: float = 0.1499079354941198    # axial weight of the mode function
+    A_mf: float = 0.14990793786043394   # axial weight of the mode function
     power_grid: np.ndarray = field(default_factory=lambda: np.geomspace(1e-12, 1e-6, 61))
     model: str = "closed_form"          # closed_form | quadrature
     sigma_y_over_x0: float = 0.0        # cloud width / trap radius (quadrature model)
-    q_prime_x0: float = 1.1165317710150833  # q' * r0 (quadrature model)
+    q_prime_x0: float = 1.1165317838328295  # q' * r0 (quadrature model)
 
     def __post_init__(self) -> None:
         check_saturation_choice(self.which_cavity, self.model)
@@ -70,8 +71,7 @@ class SaturationConfig:
             raise ValueError("power_grid must be finite, positive and strictly increasing")
 
 
-@dataclass(frozen=True)
-class SaturationPoint:
+class SaturationPoint(NamedTuple):
     P_in: float                 # input power, W
     transmission: float
     n_roots: int

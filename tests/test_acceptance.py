@@ -176,6 +176,7 @@ _Q = make_mode_params().q
         ("A_mf", _FIT.A_mf, 0.12, 0.22),
         ("max_rel_error", _FIT.max_rel_error, 0.0, 0.10),
     ],
+    ids=["qprime_ratio", "A_mf", "max_rel_error"],      # names that do not move with the fit's digits
 )
 def test_criterion_9_mode_function_fit(check, value, lo, hi):
     report(

@@ -454,3 +454,34 @@ def test_main_exit_codes(tmp_path):
     assert main(["params", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert main(["spectrum", "--out", str(tmp_path), "--grid", "nonsense"]) == 2
     assert main(["params"]) == 0
+
+
+@pytest.mark.parametrize("command", ["spectrum", "normal-modes", "saturation"])
+@pytest.mark.parametrize("key, value, rate", [
+    ("c_fiber", "1e300", "kappa_1l"), ("L1", "1e-300", "kappa_1l"), ("Lf", "1e-300", "kappa_bloss"),
+])
+def test_derived_rate_whose_square_overflows_exits_with_code_2(tmp_path, capsys, command, key, value, rate):
+    # the solvers square every rate: one whose square overflows is a config error naming its keys
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[physical]\n{key} = {value}\n")
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: rate {rate}=")
+    assert key in err.split(" rad/s, from [physical] ")[1].split(", must be")[0].split(", ")
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_numeric_failure_is_its_one_stderr_line(tmp_path):
+    # no numpy warning precedes the error, or prints when the run succeeds
+    src = os.path.dirname(os.path.dirname(fiber_mode.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def spectrum(grid):
+        return subprocess.run([sys.executable, "-m", "fiberqed.cli", "spectrum", "--out", str(tmp_path),
+                               f"--grid={grid}"], env=env, capture_output=True, text=True)
+
+    failed = spectrum("-1e300:1e300:5")
+    assert (failed.returncode, failed.stderr) == (
+        3, "numeric failure: |Delta| overflowed to NaN: the detunings or couplings are too large\n")
+    wide = spectrum("-1e150:1e150:5")
+    assert (wide.returncode, wide.stderr) == (0, "")

@@ -17,6 +17,7 @@ from fiberqed import params
 from fiberqed.oracle import adaptive_quadrature
 from fiberqed.params import FIBER_INDEX
 from dataclasses import fields, replace
+import mpmath
 from scipy import optimize, special
 
 P = make_mode_params()
@@ -277,3 +278,37 @@ def test_fit_is_the_minimum_of_a_dense_scan():
     best = int(np.argmin(costs))
     assert abs(fit.qprime - qprimes[best]) <= qprimes[1] - qprimes[0]
     assert _cost(P, fit.qprime, fit.A_mf, grid) <= costs[best]
+
+
+def _stationary_qprime(p, dps=40):
+    """The zero of the projected cost's slope in qprime, in dps-digit arithmetic on the fit's
+    per-r sums: the cost is sum_r R^2 (uu + 2A uw + A^2 ww) - 2R (su + A sw), R = exp(-2 qprime
+    (r - r0)) / (r/r0), A its clipped least-squares minimum in [0.01, 0.9]."""
+    rr, pp, zz, exact = _fit_grid(p)
+    weight = np.cos(pp) ** 2 / exact
+    u = (np.cos(p.beta * zz) ** 2 * weight).reshape(rr.shape[0], -1)
+    w = (np.sin(p.beta * zz) ** 2 * weight).reshape(rr.shape[0], -1)
+    with mpmath.workdps(dps):
+        uu, uw, ww, su, sw = ([mpmath.mpf(float(x)) for x in m.sum(axis=1)]
+                              for m in (u * u, u * w, w * w, u, w))
+        r0 = mpmath.mpf(p.r0)
+        depth = [mpmath.mpf(float(x)) - r0 for x in rr[:, 0, 0]]
+
+        def slope(qprime):      # dC/dqprime over 4 at the best A: the envelope theorem
+            rad = [mpmath.exp(-2 * qprime * d) / ((d + r0) / r0) for d in depth]
+            a = (mpmath.fdot(rad, sw) - mpmath.fdot([x * x for x in rad], uw)) / mpmath.fdot(
+                [x * x for x in rad], ww)
+            a = min(max(a, mpmath.mpf("0.01")), mpmath.mpf("0.9"))
+            return mpmath.fsum(d * x * (su[k] + a * sw[k] - x * (uu[k] + 2 * a * uw[k] + a * a * ww[k]))
+                               for k, (d, x) in enumerate(zip(depth, rad)))
+
+        return float(mpmath.findroot(slope, (mpmath.mpf(0.9 * p.q), mpmath.mpf(1.2 * p.q)),
+                                     solver="anderson"))
+
+
+@pytest.mark.parametrize("r0", [260e-9, 350e-9, 400e-9, 450e-9, 500e-9, 700e-9])
+def test_fit_qprime_is_the_stationary_point_of_its_cost(r0):
+    # a search that stops on cost comparisons resolves qprime only to about sqrt(eps)
+    p = make_mode_params(r0=r0)
+    ref = _stationary_qprime(p)
+    assert abs(fit_simplified(p).qprime - ref) <= 1e-9 * ref

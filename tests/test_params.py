@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -156,6 +157,31 @@ def test_rate_whose_square_overflows_is_rejected(name):
     replace(PhysicalConfig(), **{name: top})
     with pytest.raises(ValueError, match=rf"rate {name}=.* and so must its square"):
         replace(PhysicalConfig(), **{name: math.nextafter(top, math.inf)})
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(DerivedRates) if f.init])
+def test_derived_rate_whose_square_overflows_is_rejected(name):
+    # the same rule on every derived rate, composites included, naming its [physical] keys
+    rates, top = derive_rates(PhysicalConfig()), math.sqrt(sys.float_info.max)
+    keys = {f.name: f.metadata["from"] for f in fields(DerivedRates)}
+    for bad in (math.nextafter(top, math.inf), math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^rate \w+=.* rad/s, from \[physical\] .*, must be finite, "
+                                             r"and so must its square in \(rad/s\)\^2$") as info:
+            replace(rates, **{name: bad})
+        # the first field in declaration order that fails: kappa_1p comes before gamma_las
+        failing = re.match(r"rate (\w+)=", str(info.value))[1]
+        assert failing == ("kappa_1p" if name == "gamma_las" else name)
+        assert f"from [physical] {keys[failing]}," in str(info.value)
+
+
+def test_stacked_derived_rates_are_checked_elementwise():
+    rates = derive_rates(PhysicalConfig())
+    assert replace(rates, v2=np.array([rates.v2, 2.0 * rates.v2])).v2.shape == (2,)
+    with np.errstate(over="ignore"):        # an array squares with numpy's overflow warning
+        with pytest.raises(ValueError, match=r"^rate v2=array\(\[.*\]\) rad/s, from \[physical\] c_fiber, T3, L2, Lf,"):
+            replace(rates, v2=np.array([rates.v2, 1e155]))
+        with pytest.raises(ValueError, match=r"^rate kappa_1=.*, from \[physical\] c_fiber, T1, L1, alpha1,"):
+            replace(rates, kappa_1l=np.array([1e154, 0.0]), kappa_1loss=np.array([1e154, 0.0]))
 
 
 def test_rate_report_format():
