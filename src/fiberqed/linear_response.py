@@ -1,16 +1,15 @@
 """Weak-drive steady state of the three-mode, two-ensemble chain.
 
-Folding each ensemble into its cavity, c_k = kappa_kp + i*delta_c +
-g_k^2/(gamma_perp + i*delta_a), leaves a 3x3 system on (a1, a2, b) with
-determinant Delta = kappa_b'*c1*c2 + v2^2*c1 + v1^2*c2, kappa_b' = kappa_b +
-i*delta_c.  Cramer's rule gives every amplitude over Delta:
-a1 = -iE(kappa_b'*c2 + v2^2)/Delta, a2 = iE*v1*v2/Delta, b = -E*v1*c2/Delta
-and s_k = -i*g_k*a_k/(gamma_perp + i*delta_a).  Both spectra are normalized to
-the empty chain on resonance, where Delta = Delta_0: the drive and kappa_2r
-cancel, so a transmission point costs one division, T = |Delta_0|^2/|Delta|^2,
-and T = 0 when kappa_2r*v1*v2 == 0.  All expressions broadcast over numpy arrays.
-transmission_spectrum and normal_modes.reduced_spectrum share one evaluator on a required
-grid: one grid check, one norm, and 4096-point blocks with the floats of one whole-grid call.
+Folding each ensemble into its cavity, c_k = kappa_kp + i*delta_c + g_k^2/(gamma_perp + i*delta_a),
+leaves a 3x3 system on (a1, a2, b) with determinant Delta = c1*m + v1^2*c2, m = kappa_b'*c2 + v2^2
+and kappa_b' = kappa_b + i*delta_c.  Cramer's rule gives every amplitude over Delta: a1 = -iE*m/Delta,
+a2 = iE*v1*v2/Delta, b = -E*v1*c2/Delta and s_k = -i*g_k*a_k/(gamma_perp + i*delta_a).  One core
+evaluates Delta in real arithmetic and in place; the amplitudes are built from its parts.  Both
+spectra are normalized to the empty chain on resonance, |Delta_0|^2 in closed form: the drive and
+kappa_2r cancel, so a transmission point costs one division, T = |Delta_0|^2/|Delta|^2, and T = 0
+when kappa_2r*v1*v2 == 0.  transmission_spectrum and normal_modes.reduced_spectrum share one
+evaluator on a required grid: one grid check, one norm, and 4096-point blocks with the floats of
+one whole-grid call.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from .params import DerivedRates
 
 #: |Delta|^2 below which the steady state is treated as singular.
 SINGULAR_FLOOR = 1e-300
-#: Spectrum block: 4096 complex values (64 KiB) stay below glibc's 128 KiB mmap threshold.
+_SINGULAR = "steady state is singular: |Delta| underflowed"
+#: Spectrum block: each 4096-float buffer (32 KiB) stays below glibc's 128 KiB mmap threshold.
 _BLOCK = 4096
 
 
@@ -70,35 +70,50 @@ def _check_damped(rates: DerivedRates, dc, da) -> None:
                          "no steady state at zero atom detuning")
 
 
-def _determinant(rates: DerivedRates, dc, da, g1, g2):
-    """Delta = c1*m + v1^2*c2, |Delta|^2, gamma_perp + i*da, c2 and m = kappa_b'*c2 + v2^2;
-    dc, da, g1 and g2 may be arrays, and m, Delta and |Delta|^2 have their full shape."""
+def _delta_parts(rates: DerivedRates, dc, da, g1, g2):
+    """|Delta|^2 and the (real, imaginary) parts of Delta, c2 and m = kappa_b'*c2 + v2^2, in real
+    arithmetic: (ac - bd, ad + bc) for each complex product, 1/gp = (gamma_perp, -da)/|gp|^2.  dc,
+    da, g1, g2 and the rates may be arrays, and every step writes into one of eight buffers."""
     _check_damped(rates, dc, da)
-    idc = 1j * dc
-    gp = rates.gamma_perp + 1j * da
-    # each cavity with its ensemble folded in
-    c1 = rates.kappa_1p + idc + g1**2 / gp
-    c2 = rates.kappa_2p + idc + g2**2 / gp
-    m = (rates.kappa_b + idc) * c2
-    m += rates.v2**2
-    det = c1 * m
-    det += rates.v1**2 * c2
-    det_sq = det.real**2
-    det_sq += det.imag**2
-    if not np.all(det_sq >= SINGULAR_FLOOR):        # NaN fails too: Delta overflowed, inf - inf
-        small = np.any(det_sq < SINGULAR_FLOOR)
-        raise RuntimeError("steady state is singular: |Delta| underflowed" if small else
+    gp, kb, v1, v2 = rates.gamma_perp, rates.kappa_b, rates.v1, rates.v2
+    shape = np.broadcast(dc, da, g1, g2, gp, kb, v1, v2, rates.kappa_1p, rates.kappa_2p).shape
+    c1r, c1i, c2r, c2i, mr, mi, t, det_sq = map(np.empty, [shape] * 8)
+    with np.errstate(all="ignore"):     # inf and NaN are judged below, with no numpy warning
+        np.divide(1.0, np.add(np.multiply(da, da, out=t), gp * gp, out=t), out=t)
+        np.multiply(t, gp, out=c1r)     # Re 1/gp
+        np.multiply(t, da, out=c1i)     # -Im 1/gp
+        # each cavity with its ensemble folded in: c_k = kappa_kp + i*dc + g_k^2/gp
+        np.add(np.multiply(c1r, g2 * g2, out=c2r), rates.kappa_2p, out=c2r)
+        np.subtract(dc, np.multiply(c1i, g2 * g2, out=c2i), out=c2i)
+        np.add(np.multiply(c1r, g1 * g1, out=c1r), rates.kappa_1p, out=c1r)
+        np.subtract(dc, np.multiply(c1i, g1 * g1, out=c1i), out=c1i)
+        # m = (kappa_b + i*dc)*c2 + v2^2
+        np.subtract(np.multiply(kb, c2r, out=mr), np.multiply(dc, c2i, out=t), out=mr)
+        mr += v2**2
+        np.add(np.multiply(kb, c2i, out=mi), np.multiply(dc, c2r, out=t), out=mi)
+        # Delta = c1*m + v1^2*c2: its imaginary part in t, its real part in c1r
+        np.add(np.multiply(c1r, mi, out=t), np.multiply(c1i, mr, out=det_sq), out=t)
+        t += np.multiply(c2i, v1**2, out=det_sq)
+        np.subtract(np.multiply(c1r, mr, out=c1r), np.multiply(c1i, mi, out=det_sq), out=c1r)
+        c1r += np.multiply(c2r, v1**2, out=det_sq)
+        np.add(np.multiply(c1r, c1r, out=det_sq), np.multiply(t, t, out=c1i), out=det_sq)
+    if not (det_sq >= SINGULAR_FLOOR).all():        # NaN fails too: Delta overflowed, inf - inf
+        raise RuntimeError(_SINGULAR if np.any(det_sq < SINGULAR_FLOOR) else
                            "|Delta| overflowed to NaN: the detunings or couplings are too large")
-    return det, det_sq, gp, c2, m
+    return det_sq, (c1r, t), (c2r, c2i), (mr, mi)
 
 
 def _amplitudes(rates: DerivedRates, dc, da, drive, g1: float, g2: float):
     """Closed-form amplitudes by Cramer's rule; dc, da, g1 and g2 may be scalars or arrays."""
-    det, _, gp, c2, m = _determinant(rates, dc, da, g1, g2)
+    _, *parts = _delta_parts(rates, dc, da, g1, g2)
+    z = np.empty((3,) + parts[0][0].shape, complex)
+    z.real, z.imag = zip(*parts)        # not re + 1j*im, which makes an infinite im a NaN re
+    det, c2, m = z
     e = drive / det
     a1 = -1j * e * m
     a2 = 1j * e * rates.v1 * rates.v2
     b = -e * rates.v1 * c2
+    gp = rates.gamma_perp + 1j * da
     s1 = -1j * g1 * a1 / gp
     s2 = -1j * g2 * a2 / gp
     return a1, a2, b, s1, s2
@@ -116,16 +131,16 @@ def _by_block(f, grid: np.ndarray) -> np.ndarray:
     """The elementwise kernel f over grid, one _BLOCK-point block at a time."""
     if grid.size <= _BLOCK:
         return f(grid)
-    out = np.empty_like(grid)
-    for i in range(0, grid.size, _BLOCK):
-        out[i:i + _BLOCK] = f(grid[i:i + _BLOCK])
-    return out
+    return np.concatenate([f(grid[i:i + _BLOCK]) for i in range(0, grid.size, _BLOCK)])
 
 
 def _empty_chain_norm(rates: DerivedRates) -> float:
-    """The norm of both spectra: _determinant's |Delta|^2 at zero detuning and coupling,
-    so T is exactly 1 there, or 0 when no light reaches the output (kappa_2r*v1*v2 == 0)."""
-    det0_sq = _determinant(rates, 0.0, 0.0, 0.0, 0.0)[1]
+    """The norm of both spectra, |Delta_0|^2 = (kappa_1p*(kappa_b*kappa_2p + v2^2) + v1^2*kappa_2p)^2 in
+    _delta_parts' float operations, so T is exactly 1 there; 0 when kappa_2r*v1*v2 == 0 (no output)."""
+    _check_damped(rates, 0.0, 0.0)
+    det0 = rates.kappa_1p * (rates.kappa_b * rates.kappa_2p + rates.v2**2) + rates.kappa_2p * rates.v1**2
+    if (det0_sq := det0 * det0) < SINGULAR_FLOOR:
+        raise RuntimeError(_SINGULAR)
     return det0_sq if rates.kappa_2r * rates.v1 * rates.v2 != 0.0 else 0.0
 
 
@@ -144,15 +159,13 @@ def transmission_spectrum(rates: DerivedRates, g1: float, g2: float, delta_c_off
                           grid: np.ndarray) -> SpectrumResult:
     """Normalized transmission vs atom-probe detuning on grid (rad/s, strictly increasing).
 
-    The sweep varies delta_a and delta_c together (the cavities track the
-    atomic resonance); delta_c_offset = omega_c - omega_a shifts the cavity
-    ladder relative to the atoms.  The output flux over the on-resonance
-    empty-chain flux is |Delta_0|^2/|Delta|^2 at any drive; it is zero when
-    kappa_2r*v1*v2 == 0 (no light gets through at all).  The grid is required:
-    the CLI's [probe] section holds the one default grid.
+    The sweep varies delta_a and delta_c together (the cavities track the atomic resonance);
+    delta_c_offset = omega_c - omega_a shifts the cavity ladder relative to the atoms.  The output
+    flux over the on-resonance empty-chain flux is |Delta_0|^2/|Delta|^2 at any drive; it is zero
+    when kappa_2r*v1*v2 == 0.  The grid is required: the CLI's [probe] section holds the default.
     """
     def transmission_at(det0_sq, d):
-        det_sq = _determinant(rates, d + delta_c_offset, d, g1, g2)[1]
+        det_sq = _delta_parts(rates, d + delta_c_offset, d, g1, g2)[0]
         return np.divide(det0_sq, det_sq, out=det_sq)
 
     return _spectrum(rates, grid, transmission_at)

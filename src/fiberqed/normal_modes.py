@@ -80,47 +80,49 @@ def decompose(rates: DerivedRates, g1: float, g2: float) -> NormalModeSummary:
     )
 
 
-def reduced_spectrum(
-    summary: NormalModeSummary,
-    rates: DerivedRates,
-    grid: np.ndarray,
-) -> SpectrumResult:
+def reduced_spectrum(summary: NormalModeSummary, rates: DerivedRates, grid: np.ndarray) -> SpectrumResult:
     """Transmission of the single-mode reduced model (dark mode + two ensembles) on grid.
 
-    The dark mode, damped at k = kappa_d + gamma_las, is driven with the projected
-    unit amplitude v2/(sqrt(2)*v_tilde) and read out through its cavity-2 weight
-    v1/(sqrt(2)*v_tilde), so |a2|^2 = (v1*v2/(2*v_tilde^2))^2 |gamma_perp + i*delta|^2 / |D|^2
-    with D = (k + i*delta)(gamma_perp + i*delta) + gd1^2 + gd2^2.  Normalization
-    matches the full model: the on-resonance empty-cavity flux of the full chain,
-    and zero when kappa_2r*v1*v2 == 0.  The grid is required and goes through the
-    evaluator of transmission_spectrum, with the same checks, norm and blocks.
+    The dark mode, damped at k = kappa_d + gamma_las, is driven with the projected unit amplitude
+    v2/(sqrt(2)*v_tilde) and read out through its cavity-2 weight v1/(sqrt(2)*v_tilde), so
+    |a2|^2 = (v1*v2/(2*v_tilde^2))^2 |gamma_perp + i*delta|^2 / |D|^2 with D = (k + i*delta)(gamma_perp
+    + i*delta) + gd1^2 + gd2^2.  Normalization matches the full model: the on-resonance empty-cavity
+    flux of the full chain, and zero when kappa_2r*v1*v2 == 0.  The grid is required and goes through
+    the evaluator of transmission_spectrum, with the same checks, norm and blocks.
     """
     k, gp = summary.kappa_d + rates.gamma_las, rates.gamma_perp
 
     def transmission_at(det0_sq, delta):
+        # det0_sq / s2v^4 * (gp^2 + delta^2) / |D|^2 in place, D = (k*gp + gd^2 - delta^2) + i*delta*(k + gp):
+        # over the norm, (v1*v2)^2 cancels and |Delta_0|^2 / (2*v_tilde^2)^2 remains
         d2 = delta * delta
-        # |D|^2 in real arithmetic, D = (k*gp + gd^2 - delta^2) + i*delta*(k + gp); over
-        # the norm, (v1*v2)^2 cancels and |Delta_0|^2 / (2*v_tilde^2)^2 remains
-        den_sq = (k * gp + summary.gd1**2 + summary.gd2**2 - d2) ** 2 + d2 * (k + gp) ** 2
-        return det0_sq / summary.splitting_bright**4 * (gp * gp + d2) / den_sq
+        den_sq = np.subtract(k * gp + summary.gd1**2 + summary.gd2**2, d2)
+        den_sq *= den_sq
+        den_sq += d2 * (k + gp) ** 2
+        np.multiply(np.add(d2, gp * gp, out=d2), det0_sq / summary.splitting_bright**4, out=d2)
+        return np.divide(d2, den_sq, out=d2)
 
     return _spectrum(rates, grid, transmission_at)
 
 
 def peak_find(spec: SpectrumResult) -> list[tuple[float, float]]:
-    """Local maxima of a spectrum with parabolic sub-grid refinement.
-
-    Returns (detuning, height) pairs ordered by detuning; monotone or flat
-    spectra yield an empty list.
-    """
-    x = np.asarray(spec.detunings, dtype=float)
-    y = np.asarray(spec.transmission, dtype=float)
-    i = np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])) + 1
-    left, mid, right = y[i - 1], y[i], y[i + 1]
-    denom = left - 2.0 * mid + right
-    shift = np.divide(
-        0.5 * (left - right), denom, out=np.zeros_like(denom), where=denom != 0.0
-    )
-    pos = x[i] + shift * (x[i + 1] - x[i])
-    height = mid - 0.25 * (left - right) * shift
-    return list(zip(pos, height))
+    """Local maxima as (detuning, height) pairs of Python floats, ordered by detuning: samples or
+    plateaus of equal samples, lower on both sides (not at a grid end, so a flat spectrum gives []).
+    A sample, or a plateau of two, is refined by the parabola through three samples, whose vertex lies
+    midway in a plateau of two; a longer plateau is reported at its centre, at its height."""
+    x, y = np.asarray(spec.detunings, dtype=float), np.asarray(spec.transmission, dtype=float)
+    peaks = []
+    # one vectorised pass finds every rise that does not go on: a maximum or a plateau's start
+    for i in (np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])) + 1).tolist():
+        left, mid, right = y[i - 1:i + 2].tolist()
+        j = i + 1                   # then the first sample past the plateau
+        while y.item(j) == mid and j + 1 < y.size:
+            j += 1
+        if not y.item(j) < mid:     # the plateau rises again, or reaches the grid's end
+            continue
+        if j > i + 2:
+            peaks.append((0.5 * (x.item(i) + x.item(j - 1)), mid))
+            continue
+        shift = 0.5 * (left - right) / denom if (denom := left - 2.0 * mid + right) != 0.0 else 0.0
+        peaks.append((x.item(i) + shift * (x.item(i + 1) - x.item(i)), mid - 0.25 * (left - right) * shift))
+    return peaks

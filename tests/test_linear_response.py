@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -8,10 +9,11 @@ import pytest
 from fiberqed import oracle
 from fiberqed.linear_response import (
     _BLOCK,
+    SINGULAR_FLOOR,
     ProbeSettings,
     _amplitudes,
     _by_block,
-    _determinant,
+    _delta_parts,
     _empty_chain_norm,
     steady_state,
     transmission_spectrum,
@@ -151,12 +153,17 @@ def _design_configs(rng, n):
         yield cfg, mhz(rng.uniform(20.0, 80.0))
 
 
-def _exact_a2_squared(rates, delta, g1, g2):
-    """|a2|^2 from a 40-digit LU solve of the dense 5x5 system."""
-    system = oracle.build_linear_system(rates, ProbeSettings(delta, delta, 1.0), g1, g2)
+def _exact_a2_squared(rates, dc, da, g1, g2):
+    """|a2|^2 at unit drive from a 40-digit LU solve of the dense 5x5 system."""
+    system = oracle.build_linear_system(rates, ProbeSettings(dc, da, 1.0), g1, g2)
     with mpmath.workdps(40):
         x = mpmath.lu_solve(mpmath.matrix(system.matrix.tolist()), mpmath.matrix(system.rhs.tolist()))
         return abs(x[1]) ** 2
+
+
+def _loadings(cfg):
+    """Empty, either ensemble alone, and both."""
+    return (0.0, 0.0), (cfg.g1_eff, 0.0), (0.0, cfg.g2_eff), (cfg.g1_eff, cfg.g2_eff)
 
 
 def test_spectrum_matches_40_digit_solve():
@@ -165,11 +172,12 @@ def test_spectrum_matches_40_digit_solve():
     for cfg, span in _design_configs(np.random.default_rng(5), 32):
         rates = derive_rates(cfg)
         grid = np.linspace(-span, span, 5)
-        spec = transmission_spectrum(rates, cfg.g1_eff, cfg.g2_eff, grid=grid)
-        norm = _exact_a2_squared(rates, 0.0, 0.0, 0.0)
-        for delta, got in zip(grid, spec.transmission):
-            want = _exact_a2_squared(rates, float(delta), cfg.g1_eff, cfg.g2_eff) / norm
-            worst = max(worst, float(abs(got - want) / want))
+        norm = _exact_a2_squared(rates, 0.0, 0.0, 0.0, 0.0)
+        for (g1, g2), offset in itertools.product(_loadings(cfg), (0.0, mhz(1.5), mhz(-7.0))):
+            spec = transmission_spectrum(rates, g1, g2, offset, grid=grid)
+            for delta, got in zip(grid.tolist(), spec.transmission):
+                want = _exact_a2_squared(rates, delta + offset, delta, g1, g2) / norm
+                worst = max(worst, float(abs(got - want) / want))
     assert worst <= 1e-14
 
 
@@ -188,16 +196,23 @@ def _stacked(rates_list):
 
 
 def test_amplitudes_on_stacked_rates_equal_the_per_config_calls():
-    configs = list(_design_configs(np.random.default_rng(11), 20))
+    configs = [(cfg, loading) for cfg, _ in _design_configs(np.random.default_rng(11), 20)
+               for loading in _loadings(cfg)]
     rates = [derive_rates(cfg) for cfg, _ in configs]
-    g1 = np.array([[cfg.g1_eff] for cfg, _ in configs])
-    g2 = np.array([[cfg.g2_eff] for cfg, _ in configs])
+    g1 = np.array([[g1] for _, (g1, _) in configs])
+    g2 = np.array([[g2] for _, (_, g2) in configs])
     grid = np.linspace(-mhz(40.0), mhz(40.0), 101)
-    stacked = _amplitudes(_stacked(rates), grid + mhz(1.5), grid, 1.0, g1, g2)
-    for i, (r, (cfg, _)) in enumerate(zip(rates, configs)):
-        single = _amplitudes(r, grid + mhz(1.5), grid, 1.0, cfg.g1_eff, cfg.g2_eff)
+    offset = mhz(1.5)
+    stacked = _amplitudes(_stacked(rates), grid + offset, grid, 1.0, g1, g2)
+    worst = 0.0
+    for i, (r, (_, loading)) in enumerate(zip(rates, configs)):
+        single = _amplitudes(r, grid + offset, grid, 1.0, *loading)
         for got, want in zip(stacked, single):
             assert np.array_equal(got[i], want)
+        for delta, a2 in zip(grid[::25].tolist(), stacked[1][i, ::25]):
+            want = _exact_a2_squared(r, delta + offset, delta, *loading)
+            worst = max(worst, float(abs(abs(a2) ** 2 - want) / want))
+    assert worst <= 1e-14
 
 
 def test_stacked_rates_with_one_undamped_member_raise():
@@ -211,6 +226,46 @@ def test_stacked_rates_with_one_undamped_member_raise():
             _amplitudes(stack, grid, grid, 1.0, 0.0, 0.0)
         # off zero detuning the undamped member has a steady state
         _amplitudes(stack, grid + 1.0, grid + 1.0, 1.0, 0.0, 0.0)
+
+
+def _complex_det_sq(rates, dc, da, g1, g2):
+    """|Delta|^2 by the complex expression that the real-arithmetic core replaced."""
+    idc = 1j * dc
+    gp = rates.gamma_perp + 1j * da
+    c1 = rates.kappa_1p + idc + g1**2 / gp
+    c2 = rates.kappa_2p + idc + g2**2 / gp
+    det = c1 * ((rates.kappa_b + idc) * c2 + rates.v2**2) + rates.v1**2 * c2
+    return det.real**2 + det.imag**2
+
+
+@pytest.mark.parametrize("scale, verdicts", [(1.0, {"T = 0 at the ends", "overflowed"}),
+                                             (1e-60, {"singular"})])
+def test_extreme_grids_keep_the_complex_expressions_verdict(scale, verdicts):
+    # out to 1e100-1e308 MHz: a NaN |Delta|^2 is an overflow error, an infinite one gives
+    # T = 0, an underflow is singular, as with the complex expression, and numpy warns of none
+    rates = replace(RATES, **{f.name: getattr(RATES, f.name) * scale for f in fields(RATES) if f.init})
+    seen = set()
+    for (g1, g2), exponent in itertools.product(_loadings(CFG) + ((1e150, 0.0),), range(100, 309)):
+        with np.errstate(all="ignore"):
+            grid = np.linspace(-mhz(10.0**exponent), mhz(10.0**exponent), 5)
+            det_sq = _complex_det_sq(rates, np.append(0.0, grid), np.append(0.0, grid),
+                                     np.append(0.0, np.full(5, g1)), np.append(0.0, np.full(5, g2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if not np.all(np.isfinite(grid)):
+                with pytest.raises(ValueError, match="finite"):
+                    transmission_spectrum(rates, g1, g2, grid=grid)
+            elif np.all(det_sq >= SINGULAR_FLOOR):      # the norm, then the grid
+                t = transmission_spectrum(rates, g1, g2, grid=grid).transmission
+                want = det_sq[0] / det_sq[1:]
+                assert np.array_equal(t == 0.0, want == 0.0) and np.allclose(t, want, rtol=1e-12, atol=0.0)
+                seen.add("T = 0 at the ends" if t[0] == t[-1] == 0.0 else "finite")
+            else:
+                verdict = "singular" if np.any(det_sq < SINGULAR_FLOOR) else "overflowed"
+                with pytest.raises(RuntimeError, match=verdict):
+                    transmission_spectrum(rates, g1, g2, grid=grid)
+                seen.add(verdict)
+    assert seen == verdicts
 
 
 def _reduced_whole_grid(summary, rates, grid):
@@ -229,7 +284,7 @@ def test_blocked_spectra_equal_the_whole_grid_evaluation(points):
     offset = mhz(1.5)
     for g1, g2 in ((0.0, 0.0), (cfg.g1_eff, 0.0), (0.0, cfg.g2_eff), (cfg.g1_eff, cfg.g2_eff)):
         spec = transmission_spectrum(rates, g1, g2, delta_c_offset=offset, grid=grid)
-        whole = _empty_chain_norm(rates) / _determinant(rates, grid + offset, grid, g1, g2)[1]
+        whole = _empty_chain_norm(rates) / _delta_parts(rates, grid + offset, grid, g1, g2)[0]
         assert np.array_equal(spec.transmission, whole)
         summary = decompose(rates, g1, g2)
         reduced = reduced_spectrum(summary, rates, grid=grid)
@@ -239,7 +294,7 @@ def test_blocked_spectra_equal_the_whole_grid_evaluation(points):
 def test_undamped_fiber_raises_from_the_last_block():
     rates = replace(RATES, kappa_bloss=0.0, gamma_las=0.0)
     grid = np.linspace(-mhz(40.0), 0.0, 2 * _BLOCK + 5)    # zero detuning is the last point
-    kernel = lambda d: _determinant(rates, d, d, 0.0, 0.0)[1]   # noqa: E731
+    kernel = lambda d: _delta_parts(rates, d, d, 0.0, 0.0)[0]   # noqa: E731
     assert np.all(_by_block(kernel, grid[:-1]) > 0.0)       # the first blocks are regular
     with pytest.raises(ValueError, match="alphaf = 0"):
         _by_block(kernel, grid)

@@ -211,20 +211,57 @@ def test_peak_find_edge_cases():
     rng = np.random.default_rng(3)
     x = np.linspace(-5.0, 5.0, 601)
     y = np.round(np.sin(3.0 * x) ** 2 + 0.3 * rng.random(x.size), 2)
-    reference = []
+    reference, plateaus = [], 0
     for i in range(1, len(y) - 1):
-        if y[i] > y[i - 1] and y[i] > y[i + 1]:
-            denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-            if denom != 0.0:
-                shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
-                pos = x[i] + shift * (x[i + 1] - x[i])
-                height = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
-            else:
-                pos, height = x[i], y[i]
-            reference.append((pos, height))
+        j = i           # the last sample of the plateau that starts at i
+        while j + 1 < len(y) and y[j + 1] == y[i]:
+            j += 1
+        if not (y[i] > y[i - 1] and j + 1 < len(y) and y[i] > y[j + 1]):
+            continue
+        plateaus += j > i
+        if j > i + 1:
+            reference.append((0.5 * (x[i] + x[j]), y[i]))
+            continue
+        denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+        if denom != 0.0:
+            shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
+            pos = x[i] + shift * (x[i + 1] - x[i])
+            height = y[i] - 0.25 * (y[i - 1] - y[i + 1]) * shift
+        else:
+            pos, height = x[i], y[i]
+        reference.append((pos, height))
     peaks = peak_find(SpectrumResult(x, y))
     assert len(reference) > 50
+    assert plateaus >= 5
     assert peaks == reference
+    assert all(type(v) is float for peak in peaks for v in peak)
+
+
+@pytest.mark.parametrize("y, want", [
+    ([0.0, 1.0, 1.0, 0.0], [(1.5, 1.125)]),             # two samples: the parabola's midpoint
+    ([0.0, 2.0, 2.0, 2.0, 1.0], [(2.0, 2.0)]),          # three: the centre sample
+    ([0.0, 2.0, 2.0, 2.0, 2.0, 1.0], [(2.5, 2.0)]),     # four: between the middle two
+    ([0.0, 1.0, 1.0, 2.0, 0.0], [(3.0 - 1.0 / 6.0, 2.0 + 1.0 / 24.0)]),  # a shoulder is no peak
+    ([0.0, 1.0, 1.0], []),                              # a plateau at an end is no peak
+    ([1.0, 1.0, 0.0, 1.0, 1.0], []),
+    ([2.0, 2.0, 2.0, 2.0], []),
+    ([0.0, 1.0, 1.0, math.nan, 0.0], []),               # NaN is not lower
+])
+def test_peak_find_reports_each_plateau_once_at_its_centre(y, want):
+    spec = SpectrumResult(np.arange(float(len(y))), np.array(y))
+    assert peak_find(spec) == pytest.approx(want, rel=1e-15)
+
+
+@pytest.mark.parametrize("lf, side", [(1.23, 11.8895), (2.27, 8.6624)])
+def test_even_grid_keeps_the_flat_topped_central_peak(lf, side):
+    # on 602 points the two middle samples of the empty chain are equal, bit for bit
+    grid = np.linspace(mhz(-30.0), mhz(30.0), 602)
+    spec = transmission_spectrum(derive_rates(replace(CFG, Lf=lf)), 0.0, 0.0, grid=grid)
+    assert spec.transmission[300] == spec.transmission[301]
+    (left, _), (centre, height), (right, _) = peak_find(spec)
+    assert abs(centre) < 1e-12 * (grid[301] - grid[300])
+    assert height == pytest.approx(1.0, abs=1e-4)
+    assert to_mhz(-left) == pytest.approx(side, abs=1e-4) and to_mhz(right) == pytest.approx(side, abs=1e-4)
 
 
 @pytest.mark.parametrize("lf, g1, g2", [(1.23, 7.2, 7.3), (0.83, 0.0, 12.0), (2.27, 0.0, 0.0)])
