@@ -4,12 +4,12 @@ Folding each ensemble into its cavity, c_k = kappa_kp + i*delta_c + g_k^2/(gamma
 leaves a 3x3 system on (a1, a2, b) with determinant Delta = c1*m + v1^2*c2, m = kappa_b'*c2 + v2^2
 and kappa_b' = kappa_b + i*delta_c.  Cramer's rule gives every amplitude over Delta: a1 = -iE*m/Delta,
 a2 = iE*v1*v2/Delta, b = -E*v1*c2/Delta and s_k = -i*g_k*a_k/(gamma_perp + i*delta_a).  One core
-evaluates Delta in real arithmetic and in place; the amplitudes are built from its parts.  Both
-spectra are normalized to the empty chain on resonance, |Delta_0|^2 in closed form: the drive and
-kappa_2r cancel, so a transmission point costs one division, T = |Delta_0|^2/|Delta|^2, and T = 0
-when kappa_2r*v1*v2 == 0.  transmission_spectrum and normal_modes.reduced_spectrum share one
-evaluator on a required grid: one grid check, one norm, and 4096-point blocks with the floats of
-one whole-grid call.
+evaluates Delta in real arithmetic and in place; the amplitudes are built from its parts.  At zero
+detuning Delta and m are real, a Python-float closed form that saturation reads with atoms in; both
+spectra are normalized by its empty-chain |Delta_0|^2: the drive and kappa_2r cancel, so a point
+costs one division, T = |Delta_0|^2/|Delta|^2, and T = 0 when kappa_2r*v1*v2 == 0.
+transmission_spectrum and normal_modes.reduced_spectrum share one evaluator on a required grid:
+one grid check, one norm, and 4096-point blocks with the floats of one whole-grid call.
 """
 
 from __future__ import annotations
@@ -134,14 +134,21 @@ def _by_block(f, grid: np.ndarray) -> np.ndarray:
     return np.concatenate([f(grid[i:i + _BLOCK]) for i in range(0, grid.size, _BLOCK)])
 
 
-def _empty_chain_norm(rates: DerivedRates) -> float:
-    """The norm of both spectra, |Delta_0|^2 = (kappa_1p*(kappa_b*kappa_2p + v2^2) + v1^2*kappa_2p)^2 in
-    _delta_parts' float operations, so T is exactly 1 there; 0 when kappa_2r*v1*v2 == 0 (no output)."""
+def _resonant_det(rates: DerivedRates, g1_sq: float = 0.0, g2_sq: float = 0.0) -> tuple[float, float]:
+    """(Delta, m) at zero detuning in Python floats, with g_k^2/gamma_perp folded into c_k; at g = 0
+    in _delta_parts' float operations.  Damping is checked first, and |Delta|^2 as there."""
     _check_damped(rates, 0.0, 0.0)
-    det0 = rates.kappa_1p * (rates.kappa_b * rates.kappa_2p + rates.v2**2) + rates.kappa_2p * rates.v1**2
-    if (det0_sq := det0 * det0) < SINGULAR_FLOOR:
+    m = rates.kappa_b * (c2 := rates.kappa_2p + g2_sq / rates.gamma_perp) + rates.v2**2
+    det = (rates.kappa_1p + g1_sq / rates.gamma_perp) * m + c2 * rates.v1**2
+    if det * det < SINGULAR_FLOOR:
         raise RuntimeError(_SINGULAR)
-    return det0_sq if rates.kappa_2r * rates.v1 * rates.v2 != 0.0 else 0.0
+    return det, m
+
+
+def _empty_chain_norm(rates: DerivedRates) -> float:
+    """The norm of both spectra, |Delta_0|^2, so T is exactly 1 there; 0 when kappa_2r*v1*v2 == 0."""
+    det0 = _resonant_det(rates)[0]
+    return det0 * det0 if rates.kappa_2r * rates.v1 * rates.v2 != 0.0 else 0.0
 
 
 def _spectrum(rates: DerivedRates, grid, kernel) -> SpectrumResult:

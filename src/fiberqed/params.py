@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
@@ -162,6 +163,10 @@ class DerivedRates:
             if ok is False or ok is not True and not ok.all():
                 raise ValueError(f"rate {f.name}={r!r} rad/s, from [physical] {f.metadata['from']}, must be "
                                  "finite, and so must its square in (rad/s)^2")
+        bad = ((gp := self.gamma_perp) != 0.0) & (gp * gp < sys.float_info.min)     # spectra: 1/(gp^2 + da^2)
+        if bad is True or bad is not False and bad.any():
+            raise ValueError(f"rate gamma_perp={gp!r} rad/s, from [physical] gamma_par, gamma_las, must be 0 "
+                             "or have a square in (rad/s)^2 that does not underflow")
 
 
 def derive_rates(cfg: PhysicalConfig) -> DerivedRates:

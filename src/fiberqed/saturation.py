@@ -1,23 +1,21 @@
 """Semiclassical saturation of the on-resonance transmission.
 
-With atoms in one cavity only and everything on resonance, the nonlinear
-steady state collapses to the mean-field absorptive-bistability equation
-y = |X| * F(|X|^2) in the scaled drive y and scaled intracavity amplitude
-|X| (Lugiato, Prog. Opt. 21, 69 (1984)).  F is read off the linear closed
-form of linear_response: there f = 1/(kappa_1p*|a_k|) of the atom cavity k
-is affine in g_k^2, so its values f0 without atoms and f1 with N_eff
-unsaturated atoms give F(|X|^2) = f0 + (f1 - f0) * term(|X|^2) / N_eff, where
-term / N_eff is the atom sum per atom, and the transmission is T = (f0*|X|/y)^2.
-The atom summation term is one rule for both models, a weighted sum over
-relative couplings s: the collective closed form is its one-node case
-s = w = [1], and a Gaussian cloud takes the 96-node Gauss-Hermite rule
-folded onto the 27 positive nodes of weight above
-1e-18 of the largest (within about 1e-17 relative of the full sum).  Because
-y(|X|) does not depend on power, one 400-node scan over the fixed bracket
-|X| in [1e-4, 1e3]*sqrt(n_sat), bracketed by np.searchsorted on the sorted drives,
-and about 4 vectorised passes of safeguarded Newton steps (at most 60) serve every
-power of a curve; each power counts its roots and takes T from the lowest, the up-sweep
-(a down-sweep would take the highest).  A SaturationConfig is checked when built.
+With atoms in one cavity only and everything on resonance, the nonlinear steady state collapses to
+the mean-field absorptive-bistability equation y = h(|X|) = |X| * F(|X|^2) in the scaled drive y
+and scaled intracavity amplitude |X| (Lugiato, Prog. Opt. 21, 69 (1984)).  F is read off the linear
+closed form: f = 1/(kappa_1p*|a_k|) of the atom cavity k is affine in g_k^2, so its values f0
+without atoms and f1 with N_eff unsaturated atoms, Python floats from linear_response's
+zero-detuning Delta, give F = f0 + (f1 - f0) * P(|X|^2) with P the atom sum per atom, and
+T = (f0*|X|/y)^2.  P is one rule for both models, a weighted sum over relative couplings s of the
+saturated fraction 1 - 1/sqrt(p) = u/(p + sqrt(p)), p = 1 + u = (1 + A*xs)(1 + xs), free of
+cancellation: the collective closed form is its one-node case s = w = [1], and a Gaussian cloud
+takes the 96-node Gauss-Hermite rule folded onto the 27 positive nodes of weight above 1e-18 of the
+largest (within about 1e-17 relative of the full sum).  Because h does not depend on power, one
+400-node scan over the fixed bracket |X| in [1e-4, 1e3]*sqrt(n_sat), bracketed by np.searchsorted
+on the sorted drives, and about 4 vectorised passes of safeguarded Newton steps (at most 60), each
+evaluating h and its exact slope once per root, serve every power of a curve; each power counts its
+roots and takes T from the lowest, the up-sweep (a down-sweep would take the highest).  A
+SaturationConfig is checked when built.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ def _check_atom_sum(N_eff, A_mf, sigma_y_over_x0=0.0, q_prime_x0=1.0, X_abs2=0.0
         raise ValueError(f"axial weight A_mf={A_mf!r} must lie in [0, 1]")
     if not 0.0 < q_prime_x0 < math.inf:
         raise ValueError(f"q_prime_x0={q_prime_x0!r} must be positive and finite")
-    if not np.all(np.asarray(X_abs2) >= 0.0):       # NaN included
+    if (ok := X_abs2 >= 0.0) is not True and not np.all(ok):      # NaN fails too
         raise ValueError("X_abs2 must be non-negative")
 
 
@@ -98,16 +96,23 @@ def saturation_photon_number(g0: float, rates: DerivedRates) -> float:
     return n_sat
 
 
-def _per_unit_field(A_mf: float, x2, s: np.ndarray, w: np.ndarray):
-    """The atom sum per atom: 2/((1+A)*x2) times the saturated fraction at couplings s
-    summed with weights w, and s @ w at x2 = 0."""
+def _per_unit_field(A_mf: float, x2, s: np.ndarray, w: np.ndarray, slope: bool = False):
+    """The atom sum per atom P: 2/((1+A)*x2) times the saturated fraction u/(p + sqrt(p)) at
+    couplings s summed with weights w, and s @ w at x2 = 0; xs = x2*s is clamped at 1e100, as the
+    fraction is 1.0 in floats from ~1e33 on.  With slope, the stacked pair (P, dQ/dx) for
+    Q(x) = x*P(x^2): dQ/dx = 2/((1+A)*x2) * sum w*(xs*p'/p^1.5 - fraction), p' = dp/dxs."""
     x2 = np.asarray(x2, dtype=float)
-    xs = x2[..., np.newaxis] * s
-    # 1 - 1/sqrt((1 + A*xs)(1 + xs)), without cancellation at small xs
-    fraction = -np.expm1(-0.5 * (np.log1p(A_mf * xs) + np.log1p(xs))) @ w
+    # four buffers, written in place: freed (400, 27) temporaries of a scan can trim the heap
+    xs, u, root, fraction = map(np.empty, [x2.shape + s.shape] * 4)
+    np.minimum(np.multiply(x2[..., np.newaxis], s, out=xs), 1e100, out=xs)     # u, p*sqrt(p) finite
+    np.multiply(np.add(np.multiply(A_mf, xs, out=u), 1.0 + A_mf, out=u), xs, out=u)    # u = p - 1
+    np.sqrt(np.add(u, 1.0, out=root), out=root)
+    np.divide(u, np.add(np.add(root, 1.0, out=fraction), u, out=fraction), out=fraction)
+    if slope:       # a clamped node adds exactly -fraction: its true xs*p'/p^1.5 is ~1e-50 or less
+        fraction = np.stack([fraction, xs * (1.0 + A_mf + 2.0 * A_mf * xs) / ((u + 1.0) * root) - fraction])
     zero = ~(x2 > 0.0)      # these divide by 1 instead and are fixed up; x2 + False is x2
-    out = 2.0 / (1.0 + A_mf) / (x2 + zero) * fraction
-    if zero.any():
+    out = 2.0 / (1.0 + A_mf) / (x2 + zero) * (fraction @ w)
+    if zero.any():      # dQ/dx = P at x = 0
         out = np.where(zero, s @ w, out)
     return out if out.ndim else float(out)
 
@@ -165,22 +170,25 @@ def scaled_drive_from_power(P_in, rates: DerivedRates, n_sat: float, lambda_prob
 
 
 def _response_function(cfg: SaturationConfig, rates: DerivedRates):
-    """Return (F, prefactor) with y = x*F(x^2) and T = prefactor * x^2 / y^2.
+    """Return (h, f0, f1): y = h(x) = x*F(x^2) at scaled amplitudes x, h(x, slope=True) the stacked
+    pair (h, dh/dx), and F without atoms and with N_eff unsaturated ones, 1/(kappa_1p*|a_k|) of a
+    unit drive at zero detuning.  The empty chain has T = 1, so T = (f0*x/y)^2."""
+    s, w = _ONE_NODE if cfg.model == "closed_form" else _cloud_rule(cfg.sigma_y_over_x0, cfg.q_prime_x0)
 
-    f0 and f1 come from one unit-drive closed-form call at zero detuning; the
-    empty chain has T = 1, so prefactor = f0^2.
-    """
-    s, w = (_ONE_NODE if cfg.model == "closed_form"
-            else _cloud_rule(cfg.sigma_y_over_x0, cfg.q_prime_x0))
-    g = np.array([0.0, cfg.g0 * math.sqrt(cfg.N_eff)])
-    couplings = (g, 0.0) if cfg.which_cavity == 1 else (0.0, g)
-    a_k = linear_response._amplitudes(rates, 0.0, 0.0, 1.0, *couplings)[cfg.which_cavity - 1]
-    f0, f1 = 1.0 / (rates.kappa_1p * np.abs(a_k))
+    def f(g1_sq, g2_sq):    # damping checked first; |a_1| = m/Delta, |a_2| = v1*v2/Delta
+        det, m = linear_response._resonant_det(rates, g1_sq, g2_sq)
+        return det / (rates.kappa_1p * (m if cfg.which_cavity == 1 else rates.v1 * rates.v2))
 
-    def F(x2):
-        return f0 + (f1 - f0) * _per_unit_field(cfg.A_mf, x2, s, w)
+    g_sq = cfg.g0 * cfg.g0 * cfg.N_eff
+    f0, f1 = f(0.0, 0.0), f(g_sq, 0.0) if cfg.which_cavity == 1 else f(0.0, g_sq)
 
-    return F, f0 * f0
+    def h(x, slope=False):
+        F = f0 + (f1 - f0) * _per_unit_field(cfg.A_mf, x * x, s, w, slope)
+        if slope:
+            F[0] *= x       # and F[1] = f0 + (f1 - f0)*dQ/dx is dh/dx
+        return F if slope else x * F
+
+    return h, f0, f1
 
 
 def _expand(first: np.ndarray, stop: np.ndarray):
@@ -205,36 +213,36 @@ def _scan_grid(n_sat: float) -> np.ndarray:
     return math.sqrt(n_sat) * _UNIT_SCAN
 
 
-def _find_roots(F, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted positive roots of x*F(x^2) = y for every drive of the non-decreasing y at once,
+def _find_roots(h, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted positive roots of h(x) = y for every drive of the non-decreasing y at once,
     drive by drive in one flat array, and each drive's number of roots.
 
-    x*F(x^2) does not depend on the drive, so one 400-point log scan h over the fixed
-    bracket [1e-4, 1e3]*sqrt(n_sat) serves all drives; _brackets finds their cells by
-    sorted search, and a node where h = y exactly is a root.  Each root starts at the log-log
-    interpolation of its cell and takes Newton steps (forward-difference slope, same F call),
-    bisecting when a step leaves the cell shrunk by the sign of h - y, until |h - y| <= 2**-50*y
+    h does not depend on the drive, so one 400-point log scan over the fixed bracket
+    [1e-4, 1e3]*sqrt(n_sat) serves all drives; _brackets finds their cells by sorted
+    search, and a node where h = y exactly is a root.  Each root starts at the log-log
+    interpolation of its cell and takes Newton steps (exact slope, same h call), bisecting
+    when a step leaves the cell shrunk by the sign of h - y, until |h - y| <= 2**-50*y
     or a Newton step <= 1e-14*x: about 4 passes, and RuntimeError if 60 do not do it.
     """
     grid = _scan_grid(n_sat)
-    h = grid * F(grid * grid)
-    drive, cell, node_drive, node = _brackets(h, y)
+    hn = h(grid)
+    drive, cell, node_drive, node = _brackets(hn, y)
     per_drive = np.bincount(np.concatenate([node_drive, drive]), minlength=y.size)
     if not per_drive.all():
         raise RuntimeError(
             "saturation root bracketing failed: no sign change up to |X| = 1e3*sqrt(n_sat)"
         )
-    yd, a, b, ha, hb = y[drive], grid[cell], grid[cell + 1], h[cell], h[cell + 1]
+    yd, a, b, ha, hb = y[drive], grid[cell], grid[cell + 1], hn[cell], hn[cell + 1]
     rising, tol, done = hb > ha, 2.0**-50 * yd, np.zeros(yd.size, dtype=bool)
     below, above = np.where(rising, a, b), np.where(rising, b, a)     # ends with h < y, h > y
     with np.errstate(divide="ignore", invalid="ignore"):    # a flat or NaN slope bisects
         x = a * (b / a) ** (np.log(yd / ha) / np.log(hb / ha))
         for _ in range(60):     # bisection alone narrows a 4% cell to adjacent floats in 48
-            both = np.concatenate([x, x * (1.0 + 1e-7)])
-            r, r_dx = (both * F(both * both)).reshape(2, -1) - yd
+            r, slope = h(x, slope=True)
+            r -= yd
             small, high = done | (np.abs(r) <= tol), r > 0.0
             below, above = np.where(high, below, x), np.where(high, x, above)
-            new = x - r * (both[x.size:] - x) / (r_dx - r)
+            new = x - r / slope
             newton = ~done & ((new - below) * (new - above) < 0.0)      # inside the bracket
             done = small | newton & (np.abs(new - x) <= 1e-14 * x)
             x = np.where(newton, new, np.where(small, x, 0.5 * (below + above)))
@@ -252,11 +260,11 @@ def solve_saturation(
     cfg: SaturationConfig, rates: DerivedRates, lambda_probe: float = PhysicalConfig.lambda_probe
 ) -> SaturationCurve:
     """Transmission vs input power on the up-sweep: each power's lowest root."""
-    F, prefactor = _response_function(cfg, rates)      # first, to name undamped atoms
+    h, f0, _ = _response_function(cfg, rates)      # first, to name undamped atoms
     n_sat = saturation_photon_number(cfg.g0, rates)
     powers = np.asarray(cfg.power_grid, dtype=float)
     drives = scaled_drive_from_power(powers, rates, n_sat, lambda_probe)
-    roots, n_roots = _find_roots(F, drives, n_sat)
-    T = prefactor * np.square(roots[np.cumsum(n_roots) - n_roots]) / drives**2
+    roots, n_roots = _find_roots(h, drives, n_sat)
+    T = f0 * f0 * np.square(roots[np.cumsum(n_roots) - n_roots]) / drives**2
     points = list(map(SaturationPoint, powers.tolist(), T.tolist(), n_roots.tolist()))
     return SaturationCurve(points=points, n_sat=n_sat)

@@ -471,6 +471,18 @@ def test_derived_rate_whose_square_overflows_exits_with_code_2(tmp_path, capsys,
     assert list(tmp_path.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("command", ["params", "spectrum", "normal-modes", "saturation"])
+def test_gamma_perp_whose_square_underflows_exits_with_code_2(tmp_path, capsys, command):
+    # gamma_perp = 3.1e-161 rad/s: its square underflows, and the spectrum read "|Delta| overflowed"
+    path = tmp_path / "run.cfg"
+    path.write_text("[physical]\ngamma_par = 1e-167\ngamma_las = 0\n")
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: rate gamma_perp=3.14")
+    assert " rad/s, from [physical] gamma_par, gamma_las, must be 0 " in err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
 def test_numeric_failure_is_its_one_stderr_line(tmp_path):
     # no numpy warning precedes the error, or prints when the run succeeds
     src = os.path.dirname(os.path.dirname(fiber_mode.__file__))

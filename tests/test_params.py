@@ -184,6 +184,21 @@ def test_stacked_derived_rates_are_checked_elementwise():
             replace(rates, kappa_1l=np.array([1e154, 0.0]), kappa_1loss=np.array([1e154, 0.0]))
 
 
+def test_gamma_perp_whose_square_underflows_is_rejected():
+    # the spectra divide by gamma_perp^2 + delta_a^2, which a nonzero gamma_perp must keep nonzero
+    message = (r"^rate gamma_perp=.* rad/s, from \[physical\] gamma_par, gamma_las, must be 0 or have "
+               r"a square in \(rad/s\)\^2 that does not underflow$")
+    for gamma_par in (1e-160, 2e-154, 2.0 * 5e-324):       # gamma_perp = gamma_par/2 here
+        with pytest.raises(ValueError, match=message):
+            derive_rates(PhysicalConfig(gamma_par=gamma_par, gamma_las=0.0))
+    assert derive_rates(PhysicalConfig(gamma_par=0.0, gamma_las=0.0)).gamma_perp == 0.0
+    assert derive_rates(PhysicalConfig(gamma_par=3e-154, gamma_las=0.0)).gamma_perp == 1.5e-154
+    rates = derive_rates(PhysicalConfig())
+    with pytest.raises(ValueError, match=r"^rate gamma_perp=array\(\[.*\]\) rad/s"):
+        replace(rates, gamma_par=np.array([rates.gamma_par, 1e-160]), gamma_las=0.0)
+    assert replace(rates, gamma_par=np.array([rates.gamma_par, 0.0])).gamma_perp.shape == (2,)
+
+
 def test_rate_report_format():
     text = rate_report(PhysicalConfig())
     lines = text.splitlines()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from fiberqed import saturation
+from fiberqed import linear_response, saturation
 from fiberqed.fiber_mode import fit_simplified, make_mode_params
 from fiberqed.linear_response import transmission_spectrum
 from fiberqed.params import PhysicalConfig, derive_rates, mhz
@@ -250,11 +250,11 @@ def test_knee_location():
 def test_root_residuals():
     cfg = _config(1)
     curve = solve_saturation(cfg, RATES)
-    F, prefactor = _response_function(cfg, RATES)
+    h, f0, _ = _response_function(cfg, RATES)
     for p in curve.points:
         y = scaled_drive_from_power(p.P_in, RATES, curve.n_sat, CFG.lambda_probe)
-        x = math.sqrt(p.transmission / prefactor) * y
-        assert abs(y - x * F(x * x)) < 1e-10 * y
+        x = math.sqrt(p.transmission / (f0 * f0)) * y
+        assert abs(y - h(x)) < 1e-10 * y
 
 
 def test_quadrature_model_close_to_closed_form():
@@ -281,14 +281,14 @@ def test_no_atoms_limit_is_empty_cavity():
         assert p.transmission == pytest.approx(1.0, abs=1e-9)
 
 
-def _reference_roots(F, y, n_sat):
+def _reference_roots(h, y, n_sat):
     """Per-power root search: a 400-point scan, then brentq in each sign change."""
     def G(x):
-        return x * F(x * x) - y
+        return h(x) - y
 
     sqrt_nsat = math.sqrt(n_sat)
     grid = np.geomspace(1e-4 * sqrt_nsat, 1e3 * sqrt_nsat, 400)
-    vals = grid * F(grid * grid) - y
+    vals = h(grid) - y
     roots = [grid[i] for i in np.flatnonzero(vals == 0.0)]
     for i in np.flatnonzero(vals[:-1] * vals[1:] < 0.0):
         roots.append(optimize.brentq(G, grid[i], grid[i + 1], xtol=1e-300, rtol=1e-14))
@@ -305,14 +305,14 @@ def _reference_curve(cfg):
     """Power by power: (T, n_roots, branch) along the nearest-root continuation,
     and every power's roots."""
     n_sat = saturation_photon_number(cfg.g0, RATES)
-    F, prefactor = _response_function(cfg, RATES)
+    h, f0, _ = _response_function(cfg, RATES)
     points, all_roots, previous = [], [], None
     for P in cfg.power_grid:
         y = scaled_drive_from_power(P, RATES, n_sat, CFG.lambda_probe)
-        roots = _reference_roots(F, y, n_sat)
+        roots = _reference_roots(h, y, n_sat)
         x = roots[0] if previous is None else min(roots, key=lambda r: abs(r - previous))
         previous = x
-        points.append((prefactor * x**2 / y**2, len(roots), "low" if x == roots[0] else "high"))
+        points.append((f0 * f0 * x**2 / y**2, len(roots), "low" if x == roots[0] else "high"))
         all_roots.append(roots)
     return points, all_roots
 
@@ -331,16 +331,16 @@ def test_shared_scan_matches_per_power_brentq(monkeypatch, which, model, sigma, 
     if N_eff == 2000.0:     # the bistable region is part of the check
         assert any(p.n_roots == 3 for p in curve.points)
 
-    F, _ = _response_function(cfg, RATES)
+    h, _, _ = _response_function(cfg, RATES)
     y = scaled_drive_from_power(cfg.power_grid, RATES, curve.n_sat, CFG.lambda_probe)
-    found = _per_drive(*_find_roots(F, y, curve.n_sat))
+    found = _per_drive(*_find_roots(h, y, curve.n_sat))
     for yi, roots, ref in zip(y, found, reference_roots):
-        assert np.all(np.abs(roots * F(roots * roots) - yi) <= 1e-12 * yi)
+        assert np.all(np.abs(h(roots) - yi) <= 1e-12 * yi)
         assert roots == pytest.approx(ref, rel=1e-13)
     # the sorted-search brackets give the same floats as the sign table they replace
     with monkeypatch.context() as m:
         m.setattr(saturation, "_brackets", _sign_table_brackets)
-        sign_table = _per_drive(*_find_roots(F, y, curve.n_sat))
+        sign_table = _per_drive(*_find_roots(h, y, curve.n_sat))
     assert [r.tolist() for r in found] == [r.tolist() for r in sign_table]
 
 
@@ -388,24 +388,25 @@ def test_sorted_search_brackets_equal_the_sign_table():
 def test_find_roots_names_an_unbracketed_drive():
     cfg = _config(1, N_eff=10.0)
     n_sat = saturation_photon_number(cfg.g0, RATES)
-    F, _ = _response_function(cfg, RATES)
+    h, _, _ = _response_function(cfg, RATES)
     grid = saturation._scan_grid(n_sat)
-    h = grid * F(grid * grid)
-    assert np.all(np.diff(h) > 0.0)     # monostable: each drive has one bracketing cell
-    inside = 0.5 * (h[200] + h[201])
-    assert _find_roots(F, np.array([inside]), n_sat)[1].tolist() == [1]
+    hn = h(grid)
+    assert np.all(np.diff(hn) > 0.0)    # monostable: each drive has one bracketing cell
+    inside = 0.5 * (hn[200] + hn[201])
+    assert _find_roots(h, np.array([inside]), n_sat)[1].tolist() == [1]
     message = ("^saturation root bracketing failed: "
                r"no sign change up to \|X\| = 1e3\*sqrt\(n_sat\)$")
-    for y in ([0.5 * h[0], inside], [inside, 2.0 * h[-1]]):
+    for y in ([0.5 * hn[0], inside], [inside, 2.0 * hn[-1]]):
         with pytest.raises(RuntimeError, match=message):
-            _find_roots(F, np.array(y), n_sat)
+            _find_roots(h, np.array(y), n_sat)
 
-    def F_nan(x2):      # NaN at the two nodes that bracket the drive
-        at = (x2 == grid[200] * grid[200]) | (x2 == grid[201] * grid[201])
-        return np.where(at, np.nan, F(x2))
+    def h_nan(x, slope=False):      # NaN, value and slope, at the two nodes that bracket the drive
+        out = h(x, slope)
+        out[..., (x == grid[200]) | (x == grid[201])] = np.nan
+        return out
 
     with pytest.raises(RuntimeError, match=message):
-        _find_roots(F_nan, np.array([inside]), n_sat)
+        _find_roots(h_nan, np.array([inside]), n_sat)
 
 
 def test_bracketing_failure_outside_the_scan():
@@ -470,8 +471,10 @@ def test_default_mode_function_is_the_reference_fit():
 
 
 def _hand_derived_response(cfg, rates):
-    """The chain reduced by hand, cavity by cavity: the reference for
-    _response_function, which reads F off the linear closed form instead."""
+    """The chain reduced by hand, cavity by cavity: the reference for _response_function,
+    which reads F off the linear closed form instead.  Returns (h, f0, f1) like it, f0 from
+    the empty chain's transmission prefactor, and h(x, slope=True) takes the forward-difference
+    slope that the solver used before its exact one."""
     V1 = rates.v1**2 / (rates.kappa_b * rates.kappa_1p)
     V2 = rates.v2**2 / (rates.kappa_b * rates.kappa_2p)
     if cfg.model == "closed_form":
@@ -489,7 +492,7 @@ def _hand_derived_response(cfg, rates):
         def F(x2):
             return base + C0 * term(x2)
 
-        prefactor = ((1.0 + V1 + V2) / (1.0 + V2)) ** 2
+        f0, f1 = (1.0 + V1 + V2) / (1.0 + V2), base + C0 * cfg.N_eff
     else:
         C0 = cfg.g0**2 / (rates.kappa_2p * rates.gamma_perp)
         lead = (rates.v1 * rates.kappa_2p) / (rates.v2 * rates.kappa_1p)
@@ -499,10 +502,17 @@ def _hand_derived_response(cfg, rates):
         def F(x2):
             return lead * fiber * (1.0 + back + C0 * term(x2))
 
-        prefactor = (
-            (1.0 + V1 + V2) * rates.kappa_b * rates.kappa_2p / (rates.v1 * rates.v2)
-        ) ** 2
-    return F, prefactor
+        f0 = (1.0 + V1 + V2) * rates.kappa_b * rates.kappa_2p / (rates.v1 * rates.v2)
+        f1 = lead * fiber * (1.0 + back + C0 * cfg.N_eff)
+
+    def h(x, slope=False):
+        value = x * F(x * x)
+        if not slope:
+            return value
+        x_dx = x * (1.0 + 1e-7)
+        return np.stack([value, (x_dx * F(x_dx * x_dx) - value) / (x_dx - x)])
+
+    return h, f0, f1
 
 
 def _random_case(rng, which, model):
@@ -524,9 +534,8 @@ def _random_case(rng, which, model):
         q_prime_x0=rng.uniform(0.5, 2.0),
     )
     n_sat = saturation_photon_number(cfg.g0, rates)
-    F, _ = _hand_derived_response(cfg, rates)
-    x = np.array([1e-3, 1e2]) * math.sqrt(n_sat)
-    y = np.geomspace(*(x * F(x * x)), 41)
+    h, _, _ = _hand_derived_response(cfg, rates)
+    y = np.geomspace(*h(np.array([1e-3, 1e2]) * math.sqrt(n_sat)), 41)
     per_watt = scaled_drive_from_power(1.0, rates, n_sat, phys.lambda_probe)
     return rates, replace(cfg, power_grid=(y / per_watt) ** 2), n_sat
 
@@ -537,11 +546,13 @@ def test_response_function_matches_the_hand_derived_chain(monkeypatch):
     for i in range(200):
         which, model = 1 + i % 2, ("closed_form", "quadrature")[i // 2 % 2]
         rates, cfg, n_sat = _random_case(rng, which, model)
-        F, prefactor = _response_function(cfg, rates)
-        F_ref, prefactor_ref = _hand_derived_response(cfg, rates)
-        x2 = np.concatenate([[0.0], np.geomspace(1e-8, 1e8, 33) * n_sat])
-        np.testing.assert_allclose(F(x2), F_ref(x2), rtol=1e-13, atol=0.0)
-        assert prefactor == pytest.approx(prefactor_ref, rel=1e-13)
+        h, f0, f1 = _response_function(cfg, rates)
+        h_ref, f0_ref, f1_ref = _hand_derived_response(cfg, rates)
+        x = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 33) * math.sqrt(n_sat)])
+        np.testing.assert_allclose(h(x), h_ref(x), rtol=1e-13, atol=0.0)
+        # F(0) = dh/dx at x = 0, for both
+        assert h(x, slope=True)[1, 0] == pytest.approx(h_ref(1e-8 * x[1]) / (1e-8 * x[1]), rel=1e-13)
+        assert (f0, f1) == pytest.approx((f0_ref, f1_ref), rel=1e-13)
 
         curve = solve_saturation(cfg, rates)
         with monkeypatch.context() as m:
@@ -556,19 +567,19 @@ def test_response_function_matches_the_hand_derived_chain(monkeypatch):
 def test_a_drive_on_a_scan_node_gives_that_node_once_in_order():
     cfg = _config(1, N_eff=2000.0)
     n_sat = saturation_photon_number(cfg.g0, RATES)
-    F, _ = _response_function(cfg, RATES)
+    h, _, _ = _response_function(cfg, RATES)
     grid = saturation._scan_grid(n_sat)
-    h = grid * F(grid * grid)
-    middle = np.flatnonzero(np.diff(h) < 0.0) + 1      # nodes on the unstable middle branch
+    hn = h(grid)
+    middle = np.flatnonzero(np.diff(hn) < 0.0) + 1     # nodes on the unstable middle branch
     k = middle[middle.size // 2]
-    y = np.array([0.5 * h[k], h[k], 2.0 * h[k]])
-    roots = _per_drive(*_find_roots(F, y, n_sat))
+    y = np.array([0.5 * hn[k], hn[k], 2.0 * hn[k]])
+    roots = _per_drive(*_find_roots(h, y, n_sat))
     node_roots = roots[1]
     assert np.count_nonzero(node_roots == grid[k]) == 1
     assert node_roots.size == 3 and node_roots[1] == grid[k]
     assert np.all(np.diff(node_roots) > 0.0)
     for yi, r in zip(y, roots):
-        assert np.all(np.abs(r * F(r * r) - yi) <= 1e-12 * yi)
+        assert np.all(np.abs(h(r) - yi) <= 1e-12 * yi)
 
 
 @pytest.mark.parametrize("which", [1, 2])
@@ -576,22 +587,26 @@ def test_a_drive_on_a_scan_node_gives_that_node_once_in_order():
 @pytest.mark.parametrize("N_eff", [10.0, 300.0, 2000.0])
 def test_one_curve_is_one_scan_and_a_few_refinement_passes(monkeypatch, which, model,
                                                             sigma, N_eff):
-    sizes = []
+    calls = []
 
     def counted(cfg, rates):
-        F, prefactor = _response_function(cfg, rates)
+        h, f0, f1 = _response_function(cfg, rates)
 
-        def F_counted(x2):
-            sizes.append(np.size(x2))
-            return F(x2)
+        def h_counted(x, slope=False):
+            calls.append((np.size(x), slope))
+            return h(x, slope)
 
-        return F_counted, prefactor
+        return h_counted, f0, f1
 
     monkeypatch.setattr(saturation, "_response_function", counted)
     cfg = _config(which, N_eff=N_eff, model=model, sigma_y_over_x0=sigma,
                   power_grid=np.geomspace(1e-13, 1e-6, 61))
-    solve_saturation(cfg, RATES)
-    assert sizes[0] == 400 and len(sizes) <= 7     # the scan and at most 6 passes
+    curve = solve_saturation(cfg, RATES)
+    (scan, scan_slope), *passes = calls
+    assert scan == 400 and not scan_slope       # the scan takes values only
+    # at most 6 passes, each one value and slope at every root once: n points, not 2n
+    roots = sum(p.n_roots for p in curve.points)
+    assert 1 <= len(passes) <= 6 and passes == [(roots, True)] * len(passes)
 
 
 # bistable curves of the saturation_sweep benchmark on which a step-size-only stop never
@@ -607,26 +622,129 @@ def test_bistable_curves_converge_to_the_per_power_roots(which, model, N_eff, si
     cfg = _config(which, N_eff=N_eff, model=model, sigma_y_over_x0=sigma, A_mf=A_mf,
                   q_prime_x0=q_prime_x0, power_grid=np.geomspace(1e-12, 1e-6, 61))
     n_sat = saturation_photon_number(cfg.g0, RATES)
-    F, _ = _response_function(cfg, RATES)
+    h, _, _ = _response_function(cfg, RATES)
     y = scaled_drive_from_power(cfg.power_grid, RATES, n_sat, CFG.lambda_probe)
-    found = _per_drive(*_find_roots(F, y, n_sat))      # RuntimeError past the pass cap
+    found = _per_drive(*_find_roots(h, y, n_sat))      # RuntimeError past the pass cap
     assert any(roots.size == 3 for roots in found)
     for yi, roots in zip(y, found):
-        assert roots == pytest.approx(_reference_roots(F, yi, n_sat), rel=1e-13)
+        assert roots == pytest.approx(_reference_roots(h, yi, n_sat), rel=1e-13)
 
 
 def test_nan_inside_a_bracket_is_a_refinement_error_not_a_nan_root():
     cfg = _config(1, N_eff=10.0)
     n_sat = saturation_photon_number(cfg.g0, RATES)
-    F, _ = _response_function(cfg, RATES)
+    h, _, _ = _response_function(cfg, RATES)
     grid = saturation._scan_grid(n_sat)
-    h = grid * F(grid * grid)
-    inside = np.array([0.5 * (h[200] + h[201])])
+    hn = h(grid)
+    inside = np.array([0.5 * (hn[200] + hn[201])])
 
-    def F_nan(x2):      # finite at every scan node, NaN strictly inside the drive's cell
-        cell = (x2 > grid[200] * grid[200]) & (x2 < grid[201] * grid[201])
-        return np.where(cell, np.nan, F(x2))
+    def h_nan(x, slope=False):      # finite at every scan node, NaN strictly inside the drive's cell
+        out = h(x, slope)
+        out[..., (x > grid[200]) & (x < grid[201])] = np.nan
+        return out
 
     with pytest.raises(RuntimeError,
                        match="^saturation root refinement did not converge in 60 passes$"):
-        _find_roots(F_nan, inside, n_sat)
+        _find_roots(h_nan, inside, n_sat)
+
+
+@pytest.mark.parametrize("A_mf", [0.0, 0.17, 0.5, 1.0])
+def test_saturated_fraction_matches_mpmath(A_mf):
+    # at x2 = 2/(1+A) the atom sum per atom is the saturated fraction itself, its scale exactly 1
+    scale_one = 2.0 / (1.0 + A_mf)
+    worst = 0.0
+    for target in np.geomspace(1e-14, 1e14, 113):
+        s = np.array([target / scale_one])
+        got = saturation._per_unit_field(A_mf, scale_one, s, np.ones(1))
+        xs = mpmath.mpf(scale_one * s[0])        # the node's xs, as the kernel forms it
+        with mpmath.workdps(40):
+            ref = 1 - 1 / mpmath.sqrt((1 + A_mf * xs) * (1 + xs))
+            worst = max(worst, float(abs(got - ref) / ref))
+    assert worst <= 4.5e-16
+
+
+def _h_mp(cfg, f0, f1, x):
+    """h(x) = x*F(x^2) at the working precision, from the kernel's f0, f1 and rule."""
+    s, w = (saturation._ONE_NODE if cfg.model == "closed_form"
+            else saturation._cloud_rule(cfg.sigma_y_over_x0, cfg.q_prime_x0))
+    A = mpmath.mpf(cfg.A_mf)
+    total = sum(mpmath.mpf(wk) * (1 - 1 / mpmath.sqrt((1 + A * x * x * sk) * (1 + x * x * sk)))
+                for sk, wk in zip(s, w))
+    return x * (f0 + (mpmath.mpf(f1) - f0) * 2 / ((1 + A) * x * x) * total)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("model, sigma", [("closed_form", 0.0), ("quadrature", 0.3)])
+@pytest.mark.parametrize("N_eff", [10.0, 300.0, 2000.0])
+def test_exact_slope_matches_mpmath_diff(which, model, sigma, N_eff):
+    cfg = _config(which, N_eff=N_eff, model=model, sigma_y_over_x0=sigma)
+    h, f0, f1 = _response_function(cfg, RATES)
+    x = saturation._scan_grid(saturation_photon_number(cfg.g0, RATES))[::19]
+    value, slope = h(x, slope=True)
+    assert value.tolist() == h(x).tolist()      # the pair's first row is h itself
+    with mpmath.workdps(40):
+        ref = [float(mpmath.diff(lambda t: _h_mp(cfg, f0, f1, t), mpmath.mpf(xi))) for xi in x]
+    assert np.all(np.abs(slope - ref) <= 1e-12 * value / x)
+
+
+def test_f0_and_f1_agree_with_the_amplitudes():
+    # the scalar closed form against the array core's unit-drive amplitude at zero detuning
+    for which in (1, 2):        # float rates give Python floats, with no numpy call
+        assert [type(f) for f in _response_function(_config(which), RATES)[1:]] == [float, float]
+    rng = np.random.default_rng(2700)
+    for i in range(100):
+        which, model = 1 + i % 2, ("closed_form", "quadrature")[i // 2 % 2]
+        rates, cfg, _ = _random_case(rng, which, model)
+        _, f0, f1 = _response_function(cfg, rates)
+        g = cfg.g0 * math.sqrt(cfg.N_eff)
+        for coupling, f in ((0.0, f0), (g, f1)):
+            couplings = (coupling, 0.0) if which == 1 else (0.0, coupling)
+            a_k = linear_response._amplitudes(rates, 0.0, 0.0, 1.0, *couplings)[which - 1]
+            assert f == pytest.approx(1.0 / (rates.kappa_1p * abs(complex(a_k))), rel=1e-15)
+
+
+# the terms past the clamp of the kernel: N_eff * 2/((1+A)*X_abs2) * 1.0, as before it
+@pytest.mark.parametrize("X_abs2, collective, quadrature", [
+    (1e154, 1.5726495726495728e-152, 1.5726495726495726e-152),
+    (1e200, 1.572649572649573e-198, 1.5726495726495726e-198),
+    (1e300, 1.5726495726495729e-298, 1.5726495726495725e-298),
+    (math.inf, 0.0, 0.0),
+])
+def test_terms_at_extreme_fields_keep_their_values(X_abs2, collective, quadrature):
+    # no RuntimeWarning either: the suite turns each one into an error
+    assert collective_saturation_term(92.0, 0.17, X_abs2) == collective
+    assert quadrature_saturation_term(92.0, 0.17, 0.3, 1.4424, X_abs2) == quadrature
+    both = collective_saturation_term(92.0, 0.17, np.array([X_abs2, 1.0]))
+    assert both.tolist() == [collective, collective_saturation_term(92.0, 0.17, 1.0)]
+
+
+# (which_cavity, model): each power's root count, and T at powers 0, 30 and 60 of the default grid
+_SOLVABLE_AT_1E8_AND_300 = {
+    (1, "closed_form"): ("1" * 38 + "2" * 23,
+                         (1.9426920562427508e-08, 1.9431423744739547e-08, 2.5739431636117477e-08)),
+    (1, "quadrature"): ("1" * 38 + "2" * 23,
+                        (2.3820930361187147e-08, 2.3827145907974687e-08, 3.299516374499023e-08)),
+    (2, "closed_form"): ("1" * 39 + "2" * 22,
+                         (6.167644148199907e-09, 6.1684302968118326e-09, 7.098083396960799e-09)),
+    (2, "quadrature"): ("1" * 39 + "2" * 22,
+                        (7.562749772497496e-09, 7.563834878620972e-09, 8.876181911445567e-09)),
+}
+
+
+@pytest.mark.parametrize("g0", [1e-100, 1e-60, 1e5, 1e8])
+@pytest.mark.parametrize("N_eff", [1e-12, 300.0, 1e6, 1e100])
+def test_extreme_couplings_keep_their_results(g0, N_eff):
+    # frozen from the solver with the log1p/expm1 fraction and the forward-difference slope;
+    # at g0 = 1e-100 the scan reaches xs ~ 1e219, where u would overflow without the clamp
+    for which, model in _SOLVABLE_AT_1E8_AND_300:
+        cfg = SaturationConfig(which_cavity=which, g0=g0, N_eff=N_eff, model=model,
+                               sigma_y_over_x0=0.3 if model == "quadrature" else 0.0)
+        if (g0, N_eff) != (1e8, 300.0):
+            with pytest.raises(RuntimeError, match=r"^saturation root bracketing failed: no sign "
+                                                   r"change up to \|X\| = 1e3\*sqrt\(n_sat\)$"):
+                solve_saturation(cfg, RATES)
+            continue
+        points = solve_saturation(cfg, RATES).points
+        counts, T = _SOLVABLE_AT_1E8_AND_300[which, model]
+        assert "".join(str(p.n_roots) for p in points) == counts
+        assert [points[i].transmission for i in (0, 30, 60)] == pytest.approx(T, rel=1e-13)
