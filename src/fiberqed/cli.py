@@ -1,22 +1,28 @@
 """Command-line front end: config parsing, subcommands, CSV and SVG output.
 
 Config files are line oriented: `[section]` headers, `key = value` pairs and
-`#` comments.  The `[physical]` keys and the `g1_eff`/`g2_eff` keys of
-`[atoms]` are the fields of `params.PhysicalConfig`, with its defaults; a
-field whose metadata carries "mhz" is quoted in MHz, the others keep their SI
-units (lengths in meters).  Every key has a default equal to the reference
-experimental configuration, so an empty file is a valid config.  Unknown keys
-are a hard error to guard against typos in physics parameters.
+`#` comments.  `_DEFAULTS` is the one table of sections and keys: a key's
+default is the reference experimental configuration, and its type is the
+type of its default, so an empty file is a valid config.  The `[physical]`
+keys and the `g1_eff`/`g2_eff` keys of `[atoms]` are the fields of
+`params.PhysicalConfig`, with its defaults; a field whose metadata carries
+"mhz" is quoted in MHz, the others keep their SI units (lengths in meters).
+Unknown keys are a hard error to guard against typos in physics parameters.
+
+`run()` is the process entry point of both `fiberqed` and
+`python -m fiberqed.cli`; `main(argv)` is the same command without the exit,
+for callers in a running interpreter.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
+import gc
 import math
 import sys
-from dataclasses import dataclass, field, fields
+import types
+from dataclasses import fields
 from pathlib import Path
 
 # numpy and the physics modules are imported by the commands that use them
@@ -31,73 +37,50 @@ class ConfigError(Exception):
 #: PhysicalConfig fields that are set in [atoms]; all others are set in [physical].
 _ATOM_KEYS = ("g1_eff", "g2_eff")
 _LOADINGS = ("none", "cavity1", "cavity2", "both")
-
-
-def _config_fields(in_atoms: bool) -> list:
-    """PhysicalConfig fields as section fields, defaulting to their quoted values."""
-    return [
-        (f.name, "float", field(default=f.metadata.get("mhz", f.default)))
-        for f in fields(PhysicalConfig)
-        if (f.name in _ATOM_KEYS) == in_atoms
-    ]
-
-
-PhysicalSection = dataclasses.make_dataclass("PhysicalSection", _config_fields(False))
-
-
-@dataclass
-class ProbeSection:
-    grid_min: float = -30.0         # MHz
-    grid_max: float = 30.0          # MHz
-    grid_points: int = 601
-
-
-AtomsSection = dataclasses.make_dataclass(
-    "AtomsSection",
-    # loading: none | cavity1 | cavity2 | both
-    [("loading", "str", field(default="both")), *_config_fields(True)],
-)
-
-
-@dataclass
-class SaturationSection:
-    which_cavity: int = 1           # k: g0 is [physical] g{k}_0, N_eff ([atoms] g{k}_eff / g0)^2
-    model: str = "closed_form"
-    sigma_y_over_x0: float = 0.0
-    power_min_pW: float = 1.0
-    power_max_pW: float = 1e6
-    power_points: int = 61
-
-
+#: The [mode] geometry keys: ModeFunctionParams' fields but wavelength ([physical] lambda_probe).
+_GEOMETRY = tuple(f.name for f in fields(ModeFunctionParams) if f.name != "wavelength")
 #: Largest [mode] r_span_nm.  The evanescent intensity falls as exp(-2q(r - r0)), with
 #: 1/(2q) = 180 nm at the reference geometry: 100 um out it is below 1e-240, then underflows.
 _R_SPAN_MAX_NM = 1e5
-#: The [mode] geometry keys: ModeFunctionParams' fields but wavelength ([physical] lambda_probe).
-_GEOMETRY = [f for f in fields(ModeFunctionParams) if f.name != "wavelength"]
-ModeSection = dataclasses.make_dataclass("ModeSection", [
-    # the geometry keys with their defaults, then the profile grid
-    *((f.name, "float", field(default=f.default)) for f in _GEOMETRY),
-    ("r_span_nm", "float", field(default=300.0)),
-    ("r_points", "int", field(default=31)),
-    ("phi_points", "int", field(default=5)),
-    ("z_points", "int", field(default=9)),
-])
 
 
-@dataclass
-class OutputSection:
-    directory: str = "."
-    formats: str = "csv"            # comma separated: csv, svg
+def _quoted(in_atoms: bool) -> dict:
+    """PhysicalConfig fields of [atoms] or of [physical], defaulting to their quoted values."""
+    return {f.name: f.metadata.get("mhz", f.default)
+            for f in fields(PhysicalConfig) if (f.name in _ATOM_KEYS) == in_atoms}
 
 
-@dataclass
-class RunConfig:
-    physical: PhysicalSection = field(default_factory=PhysicalSection)
-    probe: ProbeSection = field(default_factory=ProbeSection)
-    atoms: AtomsSection = field(default_factory=AtomsSection)
-    saturation: SaturationSection = field(default_factory=SaturationSection)
-    mode: ModeSection = field(default_factory=ModeSection)
-    output: OutputSection = field(default_factory=OutputSection)
+#: section -> {key: default}, in the order format_config writes them.
+_DEFAULTS = {
+    "physical": _quoted(False),
+    "probe": {"grid_min": -30.0, "grid_max": 30.0, "grid_points": 601},     # MHz, MHz, points
+    "atoms": {"loading": "both", **_quoted(True)},      # loading: none | cavity1 | cavity2 | both
+    "saturation": {
+        "which_cavity": 1,      # k: g0 is [physical] g{k}_0, N_eff ([atoms] g{k}_eff / g0)^2
+        "model": "closed_form",
+        "sigma_y_over_x0": 0.0,
+        "power_min_pW": 1.0,
+        "power_max_pW": 1e6,
+        "power_points": 61,
+    },
+    "mode": {   # the geometry keys with their defaults, then the profile grid
+        **{name: getattr(ModeFunctionParams, name) for name in _GEOMETRY},
+        "r_span_nm": 300.0, "r_points": 31, "phi_points": 5, "z_points": 9,
+    },
+    "output": {"directory": ".", "formats": "csv"},     # formats: comma separated csv, svg
+}
+
+
+def _typed(default, raw: str):
+    """A config value read as the type of its default; a string is stripped."""
+    return {int: int, float: float}.get(type(default), str.strip)(raw)
+
+
+class RunConfig(types.SimpleNamespace):
+    """A run's config: one SimpleNamespace of keys per _DEFAULTS section, equal by value."""
+
+    def __init__(self) -> None:
+        super().__init__(**{section: types.SimpleNamespace(**keys) for section, keys in _DEFAULTS.items()})
 
     def physical_config(self) -> PhysicalConfig:
         values = {**vars(self.physical), **vars(self.atoms)}
@@ -122,7 +105,7 @@ class RunConfig:
         from . import fiber_mode
         return fiber_mode.fit_simplified(ModeFunctionParams(
             wavelength=self.physical.lambda_probe,
-            **{f.name: getattr(self.mode, f.name) for f in _GEOMETRY},
+            **{name: getattr(self.mode, name) for name in _GEOMETRY},
         ))
 
     def saturation_config(self, rates: DerivedRates) -> saturation.SaturationConfig:
@@ -153,9 +136,6 @@ class RunConfig:
         )
 
 
-_SECTIONS = tuple(f.name for f in fields(RunConfig))
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse the line-oriented config format into a RunConfig."""
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
@@ -167,15 +147,14 @@ def parse_config(text: str) -> RunConfig:
 
     cfg = RunConfig()
     for section in cp.sections():
-        if section not in _SECTIONS:
+        if section not in _DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
-        target = getattr(cfg, section)
-        known = {f.name: f.type for f in fields(target)}
+        target, known = getattr(cfg, section), _DEFAULTS[section]
         for key, raw in cp.items(section):
             if key not in known:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                value = {"int": int, "float": float}.get(known[key], str.strip)(raw)
+                value = _typed(known[key], raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {key!r} in [{section}]: {raw!r}"
@@ -218,12 +197,12 @@ def _validate_config(cfg: RunConfig) -> None:
 def format_config(cfg: RunConfig) -> str:
     """Serialize a RunConfig back to config-file text (round-trip safe)."""
     lines = []
-    for section in _SECTIONS:
+    for section, keys in _DEFAULTS.items():
         target = getattr(cfg, section)
         lines.append(f"[{section}]")
-        for f in fields(target):
-            value = getattr(target, f.name)
-            lines.append(f"{f.name} = {value!r}" if isinstance(value, float) else f"{f.name} = {value}")
+        for key in keys:
+            value = getattr(target, key)
+            lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
         lines.append("")
     return "\n".join(lines)
 
@@ -446,8 +425,8 @@ def main(argv=None) -> int:
             cfg.output.formats = cfg.output.formats + ",svg"
         if args.grid is not None:
             try:
-                lo, hi, n = args.grid.split(":")
-                cfg.probe = ProbeSection(float(lo), float(hi), int(n))
+                probe = zip(_DEFAULTS["probe"].items(), args.grid.split(":"), strict=True)
+                cfg.probe = types.SimpleNamespace(**{key: _typed(d, raw) for (key, d), raw in probe})
             except ValueError as exc:
                 raise ConfigError(f"bad --grid specification {args.grid!r}") from exc
         _validate_config(cfg)
@@ -463,5 +442,19 @@ def main(argv=None) -> int:
         return 3
 
 
+def run() -> None:
+    """The process entry point: run main() on sys.argv and exit with its code."""
+    # A CLI process is short-lived, and once numpy is imported the collector tracks some
+    # 20 000 objects, 9 000 of them numpy's.  Collections would walk them while the command
+    # runs and again at interpreter shutdown, though the exit frees them all anyway: so the
+    # collector is off while main runs, and what is alive at the end is frozen out of the
+    # shutdown collections.  sys.exit keeps the normal exit path and its flushes; os._exit
+    # would skip them.
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -7,7 +7,6 @@ reported.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -209,6 +208,7 @@ def reference_rates() -> dict:
     (kappa_bloss, v1, v2) are dicts keyed by the fiber length in meters as a
     string.
     """
+    import json     # no other caller of the package needs it
     with resources.files("fiberqed").joinpath("data/reference_rates.json").open() as fh:
         return json.load(fh)
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import os
 import re
@@ -90,7 +91,7 @@ def test_r_span_bound_is_a_parse_error():
 def test_mode_geometry_keys_are_the_mode_function_params_fields():
     # every geometry field but the wavelength, which is [physical] lambda_probe, with its default
     grid = ("r_span_nm", "r_points", "phi_points", "z_points")
-    keys = {f.name: f.default for f in fields(RunConfig().mode) if f.name not in grid}
+    keys = {name: default for name, default in vars(RunConfig().mode).items() if name not in grid}
     assert keys == {f.name: f.default for f in fields(ModeFunctionParams) if f.name != "wavelength"}
     assert ModeFunctionParams.wavelength == RunConfig().physical.lambda_probe
 
@@ -118,7 +119,7 @@ def test_every_physical_field_has_exactly_one_config_key():
     for f in fields(PhysicalConfig):
         homes = [
             section for section in ("physical", "atoms")
-            if f.name in {g.name for g in fields(getattr(RunConfig(), section))}
+            if f.name in vars(getattr(RunConfig(), section))
         ]
         assert len(homes) == 1, f.name
         cfg = parse_config(f"[{homes[0]}]\n{f.name} = 0.5\n")
@@ -165,6 +166,22 @@ def test_range_validation():
         parse_config("[saturation]\nwhich_cavity = 3\n")
     with pytest.raises(ConfigError):
         parse_config("[output]\nformats = pdf\n")
+
+
+def test_default_config_text():
+    # section order, key order and the repr of each default float, as `format_config` writes them
+    assert format_config(RunConfig()) == (
+        "[physical]\nT1 = 0.13\nT2 = 0.39\nT3 = 0.33\nT4 = 0.06\nL1 = 0.92\nL2 = 1.38\nLf = 1.23\n"
+        "alpha1 = 0.02\nalpha2 = 0.02\nalphaf = 0.02\ngamma_par = 5.2\ngamma_las = 0.365\ng1_0 = 0.75\n"
+        "g2_0 = 1.2\nc_fiber = 206397561.44578314\nlambda_probe = 8.52e-07\n\n"
+        "[probe]\ngrid_min = -30.0\ngrid_max = 30.0\ngrid_points = 601\n\n"
+        "[atoms]\nloading = both\ng1_eff = 7.2\ng2_eff = 7.3\n\n"
+        "[saturation]\nwhich_cavity = 1\nmodel = closed_form\nsigma_y_over_x0 = 0.0\npower_min_pW = 1.0\n"
+        "power_max_pW = 1000000.0\npower_points = 61\n\n"
+        "[mode]\nbeta = 7879250.0\nn2 = 1.0\ns = -0.828\na = 2e-07\nr0 = 4e-07\nr_span_nm = 300.0\n"
+        "r_points = 31\nphi_points = 5\nz_points = 9\n\n"
+        "[output]\ndirectory = .\nformats = csv\n"
+    )
 
 
 def test_config_roundtrip():
@@ -483,17 +500,56 @@ def test_gamma_perp_whose_square_underflows_exits_with_code_2(tmp_path, capsys, 
     assert list(tmp_path.glob("*.csv")) == []
 
 
-def test_numeric_failure_is_its_one_stderr_line(tmp_path):
-    # no numpy warning precedes the error, or prints when the run succeeds
+def _cli_process(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m fiberqed.cli ARGV` in a fresh interpreter, with this package on the path."""
     src = os.path.dirname(os.path.dirname(fiber_mode.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "fiberqed.cli", *argv], env=env,
+                          capture_output=True, text=True)
 
+
+def test_numeric_failure_is_its_one_stderr_line(tmp_path):
+    # no numpy warning precedes the error, or prints when the run succeeds
     def spectrum(grid):
-        return subprocess.run([sys.executable, "-m", "fiberqed.cli", "spectrum", "--out", str(tmp_path),
-                               f"--grid={grid}"], env=env, capture_output=True, text=True)
+        return _cli_process("spectrum", "--out", str(tmp_path), f"--grid={grid}")
 
     failed = spectrum("-1e300:1e300:5")
     assert (failed.returncode, failed.stderr) == (
         3, "numeric failure: |Delta| overflowed to NaN: the detunings or couplings are too large\n")
     wide = spectrum("-1e150:1e150:5")
     assert (wide.returncode, wide.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("command, config, flags, code, stderr", [
+    ("params", "", [], 0, ""),
+    ("params", "[physical]\nLff = 1.0\n", [], 2, "config error: unknown key 'Lff' in section [physical]\n"),
+    ("spectrum", "", ["--grid=-1e300:1e300:5"], 3,
+     "numeric failure: |Delta| overflowed to NaN: the detunings or couplings are too large\n"),
+], ids=["ok", "config-error", "numeric-failure"])
+def test_process_exit_code_is_main_s(tmp_path, command, config, flags, code, stderr):
+    # the process entry point exits with main's code and adds nothing to its output
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    proc = _cli_process(command, "--config", str(path), "--out", str(tmp_path), *flags)
+    assert (proc.returncode, proc.stderr) == (code, stderr)
+    assert proc.stdout.startswith("parameter") == (code == 0)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("argv", [["params"], ["normal-modes", "--kv"], ["params", "--grid", "nonsense"]])
+def test_main_leaves_the_collector_as_it_found_it(capsys, argv, enabled):
+    # only the process entry point, run(), disables and freezes the collector
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        frozen = gc.get_freeze_count()
+        main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, frozen)
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_installed_command_is_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["scripts"] == {"fiberqed": "fiberqed.cli:run"}
