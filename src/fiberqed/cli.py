@@ -184,7 +184,7 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"[mode] {key}={getattr(m, key)!r} must be at least 1")
     try:
         cfg.physical_config()       # a PhysicalConfig checks its fields when built
-        check_saturation_choice(s.which_cavity, s.model)
+        check_saturation_choice(s.which_cavity, s.model, s.sigma_y_over_x0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.atoms.loading not in _LOADINGS:

@@ -4,10 +4,11 @@ Folding each ensemble into its cavity, c_k = kappa_kp + i*delta_c + g_k^2/(gamma
 leaves a 3x3 system on (a1, a2, b) with determinant Delta = c1*m + v1^2*c2, m = kappa_b'*c2 + v2^2
 and kappa_b' = kappa_b + i*delta_c.  Cramer's rule gives every amplitude over Delta: a1 = -iE*m/Delta,
 a2 = iE*v1*v2/Delta, b = -E*v1*c2/Delta and s_k = -i*g_k*a_k/(gamma_perp + i*delta_a).  One core
-evaluates Delta in real arithmetic and in place; the amplitudes are built from its parts.  At zero
-detuning Delta and m are real, a Python-float closed form that saturation reads with atoms in; both
-spectra are normalized by its empty-chain |Delta_0|^2: the drive and kappa_2r cancel, so a point
-costs one division, T = |Delta_0|^2/|Delta|^2, and T = 0 when kappa_2r*v1*v2 == 0.
+evaluates Delta in real arithmetic and in place; steady_state builds the amplitudes from its parts,
+for one probe or for stacked probes, couplings and rates alike.  At zero detuning Delta and m are
+real, a Python-float closed form that saturation reads with atoms in; both spectra are normalized by
+its empty-chain |Delta_0|^2: the drive and kappa_2r cancel, so a point costs one division,
+T = |Delta_0|^2/|Delta|^2, and T = 0 when kappa_2r*v1*v2 == 0.
 transmission_spectrum and normal_modes.reduced_spectrum share one evaluator on a required grid:
 one grid check, one norm, and 4096-point blocks with the floats of one whole-grid call.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import DerivedRates
+from .params import DerivedRates, holds
 
 #: |Delta|^2 below which the steady state is treated as singular.
 SINGULAR_FLOOR = 1e-300
@@ -38,14 +39,16 @@ class ProbeSettings:
 
     def __post_init__(self) -> None:
         for name in ("delta_c", "delta_a"):
-            if (ok := abs(getattr(self, name)) < np.inf) is not True and not np.all(ok):
+            if not holds(abs(getattr(self, name)) < np.inf):
                 raise ValueError(f"{name} must be finite")
-        if (ok := self.drive_E1 >= 0.0) is not True and not np.all(ok):     # NaN fails too
+        if not holds(self.drive_E1 >= 0.0):     # NaN fails too
             raise ValueError("drive_E1 must be non-negative (global phase convention)")
 
 
 @dataclass(frozen=True)
 class SteadyStateAmplitudes:
+    """np.complex128 (a complex) each, or arrays of them when steady_state's inputs are stacked."""
+
     a1: complex
     a2: complex
     b: complex
@@ -103,35 +106,20 @@ def _delta_parts(rates: DerivedRates, dc, da, g1, g2):
     return det_sq, (c1r, t), (c2r, c2i), (mr, mi)
 
 
-def _amplitudes(rates: DerivedRates, dc, da, drive, g1: float, g2: float):
-    """Closed-form amplitudes by Cramer's rule; dc, da, g1 and g2 may be scalars or arrays."""
-    _, *parts = _delta_parts(rates, dc, da, g1, g2)
+def steady_state(rates: DerivedRates, probe: ProbeSettings, g1: float, g2: float) -> SteadyStateAmplitudes:
+    """Steady-state field and coherence amplitudes by Cramer's rule.  The probe fields, the
+    couplings and the rates may be stacked arrays, which broadcast as in _delta_parts."""
+    if not (holds(g1 >= 0.0) and holds(g2 >= 0.0)):       # NaN fails too
+        raise ValueError("coupling strengths must be non-negative")
+    _, *parts = _delta_parts(rates, probe.delta_c, probe.delta_a, g1, g2)
     z = np.empty((3,) + parts[0][0].shape, complex)
     z.real, z.imag = zip(*parts)        # not re + 1j*im, which makes an infinite im a NaN re
     det, c2, m = z
-    e = drive / det
+    e = probe.drive_E1 / det
     a1 = -1j * e * m
     a2 = 1j * e * rates.v1 * rates.v2
-    b = -e * rates.v1 * c2
-    gp = rates.gamma_perp + 1j * da
-    s1 = -1j * g1 * a1 / gp
-    s2 = -1j * g2 * a2 / gp
-    return a1, a2, b, s1, s2
-
-
-def steady_state(rates: DerivedRates, probe: ProbeSettings, g1: float, g2: float) -> SteadyStateAmplitudes:
-    """Steady-state field and coherence amplitudes at one probe detuning."""
-    if g1 < 0.0 or g2 < 0.0:
-        raise ValueError("coupling strengths must be non-negative")
-    amps = _amplitudes(rates, probe.delta_c, probe.delta_a, probe.drive_E1, g1, g2)
-    return SteadyStateAmplitudes(*map(complex, amps))
-
-
-def _by_block(f, grid: np.ndarray) -> np.ndarray:
-    """The elementwise kernel f over grid, one _BLOCK-point block at a time."""
-    if grid.size <= _BLOCK:
-        return f(grid)
-    return np.concatenate([f(grid[i:i + _BLOCK]) for i in range(0, grid.size, _BLOCK)])
+    gp = rates.gamma_perp + 1j * probe.delta_a
+    return SteadyStateAmplitudes(a1, a2, -e * rates.v1 * c2, -1j * g1 * a1 / gp, -1j * g2 * a2 / gp)
 
 
 def _resonant_det(rates: DerivedRates, g1_sq: float = 0.0, g2_sq: float = 0.0) -> tuple[float, float]:
@@ -159,7 +147,10 @@ def _spectrum(rates: DerivedRates, grid, kernel) -> SpectrumResult:
     if not (grid.size and (np.diff(grid) > 0.0).all() and -np.inf < grid[0] and grid[-1] < np.inf):
         raise ValueError("detuning grid must be finite, nonempty and strictly increasing")
     norm = _empty_chain_norm(rates)
-    return SpectrumResult(grid, _by_block(lambda d: kernel(norm, d), grid))
+    if grid.size <= _BLOCK:
+        return SpectrumResult(grid, kernel(norm, grid))
+    return SpectrumResult(grid, np.concatenate([kernel(norm, grid[i:i + _BLOCK])
+                                                for i in range(0, grid.size, _BLOCK)]))
 
 
 def transmission_spectrum(rates: DerivedRates, g1: float, g2: float, delta_c_offset: float = 0.0, *,

@@ -162,8 +162,7 @@ def _check_linear_closed_form(rates: DerivedRates, cfg: PhysicalConfig, draws: i
                           rng.uniform(0.1, 10.0, draws))
     g1 = cfg.g1_eff * 10.0 ** rng.uniform(-1.0, 1.0, draws)
     g2 = cfg.g2_eff * 10.0 ** rng.uniform(-1.0, 1.0, draws)
-    closed = np.stack(linear_response._amplitudes(r, probe.delta_c, probe.delta_a, probe.drive_E1, g1, g2),
-                      axis=-1)
+    closed = np.stack(list(vars(linear_response.steady_state(r, probe, g1, g2)).values()), axis=-1)
     dense = np.stack(list(vars(solve_dense(build_linear_system(r, probe, g1, g2))).values()), axis=-1)
     err = np.max(np.abs(closed - dense), axis=-1) / np.maximum(np.max(np.abs(dense), axis=-1), 1e-300)
     return float(np.max(err))

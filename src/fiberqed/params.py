@@ -158,12 +158,10 @@ class DerivedRates:
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)       # frozen: set once, here
         for f in fields(self):      # PhysicalConfig's rule; a float gives a bool, a stacked rate an array
-            ok = (r := getattr(self, f.name)) * r < math.inf       # NaN fails too
-            if ok is False or ok is not True and not ok.all():
+            if not holds((r := getattr(self, f.name)) * r < math.inf):      # NaN fails too
                 raise ValueError(f"rate {f.name}={r!r} rad/s, from [physical] {f.metadata['from']}, must be "
                                  "finite, and so must its square in (rad/s)^2")
-        bad = ((gp := self.gamma_perp) != 0.0) & (gp * gp < sys.float_info.min)     # spectra: 1/(gp^2 + da^2)
-        if bad is True or bad is not False and bad.any():
+        if not holds(((gp := self.gamma_perp) == 0.0) | (gp * gp >= sys.float_info.min)):   # 1/(gp^2 + da^2)
             raise ValueError(f"rate gamma_perp={gp!r} rad/s, from [physical] gamma_par, gamma_las, must be 0 "
                              "or have a square in (rad/s)^2 that does not underflow")
 
@@ -193,12 +191,20 @@ def derive_rates(cfg: PhysicalConfig) -> DerivedRates:
     )
 
 
-def check_saturation_choice(which_cavity: int, model: str) -> None:
-    """The [saturation] choices that need no numpy to check: the cavity and the model."""
+def holds(ok) -> bool:
+    """Whether a check holds everywhere: ok is a bool (float operands), a numpy bool or an array."""
+    return ok is True or ok is not False and bool(ok.all())
+
+
+def check_saturation_choice(which_cavity: int, model: str, sigma_y_over_x0: float) -> None:
+    """The [saturation] choices that need no numpy to check: the cavity, the model and its width."""
     if which_cavity not in (1, 2):
         raise ValueError("which_cavity must be 1 or 2")
     if model not in ("closed_form", "quadrature"):
         raise ValueError(f"unknown saturation model {model!r}")
+    if model == "closed_form" and sigma_y_over_x0 > 0.0:
+        raise ValueError(f"model = closed_form needs sigma_y_over_x0 = 0, not {sigma_y_over_x0!r}: "
+                         "a cloud of nonzero width takes model = quadrature")
 
 
 def reference_rates() -> dict:

@@ -6,16 +6,18 @@ and scaled intracavity amplitude |X| (Lugiato, Prog. Opt. 21, 69 (1984)).  F is 
 closed form: f = 1/(kappa_1p*|a_k|) of the atom cavity k is affine in g_k^2, so its values f0
 without atoms and f1 with N_eff unsaturated atoms, Python floats from linear_response's
 zero-detuning Delta, give F = f0 + (f1 - f0) * P(|X|^2) with P the atom sum per atom, and
-T = (f0*|X|/y)^2.  P is one rule for both models, a weighted sum over relative couplings s of the
-saturated fraction 1 - 1/sqrt(p) = u/(p + sqrt(p)), p = 1 + u = (1 + A*xs)(1 + xs), free of
-cancellation: the collective closed form is its one-node case s = w = [1], and a Gaussian cloud
-takes the 96-node Gauss-Hermite rule folded onto the 27 positive nodes of weight above 1e-18 of the
-largest (within about 1e-17 relative of the full sum).  Because h does not depend on power, one
-400-node scan over the fixed bracket |X| in [1e-4, 1e3]*sqrt(n_sat), bracketed by np.searchsorted
-on the sorted drives, and about 4 vectorised passes of safeguarded Newton steps (at most 60), each
-evaluating h and its exact slope once per root, serve every power of a curve; each power counts its
-roots and takes T from the lowest, the up-sweep (a down-sweep would take the highest).  A
-SaturationConfig is checked when built.
+T = (f0*|X|/y)^2.  P is a weighted sum over relative couplings s of the saturated fraction
+1 - 1/sqrt(p) = u/(p + sqrt(p)), p = 1 + u = (1 + A*xs)(1 + xs), free of cancellation.  The cloud
+width sigma_y_over_x0 selects the rule: at 0 the one-node s = w = [1] of the collective closed form
+(model = closed_form names it, and needs sigma_y_over_x0 = 0), above 0 the 96-node Gauss-Hermite
+rule folded onto its 27 positive nodes of weight above 1e-18 of the largest (within about 1e-17
+relative of the full sum).  Because h does not depend on power, one 400-node scan over the fixed
+bracket |X| in [1e-4, 1e3]*sqrt(n_sat) serves every power of a curve: a cell brackets y when
+min(h_a, h_b) <= y < max(h_a, h_b), a sign change of h > y, so every y with h(first node) <= y <
+h(last node) has an odd root count.  About 4 vectorised passes of safeguarded Newton steps (at most
+60), each evaluating h and its exact slope once per root, refine them; each power takes T from its
+lowest root, the up-sweep (a down-sweep would take the highest).  A SaturationConfig is checked
+when built.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linear_response
-from .params import C_VACUUM, DerivedRates, PhysicalConfig, check_saturation_choice
+from .params import C_VACUUM, DerivedRates, PhysicalConfig, check_saturation_choice, holds
 
 HBAR = 1.054571817e-34          # J s
 
@@ -42,7 +44,7 @@ def _check_atom_sum(N_eff, A_mf, sigma_y_over_x0=0.0, q_prime_x0=1.0, X_abs2=0.0
         raise ValueError(f"axial weight A_mf={A_mf!r} must lie in [0, 1]")
     if not 0.0 < q_prime_x0 < math.inf:
         raise ValueError(f"q_prime_x0={q_prime_x0!r} must be positive and finite")
-    if (ok := X_abs2 >= 0.0) is not True and not np.all(ok):      # NaN fails too
+    if not holds(X_abs2 >= 0.0):       # NaN fails too
         raise ValueError("X_abs2 must be non-negative")
 
 
@@ -54,12 +56,12 @@ class SaturationConfig:
     # A_mf and q_prime_x0 default to the reference fit, fit_simplified(make_mode_params())
     A_mf: float = 0.14990793786043394   # axial weight of the mode function
     power_grid: np.ndarray = field(default_factory=lambda: np.geomspace(1e-12, 1e-6, 61))
-    model: str = "closed_form"          # closed_form | quadrature
-    sigma_y_over_x0: float = 0.0        # cloud width / trap radius (quadrature model)
-    q_prime_x0: float = 1.1165317838328295  # q' * r0 (quadrature model)
+    model: str = "closed_form"          # names the rule: closed_form needs sigma_y_over_x0 = 0
+    sigma_y_over_x0: float = 0.0        # cloud width / trap radius: 0 is the one-node rule
+    q_prime_x0: float = 1.1165317838328295  # q' * r0, read when sigma_y_over_x0 > 0
 
     def __post_init__(self) -> None:
-        check_saturation_choice(self.which_cavity, self.model)
+        check_saturation_choice(self.which_cavity, self.model, self.sigma_y_over_x0)
         if not 0.0 <= self.g0 < math.inf:       # solve_saturation needs g0 > 0
             raise ValueError(f"g0={self.g0!r} must be non-negative and finite")
         _check_atom_sum(self.N_eff, self.A_mf, self.sigma_y_over_x0, self.q_prime_x0)
@@ -127,7 +129,9 @@ def _gauss_hermite():
 
 
 def _cloud_rule(sigma_y_over_x0: float, q_prime_x0: float):
-    """Relative couplings s of a Gaussian cloud at the folded nodes, and their weights."""
+    """Relative couplings s of a Gaussian cloud and their weights: one node at zero width."""
+    if sigma_y_over_x0 == 0.0:
+        return _ONE_NODE
     u, w = _gauss_hermite()
     ratio2 = (sigma_y_over_x0 * u) ** 2
     return np.exp(-2.0 * q_prime_x0 * (np.sqrt(1.0 + ratio2) - 1.0)) / (1.0 + ratio2) ** 1.5, w
@@ -141,18 +145,18 @@ def collective_saturation_term(N_eff: float, A_mf: float, X_abs2) -> float:
     """Collective atomic response summed over the trap, per unit cooperativity.
 
     Decreases monotonically from N_eff at zero field to
-    2*N_eff/((1+A)*|X|^2) at strong saturation.
+    2*N_eff/((1+A)*|X|^2) at strong saturation: the sigma_y_over_x0 = 0 call
+    of quadrature_saturation_term.
     """
-    _check_atom_sum(N_eff, A_mf, X_abs2=X_abs2)
-    return N_eff * _per_unit_field(A_mf, X_abs2, *_ONE_NODE)
+    return quadrature_saturation_term(N_eff, A_mf, 0.0, 1.0, X_abs2)
 
 
 def quadrature_saturation_term(N_eff: float, A_mf: float, sigma_y_over_x0: float, q_prime_x0: float,
                                X_abs2) -> float:
     """Gauss-Hermite evaluation of the atom summation over a Gaussian cloud.
 
-    Reduces to collective_saturation_term when sigma_y_over_x0 = 0 (all atoms
-    sample the trap-minimum field).
+    At sigma_y_over_x0 = 0 (all atoms sample the trap-minimum field) the rule
+    has one node, and this is collective_saturation_term bit for bit.
     """
     _check_atom_sum(N_eff, A_mf, sigma_y_over_x0, q_prime_x0, X_abs2)
     return N_eff * _per_unit_field(A_mf, X_abs2, *_cloud_rule(sigma_y_over_x0, q_prime_x0))
@@ -173,7 +177,7 @@ def _response_function(cfg: SaturationConfig, rates: DerivedRates):
     """Return (h, f0, f1): y = h(x) = x*F(x^2) at scaled amplitudes x, h(x, slope=True) the stacked
     pair (h, dh/dx), and F without atoms and with N_eff unsaturated ones, 1/(kappa_1p*|a_k|) of a
     unit drive at zero detuning.  The empty chain has T = 1, so T = (f0*x/y)^2."""
-    s, w = _ONE_NODE if cfg.model == "closed_form" else _cloud_rule(cfg.sigma_y_over_x0, cfg.q_prime_x0)
+    s, w = _cloud_rule(cfg.sigma_y_over_x0, cfg.q_prime_x0)
 
     def f(g1_sq, g2_sq):    # damping checked first; |a_1| = m/Delta, |a_2| = v1*v2/Delta
         det, m = linear_response._resonant_det(rates, g1_sq, g2_sq)
@@ -191,22 +195,16 @@ def _response_function(cfg: SaturationConfig, rates: DerivedRates):
     return h, f0, f1
 
 
-def _expand(first: np.ndarray, stop: np.ndarray):
-    """(k, i) for every i in range(first[k], stop[k]), k by k."""
-    count = np.maximum(stop - first, 0)
-    owner = np.repeat(np.arange(count.size), count)
-    return owner, np.arange(owner.size) + (first - np.cumsum(count) + count)[owner]
-
-
 def _brackets(h: np.ndarray, y: np.ndarray):
-    """(drive, cell) pairs with y[drive] strictly between h[cell] and h[cell + 1], drive by
-    drive and up in cell, and (drive, node) pairs with y[drive] == h[node].  y must be
-    non-decreasing: then each cell's and each node's drives are one np.searchsorted range."""
-    cell, drive = _expand(np.searchsorted(y, np.minimum(h[:-1], h[1:]), "right"),  # NaN end: none
-                          np.searchsorted(y, np.maximum(h[:-1], h[1:]), "left"))
-    node, node_drive = _expand(np.searchsorted(y, h, "left"), np.searchsorted(y, h, "right"))
+    """(drive, cell) pairs with min(h[cell], h[cell + 1]) <= y[drive] < max(h[cell], h[cell + 1]),
+    a sign change of h > y, drive by drive and up in cell; a cell with a NaN end brackets
+    nothing.  y must be non-decreasing: then each cell's drives are one np.searchsorted range."""
+    first = np.searchsorted(y, np.minimum(h[:-1], h[1:]))      # a NaN end sorts both past y
+    count = np.searchsorted(y, np.maximum(h[:-1], h[1:])) - first
+    cell = np.repeat(np.arange(count.size), count)
+    drive = np.arange(cell.size) + (first - np.cumsum(count) + count)[cell]
     order = np.argsort(drive, kind="stable")
-    return drive[order], cell[order], node_drive, node
+    return drive[order], cell[order]
 
 
 def _scan_grid(n_sat: float) -> np.ndarray:
@@ -219,15 +217,15 @@ def _find_roots(h, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray]
 
     h does not depend on the drive, so one 400-point log scan over the fixed bracket
     [1e-4, 1e3]*sqrt(n_sat) serves all drives; _brackets finds their cells by sorted
-    search, and a node where h = y exactly is a root.  Each root starts at the log-log
+    search, and a root on a scan node is that node exactly.  Each root starts at the log-log
     interpolation of its cell and takes Newton steps (exact slope, same h call), bisecting
     when a step leaves the cell shrunk by the sign of h - y, until |h - y| <= 2**-50*y
     or a Newton step <= 1e-14*x: about 4 passes, and RuntimeError if 60 do not do it.
     """
     grid = _scan_grid(n_sat)
     hn = h(grid)
-    drive, cell, node_drive, node = _brackets(hn, y)
-    per_drive = np.bincount(np.concatenate([node_drive, drive]), minlength=y.size)
+    drive, cell = _brackets(hn, y)
+    per_drive = np.bincount(drive, minlength=y.size)
     if not per_drive.all():
         raise RuntimeError(
             "saturation root bracketing failed: no sign change up to |X| = 1e3*sqrt(n_sat)"
@@ -236,7 +234,8 @@ def _find_roots(h, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray]
     rising, tol, done = hb > ha, 2.0**-50 * yd, np.zeros(yd.size, dtype=bool)
     below, above = np.where(rising, a, b), np.where(rising, b, a)     # ends with h < y, h > y
     with np.errstate(divide="ignore", invalid="ignore"):    # a flat or NaN slope bisects
-        x = a * (b / a) ** (np.log(yd / ha) / np.log(hb / ha))
+        # log-log interpolation; a node root is h(a) = y in a rising cell, h(b) = y in a falling one
+        x = np.where(hb == yd, b, a * (b / a) ** (np.log(yd / ha) / np.log(hb / ha)))
         for _ in range(60):     # bisection alone narrows a 4% cell to adjacent floats in 48
             r, slope = h(x, slope=True)
             r -= yd
@@ -250,9 +249,6 @@ def _find_roots(h, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray]
                 break
         else:
             raise RuntimeError("saturation root refinement did not converge in 60 passes")
-    if node.size:
-        x, drive = np.concatenate([grid[node], x]), np.concatenate([node_drive, drive])
-        x = x[np.lexsort((x, drive))]
     return x, per_drive
 
 

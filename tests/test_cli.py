@@ -553,3 +553,18 @@ def test_installed_command_is_the_process_entry_point():
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     assert tomllib.loads(pyproject.read_text())["project"]["scripts"] == {"fiberqed": "fiberqed.cli:run"}
+
+
+def test_closed_form_with_a_cloud_width_exits_with_code_2(tmp_path, capsys):
+    # the closed form is the sigma_y_over_x0 = 0 rule: a width names both keys, before any output
+    path = tmp_path / "closed.cfg"
+    path.write_text("[saturation]\nmodel = closed_form\nsigma_y_over_x0 = 0.3\n")
+    for command in ("params", "saturation"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "config error: model = closed_form needs sigma_y_over_x0 = 0, not 0.3: "
+            "a cloud of nonzero width takes model = quadrature\n")
+    assert not (tmp_path / "saturation.csv").exists()
+    path.write_text("[saturation]\nmodel = quadrature\nsigma_y_over_x0 = 0.3\n")
+    assert main(["saturation", "--config", str(path), "--out", str(tmp_path)]) == 0

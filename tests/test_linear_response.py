@@ -11,10 +11,9 @@ from fiberqed.linear_response import (
     _BLOCK,
     SINGULAR_FLOOR,
     ProbeSettings,
-    _amplitudes,
-    _by_block,
     _delta_parts,
     _empty_chain_norm,
+    _spectrum,
     steady_state,
     transmission_spectrum,
 )
@@ -203,13 +202,14 @@ def test_amplitudes_on_stacked_rates_equal_the_per_config_calls():
     g2 = np.array([[g2] for _, (_, g2) in configs])
     grid = np.linspace(-mhz(40.0), mhz(40.0), 101)
     offset = mhz(1.5)
-    stacked = _amplitudes(_stacked(rates), grid + offset, grid, 1.0, g1, g2)
+    probe = ProbeSettings(grid + offset, grid, 1.0)
+    stacked = steady_state(_stacked(rates), probe, g1, g2)
     worst = 0.0
     for i, (r, (_, loading)) in enumerate(zip(rates, configs)):
-        single = _amplitudes(r, grid + offset, grid, 1.0, *loading)
-        for got, want in zip(stacked, single):
-            assert np.array_equal(got[i], want)
-        for delta, a2 in zip(grid[::25].tolist(), stacked[1][i, ::25]):
+        single = steady_state(r, probe, *loading)
+        for got, want in zip(vars(stacked).values(), vars(single).values()):
+            assert got.shape == (len(configs), grid.size) and np.array_equal(got[i], want)
+        for delta, a2 in zip(grid[::25].tolist(), stacked.a2[i, ::25]):
             want = _exact_a2_squared(r, delta + offset, delta, *loading)
             worst = max(worst, float(abs(abs(a2) ** 2 - want) / want))
     assert worst <= 1e-14
@@ -223,9 +223,9 @@ def test_stacked_rates_with_one_undamped_member_raise():
     for member, match in ((undamped_fiber, "alphaf = 0"), (undamped_atoms, "gamma_par = 0")):
         stack = _stacked(rates[:1] + [member] + rates[2:])
         with pytest.raises(ValueError, match=match):
-            _amplitudes(stack, grid, grid, 1.0, 0.0, 0.0)
+            steady_state(stack, ProbeSettings(grid, grid, 1.0), 0.0, 0.0)
         # off zero detuning the undamped member has a steady state
-        _amplitudes(stack, grid + 1.0, grid + 1.0, 1.0, 0.0, 0.0)
+        steady_state(stack, ProbeSettings(grid + 1.0, grid + 1.0, 1.0), 0.0, 0.0)
 
 
 def _complex_det_sq(rates, dc, da, g1, g2):
@@ -294,10 +294,11 @@ def test_blocked_spectra_equal_the_whole_grid_evaluation(points):
 def test_undamped_fiber_raises_from_the_last_block():
     rates = replace(RATES, kappa_bloss=0.0, gamma_las=0.0)
     grid = np.linspace(-mhz(40.0), 0.0, 2 * _BLOCK + 5)    # zero detuning is the last point
-    kernel = lambda d: _delta_parts(rates, d, d, 0.0, 0.0)[0]   # noqa: E731
-    assert np.all(_by_block(kernel, grid[:-1]) > 0.0)       # the first blocks are regular
+    # the blocks alone: the norm comes from the damped RATES, the kernel from the undamped chain
+    kernel = lambda norm, d: _delta_parts(rates, d, d, 0.0, 0.0)[0]   # noqa: E731
+    assert np.all(_spectrum(RATES, grid[:-1], kernel).transmission > 0.0)     # the first blocks are regular
     with pytest.raises(ValueError, match="alphaf = 0"):
-        _by_block(kernel, grid)
+        _spectrum(RATES, grid, kernel)
     with pytest.raises(ValueError, match="alphaf = 0"):
         transmission_spectrum(rates, 0.0, 0.0, grid=grid)
 
@@ -310,3 +311,16 @@ def test_spectra_leave_the_callers_grid_unchanged():
                  reduced_spectrum(summary, RATES, grid=grid)):
         assert np.array_equal(grid, before) and spec.detunings is grid
         assert not np.shares_memory(spec.transmission, grid)
+
+
+def test_steady_state_checks_stacked_couplings_elementwise():
+    probe = ProbeSettings(0.0, 0.0, 1.0)
+    for g1, g2 in ((np.array([1.0, -1.0]), 0.0), (0.0, np.array([[1.0], [math.nan]])), (math.nan, 0.0)):
+        with pytest.raises(ValueError, match="^coupling strengths must be non-negative$"):
+            steady_state(RATES, probe, g1, g2)
+    # float inputs give one amplitude each, an np.complex128, which is a complex
+    amps = steady_state(RATES, probe, CFG.g1_eff, CFG.g2_eff)
+    assert all(type(a) is np.complex128 and isinstance(a, complex) for a in vars(amps).values())
+    stacked = steady_state(RATES, ProbeSettings(np.array([0.0, mhz(5.0)]), 0.0, 1.0),
+                           np.array([[CFG.g1_eff], [0.0]]), CFG.g2_eff)
+    assert stacked.a1.shape == (2, 2) and stacked.a1[0, 0] == amps.a1

@@ -8,8 +8,12 @@ import ast
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import pytest
+
+import fiberqed
 import fiberqed.params
 
 SRC = os.path.dirname(os.path.dirname(fiberqed.params.__file__))
@@ -105,3 +109,17 @@ def test_unknown_name_raises_attribute_error():
     out = _fresh("-c", code).stdout.splitlines()
     assert out == [f"module 'fiberqed' has no attribute {n!r}"
                    for n in ("no_such_name", "oracle_", "_HOMES_")]
+
+
+def test_version_is_defined_once_in_the_package():
+    # pyproject.toml reads the version from fiberqed.__version__ instead of repeating it
+    tomllib = pytest.importorskip("tomllib")        # Python 3.11+
+    pyproject = Path(SRC).parent / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text())
+    assert "version" not in config["project"] and config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "fiberqed.__version__"}
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")     # setuptools calls its [tool.setuptools] support beta
+        resolved = pyprojecttoml.read_configuration(pyproject)["project"]["version"]
+    assert resolved == fiberqed.__version__ == "0.1.0"

@@ -12,6 +12,7 @@ from fiberqed.params import (
     DerivedRates,
     PhysicalConfig,
     derive_rates,
+    holds,
     mhz,
     rate_report,
     reference_rates,
@@ -213,3 +214,15 @@ def test_derived_rates_carry_the_linewidths():
         r = derive_rates(cfg)
         assert r.gamma_par == cfg.gamma_par
         assert r.gamma_las == cfg.gamma_las
+
+
+def test_holds_only_where_every_element_holds():
+    nan = math.nan
+    held = (True, np.bool_(True), np.array([True, True]), np.array([], dtype=bool),
+            np.array([1.0, 2.0]) > 0.0, np.array([[0.0], [1e300]]) < np.inf, nan != 0.0)
+    failed = (False, np.bool_(False), np.array([True, False]), np.array([1.0, -2.0]) > 0.0,
+              np.array([[0.0], [np.inf]]) < np.inf, nan >= 0.0, np.float64(nan) >= 0.0, np.array([1.0, nan]) >= 0.0, abs(nan) < math.inf)
+    for ok in held:
+        assert holds(ok) is True, ok
+    for ok in failed:
+        assert holds(ok) is False, ok

@@ -11,7 +11,7 @@ from scipy import optimize
 
 from fiberqed import linear_response, saturation
 from fiberqed.fiber_mode import fit_simplified, make_mode_params
-from fiberqed.linear_response import transmission_spectrum
+from fiberqed.linear_response import ProbeSettings, transmission_spectrum
 from fiberqed.params import PhysicalConfig, derive_rates, mhz
 from fiberqed.saturation import (
     SaturationConfig,
@@ -197,9 +197,11 @@ def test_both_terms_reject_negative_field(x2):
     (92.0, 0.17, 0.3, math.nan, "q_prime_x0"), (92.0, 0.17, 0.3, -3.0, "q_prime_x0"),
 ])
 def test_both_terms_check_their_inputs_as_saturation_config_does(N_eff, A_mf, sigma, qx, name):
-    # one rule per input: the config and both public terms reject it with the same message
+    # one rule per input: the config and both public terms reject it with the same message;
+    # a config of nonzero width names the quadrature model, as closed_form needs sigma = 0
+    model = "quadrature" if sigma > 0.0 else "closed_form"
     with pytest.raises(ValueError, match=name) as config_error:
-        SaturationConfig(N_eff=N_eff, A_mf=A_mf, sigma_y_over_x0=sigma, q_prime_x0=qx)
+        SaturationConfig(N_eff=N_eff, A_mf=A_mf, model=model, sigma_y_over_x0=sigma, q_prime_x0=qx)
     message = f"^{re.escape(str(config_error.value))}$"
     with pytest.raises(ValueError, match=message):
         quadrature_saturation_term(N_eff, A_mf, sigma, qx, 1.0)
@@ -345,13 +347,11 @@ def test_shared_scan_matches_per_power_brentq(monkeypatch, which, model, sigma, 
 
 
 def _sign_table_brackets(h, y):
-    """The (drive, node) sign table that _brackets replaces: (drive, cell) where h - y
-    changes sign strictly across the cell, drive by drive and up in cell, and
-    (drive, node) where h == y."""
-    G = h - y[:, np.newaxis]
-    drive, cell = np.nonzero(G[:, :-1] * G[:, 1:] < 0.0)
-    node_drive, node = np.nonzero(G == 0.0)
-    return drive, cell, node_drive, node
+    """The (drive, node) sign table that _brackets replaces: (drive, cell) where h > y
+    changes across the cell, drive by drive and up in cell; a cell with a NaN end brackets
+    nothing."""
+    above = h > y[:, np.newaxis]
+    return np.nonzero((above[:, :-1] != above[:, 1:]) & ~np.isnan(h[:-1] + h[1:]))
 
 
 def test_sorted_search_brackets_equal_the_sign_table():
@@ -370,14 +370,12 @@ def test_sorted_search_brackets_equal_the_sign_table():
         y = np.sort(np.repeat(y, rng.integers(1, 3, y.size)))
         y = y[~np.isnan(y)]
         got, ref = _brackets(h, y), _sign_table_brackets(h, y)
+        assert len(got) == 2
         assert got[0].tolist() == ref[0].tolist() and got[1].tolist() == ref[1].tolist()
-        # node pairs come node by node; _find_roots sorts the merged roots anyway
-        got_nodes = sorted(zip(got[2].tolist(), got[3].tolist()))
-        assert got_nodes == list(zip(ref[2].tolist(), ref[3].tolist()))
         finite = h[~np.isnan(h)]
         seen["non_monotone"] += bool(np.any(np.diff(finite) > 0) and np.any(np.diff(finite) < 0))
         seen["equal_adjacent"] += bool(np.any(h[1:] == h[:-1]))
-        seen["on_node"] += ref[2].size > 0
+        seen["on_node"] += bool(np.isin(y, h).any())
         seen["repeated"] += bool(np.any(np.diff(y) == 0.0))
         seen["below"] += bool(np.any(y < finite.min()))
         seen["above"] += bool(np.any(y > finite.max()))
@@ -699,8 +697,9 @@ def test_f0_and_f1_agree_with_the_amplitudes():
         g = cfg.g0 * math.sqrt(cfg.N_eff)
         for coupling, f in ((0.0, f0), (g, f1)):
             couplings = (coupling, 0.0) if which == 1 else (0.0, coupling)
-            a_k = linear_response._amplitudes(rates, 0.0, 0.0, 1.0, *couplings)[which - 1]
-            assert f == pytest.approx(1.0 / (rates.kappa_1p * abs(complex(a_k))), rel=1e-15)
+            amps = linear_response.steady_state(rates, ProbeSettings(0.0, 0.0, 1.0), *couplings)
+            a_k = (amps.a1, amps.a2)[which - 1]
+            assert f == pytest.approx(1.0 / (rates.kappa_1p * abs(a_k)), rel=1e-15)
 
 
 # the terms past the clamp of the kernel: N_eff * 2/((1+A)*X_abs2) * 1.0, as before it
@@ -748,3 +747,74 @@ def test_extreme_couplings_keep_their_results(g0, N_eff):
         counts, T = _SOLVABLE_AT_1E8_AND_300[which, model]
         assert "".join(str(p.n_roots) for p in points) == counts
         assert [points[i].transmission for i in (0, 30, 60)] == pytest.approx(T, rel=1e-13)
+
+
+def test_closed_form_with_a_cloud_width_is_rejected():
+    # the closed form is the one-node rule, which sigma_y_over_x0 = 0 selects
+    for sigma in (0.3, 1e-300, math.inf):
+        with pytest.raises(ValueError, match=r"^model = closed_form needs sigma_y_over_x0 = 0"):
+            _config(1, model="closed_form", sigma_y_over_x0=sigma)
+    assert _config(1, model="quadrature", sigma_y_over_x0=0.3).sigma_y_over_x0 == 0.3
+
+
+@pytest.mark.parametrize("A_mf", [0.0, 0.17, 1.0])
+def test_quadrature_terms_at_zero_width_are_the_collective_term_bit_for_bit(A_mf):
+    x2 = np.concatenate([[0.0], np.geomspace(1e-8, 1e300, 40), [math.inf]])
+    collective = collective_saturation_term(92.0, A_mf, x2)
+    assert quadrature_saturation_term(92.0, A_mf, 0.0, 1.4424, x2).tolist() == collective.tolist()
+    for X_abs2, want in zip(x2.tolist(), collective.tolist()):
+        assert quadrature_saturation_term(92.0, A_mf, 0.0, 0.5, X_abs2) == want
+        assert collective_saturation_term(92.0, A_mf, X_abs2) == want
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("N_eff", [10.0, 300.0, 2000.0])
+def test_quadrature_curve_at_zero_width_is_the_closed_form_curve_bit_for_bit(which, N_eff):
+    closed = solve_saturation(_config(which, N_eff=N_eff), RATES)
+    quadrature = solve_saturation(_config(which, N_eff=N_eff, model="quadrature"), RATES)
+    assert quadrature.points == closed.points and quadrature.n_sat == closed.n_sat
+    if N_eff == 2000.0:     # the bistable region is part of the check
+        assert any(p.n_roots == 3 for p in closed.points)
+
+
+def test_brackets_give_a_drive_between_the_end_values_an_odd_count():
+    # a cell brackets y on a sign change of h > y, so a drive's count is odd exactly when
+    # h > y differs at the two ends: odd for h[0] <= y < h[-1], drives on turning points too
+    rng = np.random.default_rng(2929)
+    seen = dict.fromkeys(("non_monotone", "on_maximum", "on_minimum", "odd", "even"), 0)
+    for case in range(500):
+        h = 1.0 + 0.25 * rng.integers(0, 12, rng.integers(2, 40))
+        inner, left, right = h[1:-1], h[:-2], h[2:]
+        maxima, minima = inner[(inner > left) & (inner > right)], inner[(inner < left) & (inner < right)]
+        y = np.sort(np.concatenate([maxima, minima, h[[0, -1]], rng.uniform(0.5, 4.5, 10)]))
+        drive, cell = _brackets(h, y)
+        assert np.all((np.minimum(h[cell], h[cell + 1]) <= y[drive]) & (y[drive] < np.maximum(h[cell], h[cell + 1])))
+        assert np.all(np.diff(drive) >= 0) and np.all(np.diff(cell)[np.diff(drive) == 0] > 0)
+        odd = np.bincount(drive, minlength=y.size) % 2 == 1
+        assert np.array_equal(odd, (h[0] > y) != (h[-1] > y))
+        assert np.all(odd[(h[0] <= y) & (y < h[-1])])
+        seen["non_monotone"] += bool(np.any(np.diff(h) > 0) and np.any(np.diff(h) < 0))
+        seen["on_maximum"] += maxima.size > 0
+        seen["on_minimum"] += minima.size > 0
+        seen["odd"] += bool(odd.any())
+        seen["even"] += bool((~odd).any())
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("N_eff", [10.0, 300.0, 2000.0])
+def test_a_drive_on_any_monotone_scan_node_has_its_root_at_that_node(which, N_eff):
+    # a falling cell's node root starts at its upper node itself: a*(b/a) misses b by an ulp
+    # in about a quarter of the scan's cells
+    cfg = _config(which, N_eff=N_eff)
+    n_sat = saturation_photon_number(cfg.g0, RATES)
+    h, _, _ = _response_function(cfg, RATES)
+    grid = saturation._scan_grid(n_sat)
+    hn = h(grid)
+    k = np.flatnonzero((hn[1:-1] - hn[:-2]) * (hn[2:] - hn[1:-1]) > 0.0) + 1    # no turning point
+    order = np.argsort(hn[k], kind="stable")
+    roots = _per_drive(*_find_roots(h, hn[k][order], n_sat))
+    for node, r in zip(k[order], roots):
+        assert np.count_nonzero(r == grid[node]) == 1 and np.all(np.diff(r) > 0.0)
+    if N_eff == 2000.0:     # falling cells are part of the check
+        assert np.any(np.diff(hn) < 0.0)
