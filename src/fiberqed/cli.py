@@ -96,10 +96,6 @@ class RunConfig(types.SimpleNamespace):
             mhz(self.atoms.g2_eff) if loading in ("cavity2", "both") else 0.0,
         )
 
-    def detuning_grid(self) -> np.ndarray:
-        import numpy as np
-        return np.linspace(mhz(self.probe.grid_min), mhz(self.probe.grid_max), self.probe.grid_points)
-
     def mode_fit(self) -> fiber_mode.SimplifiedFit:
         """The simplified profile fitted on the [mode] geometry at [physical] lambda_probe."""
         from . import fiber_mode
@@ -136,12 +132,13 @@ class RunConfig(types.SimpleNamespace):
         )
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse the line-oriented config format into a RunConfig."""
+def parse_config(text: str, lines: dict | None = None) -> RunConfig:
+    """Parse config text, then the lines {section: {key: value}} that win over it, into a RunConfig."""
     cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
     cp.optionxform = str
     try:
         cp.read_string(text)
+        cp.read_dict(lines or {})
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
@@ -274,21 +271,20 @@ def cmd_params(cfg: RunConfig, args) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
+    import numpy as np
     from . import linear_response
     rates = derive_rates(cfg.physical_config())
-    g1, g2 = cfg.loaded_couplings()
-    grid = cfg.detuning_grid()
-    t = linear_response.transmission_spectrum(rates, g1, g2, grid=grid).transmission
+    g = np.array([cfg.loaded_couplings()])     # (g1, g2), then each band's pair
+    if args.band is not None:   # an empty ensemble stays empty, a shifted coupling stops at 0
+        shifts = mhz(args.band) * np.array([[-1.0], [1.0]])
+        g = np.concatenate([g, np.where(g > 0.0, np.maximum(g + shifts, 0.0), 0.0)])
+    grid = np.linspace(mhz(cfg.probe.grid_min), mhz(cfg.probe.grid_max), cfg.probe.grid_points)
+    t = linear_response.transmission_spectrum(rates, g[:, :1], g[:, 1:], grid=grid).transmission
     grid_mhz, header = to_mhz(grid), "delta_MHz,transmission"
-    _emit(cfg, "spectrum", header, (grid_mhz, t),
-          plot=lambda: (grid_mhz, t, "detuning (MHz)", "transmission"))
-    if args.band is not None:
-        for tag, sign in (("low", -1.0), ("high", 1.0)):
-            offset = mhz(args.band) * sign
-            gb1 = max(g1 + offset, 0.0) if g1 > 0.0 else 0.0
-            gb2 = max(g2 + offset, 0.0) if g2 > 0.0 else 0.0
-            band = linear_response.transmission_spectrum(rates, gb1, gb2, grid=grid)
-            _emit(cfg, f"spectrum_band_{tag}", header, (grid_mhz, band.transmission))
+    _emit(cfg, "spectrum", header, (grid_mhz, t[0]),
+          plot=lambda: (grid_mhz, t[0], "detuning (MHz)", "transmission"))
+    for tag, row in zip(("low", "high"), t[1:]):
+        _emit(cfg, f"spectrum_band_{tag}", header, (grid_mhz, row))
     return 0
 
 
@@ -297,16 +293,10 @@ def cmd_normal_modes(cfg: RunConfig, args) -> int:
     rates = derive_rates(cfg.physical_config())
     g1, g2 = cfg.loaded_couplings()
     summary = normal_modes.decompose(rates, g1, g2)
-    entries = [
-        ("v_tilde", to_mhz(summary.v_tilde)),
-        ("gd1", to_mhz(summary.gd1)),
-        ("gd2", to_mhz(summary.gd2)),
-        ("kappa_d", to_mhz(summary.kappa_d)),
-        ("kappa_plus", to_mhz(summary.kappa_plus)),
-        ("kappa_minus", to_mhz(summary.kappa_plus)),     # both bright modes decay alike
-        ("splitting_bright", to_mhz(summary.splitting_bright)),
-        ("rabi_splitting", to_mhz(summary.rabi_splitting)),
-    ]
+    entries = [(key, to_mhz(getattr(summary, attribute))) for key, attribute in (
+        ("v_tilde", "v_tilde"), ("gd1", "gd1"), ("gd2", "gd2"), ("kappa_d", "kappa_d"),
+        ("kappa_plus", "kappa_plus"), ("kappa_minus", "kappa_plus"),    # both bright modes decay alike
+        ("splitting_bright", "splitting_bright"), ("rabi_splitting", "rabi_splitting"))]
     if args.kv:
         for name, value in entries:
             print(f"{name}={value!r}")
@@ -327,10 +317,9 @@ def cmd_saturation(cfg: RunConfig, args) -> int:
     curve = saturation.solve_saturation(
         cfg.saturation_config(rates), rates, lambda_probe=cfg.physical.lambda_probe
     )
-    p_pw = [pt.P_in * 1e12 for pt in curve.points]
-    t = [pt.transmission for pt in curve.points]
-    _emit(cfg, "saturation", "P_in_pW,transmission,n_roots,branch",
-          (p_pw, t, [pt.n_roots for pt in curve.points], [pt.branch for pt in curve.points]),
+    powers, t, n_roots, branch = zip(*curve.points)
+    p_pw = [p * 1e12 for p in powers]
+    _emit(cfg, "saturation", "P_in_pW,transmission,n_roots,branch", (p_pw, t, n_roots, branch),
           plot=lambda: (p_pw, t, "input power (pW)", "transmission", True))
     return 0
 
@@ -395,11 +384,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "Fiber-coupled two-cavity QED model: rates, spectra, normal modes, saturation."))
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="path to config file")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--svg", action="store_true", help="also emit SVG plots")
+    parser.add_argument("--out", dest="output.directory", metavar="OUT", help="output directory")
+    parser.add_argument("--svg", dest="output.formats", action="store_const", const="csv,svg",
+                        help="also emit SVG plots")
     parser.add_argument("--grid", metavar="MIN:MAX:POINTS", help="detuning grid in MHz, e.g. -30:30:601")
-    parser.add_argument("--lf", type=float, help="connecting fiber length override (m)")
-    parser.add_argument("--atoms", choices=_LOADINGS, help="atom loading condition override")
+    parser.add_argument("--lf", dest="physical.Lf", metavar="LF", type=float,
+                        help="connecting fiber length override (m)")
+    parser.add_argument("--atoms", dest="atoms.loading", choices=_LOADINGS,
+                        help="atom loading condition override")
     parser.add_argument("--band", type=float, metavar="MHZ",
                         help="also emit spectra with both couplings shifted by +/- this amount")
     parser.add_argument("--kv", action="store_true", help="normal-modes: print key=value lines")
@@ -408,28 +400,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    lines = {}      # a flag is the config line that its dest, "section.key", names
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            lines.setdefault(section, {})[key] = value
     try:
-        cfg = parse_config(Path(args.config).read_text() if args.config is not None else "")
-        if args.lf is not None:
-            cfg.physical.Lf = args.lf
-        if args.atoms is not None:
-            cfg.atoms.loading = args.atoms
-        if args.out is not None:
-            cfg.output.directory = args.out
+        text = Path(args.config).read_text() if args.config is not None else ""
+        if args.grid is not None:       # --grid is the three [probe] lines
+            if len(parts := args.grid.split(":")) != len(_DEFAULTS["probe"]):
+                raise ConfigError(f"bad --grid specification {args.grid!r}")
+            lines["probe"] = dict(zip(_DEFAULTS["probe"], parts))
+        cfg = parse_config(text, lines)
         if args.band is not None:   # the shifted couplings are squared in rad/s
             shifted = max(cfg.loaded_couplings()) + mhz(args.band)
             if not (args.band > 0.0 and shifted * shifted < math.inf):     # NaN fails too
                 raise ConfigError(f"--band {args.band!r} must be positive and finite, and so must "
                                   "the square in (rad/s)^2 of each coupling it shifts")
-        if args.svg and "svg" not in cfg.output.formats:
-            cfg.output.formats = cfg.output.formats + ",svg"
-        if args.grid is not None:
-            try:
-                probe = zip(_DEFAULTS["probe"].items(), args.grid.split(":"), strict=True)
-                cfg.probe = types.SimpleNamespace(**{key: _typed(d, raw) for (key, d), raw in probe})
-            except ValueError as exc:
-                raise ConfigError(f"bad --grid specification {args.grid!r}") from exc
-        _validate_config(cfg)
         return run_subcommand(args.command, cfg, args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

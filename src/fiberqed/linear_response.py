@@ -140,8 +140,8 @@ def _empty_chain_norm(rates: DerivedRates) -> float:
 
 
 def _spectrum(rates: DerivedRates, grid, kernel) -> SpectrumResult:
-    """The spectrum kernel(norm, block) over grid, one _BLOCK-point block at a time, with
-    norm = _empty_chain_norm(rates); rejects empty, non-finite or non-increasing grids."""
+    """The spectrum kernel(norm, block) over grid, _BLOCK points at a time joined on the last axis,
+    with norm = _empty_chain_norm(rates); rejects empty, non-finite or non-increasing grids."""
     grid = np.asarray(grid, dtype=float)
     # NaN fails every comparison, and an increasing grid is finite within finite ends
     if not (grid.size and (np.diff(grid) > 0.0).all() and -np.inf < grid[0] and grid[-1] < np.inf):
@@ -150,7 +150,7 @@ def _spectrum(rates: DerivedRates, grid, kernel) -> SpectrumResult:
     if grid.size <= _BLOCK:
         return SpectrumResult(grid, kernel(norm, grid))
     return SpectrumResult(grid, np.concatenate([kernel(norm, grid[i:i + _BLOCK])
-                                                for i in range(0, grid.size, _BLOCK)]))
+                                                for i in range(0, grid.size, _BLOCK)], axis=-1))
 
 
 def transmission_spectrum(rates: DerivedRates, g1: float, g2: float, delta_c_offset: float = 0.0, *,
@@ -160,8 +160,8 @@ def transmission_spectrum(rates: DerivedRates, g1: float, g2: float, delta_c_off
     The sweep varies delta_a and delta_c together (the cavities track the atomic resonance);
     delta_c_offset = omega_c - omega_a shifts the cavity ladder relative to the atoms.  The output
     flux over the on-resonance empty-chain flux is |Delta_0|^2/|Delta|^2 at any drive; it is zero
-    when kappa_2r*v1*v2 == 0.  The grid is required: the CLI's [probe] section holds the default.
-    """
+    when kappa_2r*v1*v2 == 0.  The grid is required (the CLI's [probe] section holds the default);
+    couplings stacked as (k, 1) columns give k spectra, one row each."""
     def transmission_at(det0_sq, d):
         det_sq = _delta_parts(rates, d + delta_c_offset, d, g1, g2)[0]
         return np.divide(det0_sq, det_sq, out=det_sq)

@@ -196,6 +196,12 @@ def holds(ok) -> bool:
     return ok is True or ok is not False and bool(ok.all())
 
 
+def check_cloud_width(sigma_y_over_x0: float) -> None:
+    """The range rule of the cloud width, for the saturation config and the atom sums alike."""
+    if not 0.0 <= sigma_y_over_x0 < math.inf:       # NaN fails too
+        raise ValueError(f"sigma_y_over_x0={sigma_y_over_x0!r} must be non-negative and finite")
+
+
 def check_saturation_choice(which_cavity: int, model: str, sigma_y_over_x0: float) -> None:
     """The [saturation] choices that need no numpy to check: the cavity, the model and its width."""
     if which_cavity not in (1, 2):
@@ -205,6 +211,7 @@ def check_saturation_choice(which_cavity: int, model: str, sigma_y_over_x0: floa
     if model == "closed_form" and sigma_y_over_x0 > 0.0:
         raise ValueError(f"model = closed_form needs sigma_y_over_x0 = 0, not {sigma_y_over_x0!r}: "
                          "a cloud of nonzero width takes model = quadrature")
+    check_cloud_width(sigma_y_over_x0)
 
 
 def reference_rates() -> dict:

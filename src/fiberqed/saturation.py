@@ -14,10 +14,10 @@ rule folded onto its 27 positive nodes of weight above 1e-18 of the largest (wit
 relative of the full sum).  Because h does not depend on power, one 400-node scan over the fixed
 bracket |X| in [1e-4, 1e3]*sqrt(n_sat) serves every power of a curve: a cell brackets y when
 min(h_a, h_b) <= y < max(h_a, h_b), a sign change of h > y, so every y with h(first node) <= y <
-h(last node) has an odd root count.  About 4 vectorised passes of safeguarded Newton steps (at most
-60), each evaluating h and its exact slope once per root, refine them; each power takes T from its
-lowest root, the up-sweep (a down-sweep would take the highest).  A SaturationConfig is checked
-when built.
+h(last node) has an odd root count; an even count leaves a root beyond the scan, and raises.  About
+4 vectorised passes of safeguarded Newton steps (at most 60), each evaluating h and its exact slope
+once per root, refine them; each power takes T from its lowest root, the up-sweep (a down-sweep
+would take the highest), on the "high" branch once a falling scan cell lies below it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import linear_response
-from .params import C_VACUUM, DerivedRates, PhysicalConfig, check_saturation_choice, holds
+from .params import C_VACUUM, DerivedRates, PhysicalConfig, check_cloud_width, check_saturation_choice, holds
 
 HBAR = 1.054571817e-34          # J s
 
@@ -38,8 +38,7 @@ def _check_atom_sum(N_eff, A_mf, sigma_y_over_x0=0.0, q_prime_x0=1.0, X_abs2=0.0
     """SaturationConfig's rules on the atom-sum inputs, which both public terms check too."""
     if not 0.0 < N_eff < math.inf:
         raise ValueError(f"N_eff={N_eff!r} must be positive and finite")
-    if not 0.0 <= sigma_y_over_x0 < math.inf:
-        raise ValueError(f"sigma_y_over_x0={sigma_y_over_x0!r} must be non-negative and finite")
+    check_cloud_width(sigma_y_over_x0)
     if not 0.0 <= A_mf <= 1.0:
         raise ValueError(f"axial weight A_mf={A_mf!r} must lie in [0, 1]")
     if not 0.0 < q_prime_x0 < math.inf:
@@ -75,7 +74,7 @@ class SaturationPoint(NamedTuple):
     P_in: float                 # input power, W
     transmission: float
     n_roots: int
-    branch: str = "low"         # the lowest root, until sweep directions label branches
+    branch: str = "low"         # "high" once the up-sweep has passed a bistable window
 
 
 @dataclass(frozen=True)
@@ -211,13 +210,15 @@ def _scan_grid(n_sat: float) -> np.ndarray:
     return math.sqrt(n_sat) * _UNIT_SCAN
 
 
-def _find_roots(h, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray]:
+def _find_roots(h, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Sorted positive roots of h(x) = y for every drive of the non-decreasing y at once,
-    drive by drive in one flat array, and each drive's number of roots.
+    drive by drive in one flat array, each drive's number of roots, and the upper node of
+    the first falling scan cell (inf when the scan never falls).
 
     h does not depend on the drive, so one 400-point log scan over the fixed bracket
-    [1e-4, 1e3]*sqrt(n_sat) serves all drives; _brackets finds their cells by sorted
-    search, and a root on a scan node is that node exactly.  Each root starts at the log-log
+    [1e-4, 1e3]*sqrt(n_sat) serves all drives; _brackets finds their cells by sorted search,
+    and a root on a scan node is that node exactly.  h rises overall, so an even count leaves
+    a root beyond the scan: RuntimeError, as for none.  Each root starts at the log-log
     interpolation of its cell and takes Newton steps (exact slope, same h call), bisecting
     when a step leaves the cell shrunk by the sign of h - y, until |h - y| <= 2**-50*y
     or a Newton step <= 1e-14*x: about 4 passes, and RuntimeError if 60 do not do it.
@@ -226,7 +227,7 @@ def _find_roots(h, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray]
     hn = h(grid)
     drive, cell = _brackets(hn, y)
     per_drive = np.bincount(drive, minlength=y.size)
-    if not per_drive.all():
+    if not (per_drive % 2).all():
         raise RuntimeError(
             "saturation root bracketing failed: no sign change up to |X| = 1e3*sqrt(n_sat)"
         )
@@ -249,18 +250,22 @@ def _find_roots(h, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray]
                 break
         else:
             raise RuntimeError("saturation root refinement did not converge in 60 passes")
-    return x, per_drive
+    falling = hn[1:] < hn[:-1]
+    return x, per_drive, grid[falling.argmax() + 1] if falling.any() else math.inf
 
 
 def solve_saturation(
     cfg: SaturationConfig, rates: DerivedRates, lambda_probe: float = PhysicalConfig.lambda_probe
 ) -> SaturationCurve:
-    """Transmission vs input power on the up-sweep: each power's lowest root."""
+    """Transmission vs input power on the up-sweep: each power's lowest root, on the "high"
+    branch once a falling scan cell lies below it (it is never on the middle branch)."""
     h, f0, _ = _response_function(cfg, rates)      # first, to name undamped atoms
     n_sat = saturation_photon_number(cfg.g0, rates)
     powers = np.asarray(cfg.power_grid, dtype=float)
     drives = scaled_drive_from_power(powers, rates, n_sat, lambda_probe)
-    roots, n_roots = _find_roots(h, drives, n_sat)
-    T = f0 * f0 * np.square(roots[np.cumsum(n_roots) - n_roots]) / drives**2
-    points = list(map(SaturationPoint, powers.tolist(), T.tolist(), n_roots.tolist()))
+    roots, n_roots, turn = _find_roots(h, drives, n_sat)
+    lowest = roots[np.cumsum(n_roots) - n_roots]
+    T = f0 * f0 * np.square(lowest) / drives**2
+    branch = ["high" if x >= turn else "low" for x in lowest.tolist()]
+    points = list(map(SaturationPoint, powers.tolist(), T.tolist(), n_roots.tolist(), branch))
     return SaturationCurve(points=points, n_sat=n_sat)

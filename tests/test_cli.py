@@ -568,3 +568,86 @@ def test_closed_form_with_a_cloud_width_exits_with_code_2(tmp_path, capsys):
     assert not (tmp_path / "saturation.csv").exists()
     path.write_text("[saturation]\nmodel = quadrature\nsigma_y_over_x0 = 0.3\n")
     assert main(["saturation", "--config", str(path), "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("flags, line, overridden", [
+    (["--lf", "0.83"], "[physical]\nLf = 0.83\n", "[physical]\nLf = long\n"),
+    (["--atoms", "cavity2"], "[atoms]\nloading = cavity2\n", "[atoms]\nloading = everywhere\n"),
+    (["--svg"], "[output]\nformats = csv,svg\n", "[output]\nformats = pdf\n"),
+    (["--grid=-20:20:41"], "[probe]\ngrid_min = -20\ngrid_max = 20\ngrid_points = 41\n",
+     "[probe]\ngrid_points = 1\n"),
+], ids=["lf", "atoms", "svg", "grid"])
+def test_a_flag_is_the_config_line_it_names(tmp_path, flags, line, overridden):
+    # the flag writes the files of its line, byte for byte, and wins over the file's own line,
+    # which is then never read: not even one that would be a config error
+    def files(name, config, argv):
+        path, out = tmp_path / f"{name}.cfg", tmp_path / name
+        path.write_text(config)
+        assert main(["spectrum", "--config", str(path), "--out", str(out), "--band", "0.5", *argv]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    by_line = files("line", line, [])
+    assert files("flag", "", flags) == by_line
+    assert files("both", overridden, flags) == by_line
+
+
+def test_out_flag_wins_over_the_output_directory_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[output]\ndirectory = {tmp_path / 'line'}\n")
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "flag")]) == 0
+    assert [p.name for p in tmp_path.iterdir() if p.is_dir()] == ["flag"]
+    assert (tmp_path / "flag" / "spectrum.csv").exists()
+
+
+def test_band_spectra_are_one_stacked_call_equal_to_three_calls_bit_for_bit(tmp_path):
+    # 5001 points (two spectrum blocks); the band is wider than g1, so the low curve has no
+    # atoms left, and cavity 2 is empty in all three curves
+    from fiberqed.linear_response import transmission_spectrum
+    path = tmp_path / "run.cfg"
+    path.write_text("[atoms]\nloading = cavity1\ng1_eff = 0.4\n")
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path), "--band", "0.7",
+                 "--grid=-40:40:5001"]) == 0
+    rates = derive_rates(parse_config(path.read_text()).physical_config())
+    grid = np.linspace(mhz(-40.0), mhz(40.0), 5001)
+    g = np.array([[mhz(0.4), 0.0], [0.0, 0.0], [mhz(0.4) + mhz(0.7), 0.0]])
+    stacked = transmission_spectrum(rates, g[:, :1], g[:, 1:], grid=grid).transmission
+    for name, (g1, g2), row in zip(("spectrum", "spectrum_band_low", "spectrum_band_high"), g, stacked):
+        t = transmission_spectrum(rates, g1, g2, grid=grid).transmission
+        assert row.tolist() == t.tolist()
+        rows = (tmp_path / f"{name}.csv").read_text().splitlines()[1:]
+        assert rows == [f"{d:.9g},{x:.9g}" for d, x in zip(to_mhz(grid).tolist(), t.tolist())]
+
+
+@pytest.mark.parametrize("grid, message", [
+    ("-20:20", "bad --grid specification '-20:20'"),
+    ("-20:20:41:5", "bad --grid specification '-20:20:41:5'"),
+    ("a:1:5", "bad value for 'grid_min' in [probe]: 'a'"),
+    ("-20:20:41.5", "bad value for 'grid_points' in [probe]: '41.5'"),
+])
+def test_bad_grid_flag_names_itself_or_its_key_and_exits_with_code_2(tmp_path, capsys, grid, message):
+    assert main(["spectrum", "--out", str(tmp_path), f"--grid={grid}"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["params", "spectrum", "normal-modes"])
+def test_cloud_width_is_checked_for_every_command(tmp_path, capsys, command, sigma):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[saturation]\nmodel = quadrature\nsigma_y_over_x0 = {sigma}\n")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"config error: sigma_y_over_x0={float(sigma)!r} must be non-negative and finite\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_root_beyond_the_scan_exits_with_code_3(tmp_path, capsys):
+    # g0 = 16 MHz (about 1e8 rad/s) with N_eff = 300: 23 of the 61 powers have two roots on the
+    # scan and a third beyond it, an even count that used to be written as n_roots = 2
+    path = tmp_path / "run.cfg"
+    path.write_text("[physical]\ng1_0 = 16\n[atoms]\ng1_eff = 277.1\n")
+    assert main(["saturation", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == ("numeric failure: saturation root bracketing failed: "
+                                       "no sign change up to |X| = 1e3*sqrt(n_sat)\n")
+    assert list(tmp_path.glob("*.csv")) == []

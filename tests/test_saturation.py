@@ -298,23 +298,44 @@ def _reference_roots(h, y, n_sat):
     return sorted(roots)
 
 
-def _per_drive(roots, n_roots):
-    """_find_roots' flat root array split into each drive's roots."""
+def _per_drive(roots, n_roots, _turn=None):
+    """_find_roots' flat root array split into each drive's roots; its third value, the
+    first falling node, is not needed."""
     return np.split(roots, np.cumsum(n_roots)[:-1])
 
 
+def _turning_points(h, n_sat):
+    """The turning points of h, in increasing x: the sign changes of its exact slope on a dense
+    20 001-node scan of the solver's bracket, each refined by brentq on the slope."""
+    x = np.geomspace(1e-4, 1e3, 20001) * math.sqrt(n_sat)
+    rising = h(x, slope=True)[1] > 0.0
+    return [optimize.brentq(lambda t: h(np.array([t]), slope=True)[1, 0], x[i], x[i + 1],
+                            xtol=1e-300, rtol=1e-14)
+            for i in np.flatnonzero(rising[:-1] != rising[1:])]
+
+
+def _branch(x, turning_points):
+    """The branch of the S-curve that a root x lies on: below the first turning point (a
+    maximum of h) or with none, "low"; above the last (a minimum), "high"; else "middle"."""
+    if not turning_points or x < turning_points[0]:
+        return "low"
+    return "high" if x > turning_points[-1] else "middle"
+
+
 def _reference_curve(cfg):
-    """Power by power: (T, n_roots, branch) along the nearest-root continuation,
-    and every power's roots."""
+    """Power by power: (T, n_roots, branch) along the nearest-root continuation, its branch
+    from the dense turning points, and every power's roots."""
     n_sat = saturation_photon_number(cfg.g0, RATES)
     h, f0, _ = _response_function(cfg, RATES)
+    turning_points = _turning_points(h, n_sat)
+    assert len(turning_points) in (0, 2)
     points, all_roots, previous = [], [], None
     for P in cfg.power_grid:
         y = scaled_drive_from_power(P, RATES, n_sat, CFG.lambda_probe)
         roots = _reference_roots(h, y, n_sat)
         x = roots[0] if previous is None else min(roots, key=lambda r: abs(r - previous))
         previous = x
-        points.append((f0 * f0 * x**2 / y**2, len(roots), "low" if x == roots[0] else "high"))
+        points.append((f0 * f0 * x**2 / y**2, len(roots), _branch(x, turning_points)))
         all_roots.append(roots)
     return points, all_roots
 
@@ -332,6 +353,10 @@ def test_shared_scan_matches_per_power_brentq(monkeypatch, which, model, sigma, 
         assert p.transmission == pytest.approx(T, rel=1e-12)
     if N_eff == 2000.0:     # the bistable region is part of the check
         assert any(p.n_roots == 3 for p in curve.points)
+    if N_eff == 10.0:       # a monostable curve is on its one branch
+        assert {p.branch for p in curve.points} == {"low"}
+    elif (which, N_eff) != (2, 2000.0):     # that one is still bistable at 1e-6 W
+        assert curve.points[-1].branch == "high"
 
     h, _, _ = _response_function(cfg, RATES)
     y = scaled_drive_from_power(cfg.power_grid, RATES, curve.n_sat, CFG.lambda_probe)
@@ -717,36 +742,19 @@ def test_terms_at_extreme_fields_keep_their_values(X_abs2, collective, quadratur
     assert both.tolist() == [collective, collective_saturation_term(92.0, 0.17, 1.0)]
 
 
-# (which_cavity, model): each power's root count, and T at powers 0, 30 and 60 of the default grid
-_SOLVABLE_AT_1E8_AND_300 = {
-    (1, "closed_form"): ("1" * 38 + "2" * 23,
-                         (1.9426920562427508e-08, 1.9431423744739547e-08, 2.5739431636117477e-08)),
-    (1, "quadrature"): ("1" * 38 + "2" * 23,
-                        (2.3820930361187147e-08, 2.3827145907974687e-08, 3.299516374499023e-08)),
-    (2, "closed_form"): ("1" * 39 + "2" * 22,
-                         (6.167644148199907e-09, 6.1684302968118326e-09, 7.098083396960799e-09)),
-    (2, "quadrature"): ("1" * 39 + "2" * 22,
-                        (7.562749772497496e-09, 7.563834878620972e-09, 8.876181911445567e-09)),
-}
-
-
 @pytest.mark.parametrize("g0", [1e-100, 1e-60, 1e5, 1e8])
 @pytest.mark.parametrize("N_eff", [1e-12, 300.0, 1e6, 1e100])
 def test_extreme_couplings_keep_their_results(g0, N_eff):
-    # frozen from the solver with the log1p/expm1 fraction and the forward-difference slope;
-    # at g0 = 1e-100 the scan reaches xs ~ 1e219, where u would overflow without the clamp
-    for which, model in _SOLVABLE_AT_1E8_AND_300:
-        cfg = SaturationConfig(which_cavity=which, g0=g0, N_eff=N_eff, model=model,
-                               sigma_y_over_x0=0.3 if model == "quadrature" else 0.0)
-        if (g0, N_eff) != (1e8, 300.0):
+    # at g0 = 1e-100 the scan reaches xs ~ 1e219, where u would overflow without the clamp; at
+    # g0 = 1e8 and N_eff = 300 some 22 powers have two roots on the scan and a third beyond it,
+    # an even count that raises like none (it returned n_roots = 2 before)
+    for which in (1, 2):
+        for model, sigma in (("closed_form", 0.0), ("quadrature", 0.3)):
+            cfg = SaturationConfig(which_cavity=which, g0=g0, N_eff=N_eff, model=model,
+                                   sigma_y_over_x0=sigma)
             with pytest.raises(RuntimeError, match=r"^saturation root bracketing failed: no sign "
                                                    r"change up to \|X\| = 1e3\*sqrt\(n_sat\)$"):
                 solve_saturation(cfg, RATES)
-            continue
-        points = solve_saturation(cfg, RATES).points
-        counts, T = _SOLVABLE_AT_1E8_AND_300[which, model]
-        assert "".join(str(p.n_roots) for p in points) == counts
-        assert [points[i].transmission for i in (0, 30, 60)] == pytest.approx(T, rel=1e-13)
 
 
 def test_closed_form_with_a_cloud_width_is_rejected():
