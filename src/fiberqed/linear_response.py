@@ -10,7 +10,8 @@ real, a Python-float closed form that saturation reads with atoms in; both spect
 its empty-chain |Delta_0|^2: the drive and kappa_2r cancel, so a point costs one division,
 T = |Delta_0|^2/|Delta|^2, and T = 0 when kappa_2r*v1*v2 == 0.
 transmission_spectrum and normal_modes.reduced_spectrum share one evaluator on a required grid:
-one grid check, one norm, and 4096-point blocks with the floats of one whole-grid call.
+one grid check, one norm, and 4096-point blocks written into one output, with the floats of one
+whole-grid call.
 """
 
 from __future__ import annotations
@@ -139,18 +140,29 @@ def _empty_chain_norm(rates: DerivedRates) -> float:
     return det0 * det0 if rates.kappa_2r * rates.v1 * rates.v2 != 0.0 else 0.0
 
 
+def increasing_grid(values, message: str, lo: float = -np.inf) -> np.ndarray:
+    """values as a float array when they form a nonempty, strictly increasing 1-d grid above lo
+    and below inf, else ValueError(message).  Neighbours are compared, not differenced, so no
+    float temporary and no overflow: NaN fails every comparison, and the grid lies within its ends."""
+    grid = np.asarray(values, dtype=float)
+    if not (grid.ndim == 1 and grid.size and (grid[1:] > grid[:-1]).all()
+            and lo < grid[0] and grid[-1] < np.inf):
+        raise ValueError(message)
+    return grid
+
+
 def _spectrum(rates: DerivedRates, grid, kernel) -> SpectrumResult:
-    """The spectrum kernel(norm, block) over grid, _BLOCK points at a time joined on the last axis,
-    with norm = _empty_chain_norm(rates); rejects empty, non-finite or non-increasing grids."""
-    grid = np.asarray(grid, dtype=float)
-    # NaN fails every comparison, and an increasing grid is finite within finite ends
-    if not (grid.size and (np.diff(grid) > 0.0).all() and -np.inf < grid[0] and grid[-1] < np.inf):
-        raise ValueError("detuning grid must be finite, nonempty and strictly increasing")
+    """The spectrum kernel(norm, block) over grid, _BLOCK points at a time written into one output
+    along its last axis, with norm = _empty_chain_norm(rates); rejects grids as increasing_grid."""
+    grid = increasing_grid(grid, "detuning grid must be finite, nonempty and strictly increasing")
     norm = _empty_chain_norm(rates)
-    if grid.size <= _BLOCK:
-        return SpectrumResult(grid, kernel(norm, grid))
-    return SpectrumResult(grid, np.concatenate([kernel(norm, grid[i:i + _BLOCK])
-                                                for i in range(0, grid.size, _BLOCK)], axis=-1))
+    out = kernel(norm, grid[:_BLOCK])
+    if grid.size > _BLOCK:
+        first, out = out, np.empty(out.shape[:-1] + grid.shape)
+        out[..., :_BLOCK] = first
+        for i in range(_BLOCK, grid.size, _BLOCK):
+            out[..., i:i + _BLOCK] = kernel(norm, grid[i:i + _BLOCK])
+    return SpectrumResult(grid, out)
 
 
 def transmission_spectrum(rates: DerivedRates, g1: float, g2: float, delta_c_offset: float = 0.0, *,
@@ -163,7 +175,7 @@ def transmission_spectrum(rates: DerivedRates, g1: float, g2: float, delta_c_off
     when kappa_2r*v1*v2 == 0.  The grid is required (the CLI's [probe] section holds the default);
     couplings stacked as (k, 1) columns give k spectra, one row each."""
     def transmission_at(det0_sq, d):
-        det_sq = _delta_parts(rates, d + delta_c_offset, d, g1, g2)[0]
+        det_sq = _delta_parts(rates, d if delta_c_offset == 0.0 else d + delta_c_offset, d, g1, g2)[0]
         return np.divide(det0_sq, det_sq, out=det_sq)
 
     return _spectrum(rates, grid, transmission_at)

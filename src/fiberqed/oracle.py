@@ -63,17 +63,6 @@ def build_linear_system(
     return LinearSystem(matrix=m, rhs=rhs)
 
 
-def stationarity_residual(
-    amps: SteadyStateAmplitudes, rates: DerivedRates, probe: ProbeSettings, g1: float, g2: float
-) -> float:
-    """Max residual of the five fixed-point equations, max|M x - rhs|, relative to the drive."""
-    system = build_linear_system(rates, probe, g1, g2)
-    x = np.array([amps.a1, amps.a2, amps.b, amps.s1, amps.s2])
-    scale = max(abs(probe.drive_E1), abs(amps.a1) * rates.kappa_1p, abs(amps.a2) * rates.kappa_2p,
-                linear_response.SINGULAR_FLOOR)
-    return float(np.max(np.abs(system.matrix @ x - system.rhs))) / scale
-
-
 def solve_dense(system: LinearSystem) -> SteadyStateAmplitudes:
     """Direct dense solve, stacked systems in one call, with a residual check per system."""
     try:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, fields
-from importlib import resources
 
 TWO_PI = 2.0 * math.pi
 C_VACUUM = 299792458.0          # m/s
@@ -65,23 +64,24 @@ class PhysicalConfig:
     lambda_probe: float = 852e-9
 
     def __post_init__(self) -> None:
+        # each range is open at infinity or bounded, so NaN and inf fail it with no isfinite call
         for name in ("T1", "T2", "T3", "T4"):
-            t = getattr(self, name)
-            if not math.isfinite(t) or not 0.0 < t < 1.0:
+            if not 0.0 < (t := getattr(self, name)) < 1.0:
                 raise ValueError(f"mirror transmittance {name}={t!r} must lie in (0, 1)")
         for name in ("alpha1", "alpha2", "alphaf"):
-            a = getattr(self, name)
-            if not math.isfinite(a) or not 0.0 <= a < 1.0:
+            if not 0.0 <= (a := getattr(self, name)) < 1.0:
                 raise ValueError(f"single-pass loss {name}={a!r} must lie in [0, 1)")
         for name in ("L1", "L2", "Lf", "c_fiber", "lambda_probe"):
-            x = getattr(self, name)
-            if not math.isfinite(x) or x <= 0.0:
+            if not 0.0 < (x := getattr(self, name)) < math.inf:
                 raise ValueError(f"{name}={x!r} must be positive and finite")
-        for f in fields(self):
-            r = getattr(self, f.name)
-            if "mhz" in f.metadata and not (r >= 0.0 and r * r < math.inf):    # NaN fails too
-                raise ValueError(f"rate {f.name}={r!r} must be non-negative and finite, "
+        for name in _QUOTED_RATES:
+            if not ((r := getattr(self, name)) >= 0.0 and r * r < math.inf):    # NaN fails too
+                raise ValueError(f"rate {name}={r!r} must be non-negative and finite, "
                                  "and so must its square in (rad/s)^2")
+
+
+#: The rate fields of PhysicalConfig, those quoted in MHz; read once, not per instance.
+_QUOTED_RATES = tuple(f.name for f in fields(PhysicalConfig) if "mhz" in f.metadata)
 
 
 @dataclass(frozen=True)
@@ -157,13 +157,17 @@ class DerivedRates:
         values = (k1, k2, k1 + las, k2 + las, self.kappa_bloss + las, 0.5 * self.gamma_par + las)
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)       # frozen: set once, here
-        for f in fields(self):      # PhysicalConfig's rule; a float gives a bool, a stacked rate an array
-            if not holds((r := getattr(self, f.name)) * r < math.inf):      # NaN fails too
-                raise ValueError(f"rate {f.name}={r!r} rad/s, from [physical] {f.metadata['from']}, must be "
+        for name, source in _RATE_SOURCES:     # PhysicalConfig's rule; a float gives a bool, a stack an array
+            if not holds((r := getattr(self, name)) * r < math.inf):      # NaN fails too
+                raise ValueError(f"rate {name}={r!r} rad/s, from [physical] {source}, must be "
                                  "finite, and so must its square in (rad/s)^2")
         if not holds(((gp := self.gamma_perp) == 0.0) | (gp * gp >= sys.float_info.min)):   # 1/(gp^2 + da^2)
             raise ValueError(f"rate gamma_perp={gp!r} rad/s, from [physical] gamma_par, gamma_las, must be 0 "
                              "or have a square in (rad/s)^2 that does not underflow")
+
+
+#: Every DerivedRates field with the [physical] keys it comes from, in declaration order.
+_RATE_SOURCES = tuple((f.name, f.metadata["from"]) for f in fields(DerivedRates))
 
 
 def derive_rates(cfg: PhysicalConfig) -> DerivedRates:
@@ -212,18 +216,6 @@ def check_saturation_choice(which_cavity: int, model: str, sigma_y_over_x0: floa
         raise ValueError(f"model = closed_form needs sigma_y_over_x0 = 0, not {sigma_y_over_x0!r}: "
                          "a cloud of nonzero width takes model = quadrature")
     check_cloud_width(sigma_y_over_x0)
-
-
-def reference_rates() -> dict:
-    """Golden rate table (MHz) shipped with the package.
-
-    Single-valued entries are plain floats; the fiber-length-dependent ones
-    (kappa_bloss, v1, v2) are dicts keyed by the fiber length in meters as a
-    string.
-    """
-    import json     # no other caller of the package needs it
-    with resources.files("fiberqed").joinpath("data/reference_rates.json").open() as fh:
-        return json.load(fh)
 
 
 def rate_report(cfg: PhysicalConfig) -> str:

@@ -64,10 +64,8 @@ class SaturationConfig:
         if not 0.0 <= self.g0 < math.inf:       # solve_saturation needs g0 > 0
             raise ValueError(f"g0={self.g0!r} must be non-negative and finite")
         _check_atom_sum(self.N_eff, self.A_mf, self.sigma_y_over_x0, self.q_prime_x0)
-        grid = np.asarray(self.power_grid, dtype=float)
-        increasing = grid.size > 0 and np.all(np.diff(grid) > 0.0)     # False on any NaN
-        if not (increasing and 0.0 < grid[0] and grid[-1] < math.inf):
-            raise ValueError("power_grid must be finite, positive and strictly increasing")
+        linear_response.increasing_grid(
+            self.power_grid, "power_grid must be finite, positive and strictly increasing", lo=0.0)
 
 
 class SaturationPoint(NamedTuple):
@@ -218,19 +216,20 @@ def _find_roots(h, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray,
     h does not depend on the drive, so one 400-point log scan over the fixed bracket
     [1e-4, 1e3]*sqrt(n_sat) serves all drives; _brackets finds their cells by sorted search,
     and a root on a scan node is that node exactly.  h rises overall, so an even count leaves
-    a root beyond the scan: RuntimeError, as for none.  Each root starts at the log-log
-    interpolation of its cell and takes Newton steps (exact slope, same h call), bisecting
-    when a step leaves the cell shrunk by the sign of h - y, until |h - y| <= 2**-50*y
-    or a Newton step <= 1e-14*x: about 4 passes, and RuntimeError if 60 do not do it.
+    a root beyond the scan: RuntimeError, as for none, and a zero count is named first.  Each
+    root starts at the log-log interpolation of its cell and takes Newton steps (exact slope,
+    same h call), bisecting when a step leaves the cell shrunk by the sign of h - y, until
+    |h - y| <= 2**-50*y or a Newton step <= 1e-14*x: about 4 passes, and RuntimeError if 60
+    do not do it.
     """
     grid = _scan_grid(n_sat)
     hn = h(grid)
     drive, cell = _brackets(hn, y)
     per_drive = np.bincount(drive, minlength=y.size)
     if not (per_drive % 2).all():
-        raise RuntimeError(
-            "saturation root bracketing failed: no sign change up to |X| = 1e3*sqrt(n_sat)"
-        )
+        raise RuntimeError("saturation root bracketing failed: " + (
+            "no sign change up to |X| = 1e3*sqrt(n_sat)" if per_drive.min() == 0 else
+            "an even number of sign changes up to |X| = 1e3*sqrt(n_sat) leaves a root beyond the scan"))
     yd, a, b, ha, hb = y[drive], grid[cell], grid[cell + 1], hn[cell], hn[cell + 1]
     rising, tol, done = hb > ha, 2.0**-50 * yd, np.zeros(yd.size, dtype=bool)
     below, above = np.where(rising, a, b), np.where(rising, b, a)     # ends with h < y, h > y

@@ -20,7 +20,7 @@ from fiberqed import oracle
 from fiberqed.fiber_mode import fit_simplified, make_mode_params
 from fiberqed.linear_response import transmission_spectrum
 from fiberqed.normal_modes import decompose, peak_find, reduced_spectrum
-from fiberqed.params import PhysicalConfig, derive_rates, mhz, reference_rates, to_mhz
+from fiberqed.params import PhysicalConfig, derive_rates, mhz, to_mhz
 from fiberqed.saturation import (
     SaturationConfig,
     collective_saturation_term,
@@ -28,6 +28,8 @@ from fiberqed.saturation import (
     saturation_photon_number,
     solve_saturation,
 )
+
+from references import reference_rates
 
 CFG = PhysicalConfig()
 RATES = derive_rates(CFG)

@@ -644,10 +644,12 @@ def test_cloud_width_is_checked_for_every_command(tmp_path, capsys, command, sig
 
 def test_a_root_beyond_the_scan_exits_with_code_3(tmp_path, capsys):
     # g0 = 16 MHz (about 1e8 rad/s) with N_eff = 300: 23 of the 61 powers have two roots on the
-    # scan and a third beyond it, an even count that used to be written as n_roots = 2
+    # scan and a third beyond it, an even count that used to be written as n_roots = 2, and is
+    # named as such (no power lacks a sign change)
     path = tmp_path / "run.cfg"
     path.write_text("[physical]\ng1_0 = 16\n[atoms]\ng1_eff = 277.1\n")
     assert main(["saturation", "--config", str(path), "--out", str(tmp_path)]) == 3
-    assert capsys.readouterr().err == ("numeric failure: saturation root bracketing failed: "
-                                       "no sign change up to |X| = 1e3*sqrt(n_sat)\n")
+    assert capsys.readouterr().err == ("numeric failure: saturation root bracketing failed: an even number "
+                                       "of sign changes up to |X| = 1e3*sqrt(n_sat) leaves a root beyond "
+                                       "the scan\n")
     assert list(tmp_path.glob("*.csv")) == []

@@ -14,12 +14,16 @@ from fiberqed.linear_response import (
     _delta_parts,
     _empty_chain_norm,
     _spectrum,
+    increasing_grid,
     steady_state,
     transmission_spectrum,
 )
 from fiberqed.normal_modes import decompose, reduced_spectrum
 from fiberqed.params import DerivedRates, PhysicalConfig, derive_rates, mhz
+from fiberqed.saturation import SaturationConfig
 from dataclasses import fields, replace
+
+from references import stationarity_residual
 
 CFG = PhysicalConfig()
 RATES = derive_rates(CFG)
@@ -70,7 +74,7 @@ def test_stationarity_residual_small():
     ]:
         probe = ProbeSettings(delta_c=dc, delta_a=da, drive_E1=2.0)
         amps = steady_state(RATES, probe, g1, g2)
-        assert oracle.stationarity_residual(amps, RATES, probe, g1, g2) < 1e-10
+        assert stationarity_residual(amps, RATES, probe, g1, g2) < 1e-10
 
 
 def test_matches_dense_solve_at_5mhz():
@@ -311,6 +315,57 @@ def test_spectra_leave_the_callers_grid_unchanged():
                  reduced_spectrum(summary, RATES, grid=grid)):
         assert np.array_equal(grid, before) and spec.detunings is grid
         assert not np.shares_memory(spec.transmission, grid)
+
+
+#: grids every spectrum rejects, by the same rule as SaturationConfig's power_grid
+_BAD_GRIDS = {
+    "empty": [], "equal neighbours": [0.0, 1.0, 1.0], "-0.0 then 0.0": [-0.0, 0.0],
+    "NaN inside": [0.0, math.nan, 2.0], "-inf end": [-math.inf, 0.0], "inf end": [0.0, math.inf],
+    "decreasing": [1.0, 0.0], "0-d": 0.0, "column": [[0.0], [math.nan], [1.0]],
+}
+
+
+@pytest.mark.parametrize("grid", _BAD_GRIDS.values(), ids=_BAD_GRIDS)
+def test_one_grid_rule_rejects_the_same_grids_everywhere(grid):
+    summary = decompose(RATES, CFG.g1_eff, CFG.g2_eff)
+    message = r"^detuning grid must be finite, nonempty and strictly increasing$"
+    with pytest.raises(ValueError, match=message):
+        transmission_spectrum(RATES, CFG.g1_eff, CFG.g2_eff, grid=np.array(grid))
+    with pytest.raises(ValueError, match=message):
+        reduced_spectrum(summary, RATES, grid=np.array(grid))
+    positive = np.exp2(np.array(grid)) * 1e-9      # the same defect on positive powers
+    for powers in (np.array(grid), positive):
+        with pytest.raises(ValueError, match=r"^power_grid must be finite, positive and strictly increasing$"):
+            SaturationConfig(power_grid=powers)
+
+
+def test_one_point_and_extreme_grids_are_accepted():
+    summary = decompose(RATES, CFG.g1_eff, CFG.g2_eff)
+    assert transmission_spectrum(RATES, 0.0, 0.0, grid=np.array([0.0])).transmission.tolist() == [1.0]
+    assert reduced_spectrum(summary, RATES, grid=np.array([-0.0])).transmission.shape == (1,)
+    assert SaturationConfig(power_grid=np.array([1e-9])).power_grid.tolist() == [1e-9]
+    # neighbours are compared, not differenced: 1e308 - (-1e308) would overflow with a RuntimeWarning,
+    # which the suite makes an error; the grid passes, and the core then judges the overflowed |Delta|
+    extreme = np.array([-1e308, 1e308])
+    assert increasing_grid(extreme, "unused") is extreme
+    with pytest.raises(RuntimeError, match="^[|]Delta[|] overflowed to NaN"):
+        transmission_spectrum(RATES, 0.0, 0.0, grid=extreme)
+    assert SaturationConfig(power_grid=np.array([1e-300, 1e308])).power_grid[-1] == 1e308
+
+
+def test_stacked_multi_block_spectrum_equals_its_blocks_bit_for_bit():
+    # three spectra in one (3, 1) call over 3 full blocks and one point, written block by block
+    grid = np.linspace(-mhz(60.0), mhz(60.0), 3 * _BLOCK + 1)
+    g1 = np.array([[0.0], [CFG.g1_eff], [2.0 * CFG.g1_eff]])
+    g2 = np.array([[CFG.g2_eff], [0.0], [CFG.g2_eff]])
+    spec = transmission_spectrum(RATES, g1, g2, grid=grid)
+    blocks = [transmission_spectrum(RATES, g1, g2, grid=grid[i:i + _BLOCK]).transmission
+              for i in range(0, grid.size, _BLOCK)]
+    assert [b.shape for b in blocks] == [(3, _BLOCK)] * 3 + [(3, 1)]
+    assert spec.transmission.shape == (3, grid.size)
+    assert np.array_equal(spec.transmission, np.concatenate(blocks, axis=-1))
+    for row, (a, b) in enumerate(zip(g1[:, 0].tolist(), g2[:, 0].tolist())):
+        assert np.array_equal(spec.transmission[row], transmission_spectrum(RATES, a, b, grid=grid).transmission)
 
 
 def test_steady_state_checks_stacked_couplings_elementwise():

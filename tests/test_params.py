@@ -1,5 +1,4 @@
 import math
-import re
 import sys
 
 import numpy as np
@@ -15,10 +14,11 @@ from fiberqed.params import (
     holds,
     mhz,
     rate_report,
-    reference_rates,
     to_mhz,
 )
 from dataclasses import fields, replace
+
+from references import reference_rates
 
 
 def test_unit_helpers_roundtrip():
@@ -162,17 +162,44 @@ def test_rate_whose_square_overflows_is_rejected(name):
 
 @pytest.mark.parametrize("name", [f.name for f in fields(DerivedRates) if f.init])
 def test_derived_rate_whose_square_overflows_is_rejected(name):
-    # the same rule on every derived rate, composites included, naming its [physical] keys
+    # the same rule on every derived rate, composites included, naming its [physical] keys, for a
+    # float and for stacked rates alike
     rates, top = derive_rates(PhysicalConfig()), math.sqrt(sys.float_info.max)
     keys = {f.name: f.metadata["from"] for f in fields(DerivedRates)}
-    for bad in (math.nextafter(top, math.inf), math.inf, math.nan):
-        with pytest.raises(ValueError, match=r"^rate \w+=.* rad/s, from \[physical\] .*, must be finite, "
-                                             r"and so must its square in \(rad/s\)\^2$") as info:
-            replace(rates, **{name: bad})
-        # the first field in declaration order that fails: kappa_1p comes before gamma_las
-        failing = re.match(r"rate (\w+)=", str(info.value))[1]
-        assert failing == ("kappa_1p" if name == "gamma_las" else name)
-        assert f"from [physical] {keys[failing]}," in str(info.value)
+    good = getattr(rates, name)
+    for bad in (math.nextafter(top, math.inf), -math.nextafter(top, math.inf), math.inf, -math.inf, math.nan):
+        for value in (bad, np.array([good, bad]), np.array([[bad], [good]])):
+            with pytest.raises(ValueError) as info, np.errstate(over="ignore"):
+                replace(rates, **{name: value})
+            # the first field in declaration order that fails: kappa_1p comes before gamma_las
+            failing, r = ("kappa_1p", rates.kappa_1 + value) if name == "gamma_las" else (name, value)
+            assert str(info.value) == (f"rate {failing}={r!r} rad/s, from [physical] {keys[failing]}, must be "
+                                       "finite, and so must its square in (rad/s)^2")
+
+
+#: each PhysicalConfig field's rule as its message and the values beyond its range, by check order
+_RULES = [
+    (("T1", "T2", "T3", "T4"), "mirror transmittance {}={!r} must lie in (0, 1)", (0.0, 1.0, -0.5)),
+    (("alpha1", "alpha2", "alphaf"), "single-pass loss {}={!r} must lie in [0, 1)", (-0.01, 1.0)),
+    (("L1", "L2", "Lf", "c_fiber", "lambda_probe"), "{}={!r} must be positive and finite", (0.0, -1.0)),
+    (tuple(f.name for f in fields(PhysicalConfig) if "mhz" in f.metadata),
+     "rate {}={!r} must be non-negative and finite, and so must its square in (rad/s)^2",
+     (-1e-300, math.nextafter(math.sqrt(sys.float_info.max), math.inf))),
+]
+
+
+def test_every_physical_field_is_rejected_by_name_with_its_message():
+    assert sorted(n for names, _, _ in _RULES for n in names) == sorted(f.name for f in fields(PhysicalConfig))
+    for names, message, outside in _RULES:
+        for name in names:
+            for bad in (math.nan, math.inf, -math.inf, *outside):
+                with pytest.raises(ValueError) as info:
+                    PhysicalConfig(**{name: bad})
+                assert str(info.value) == message.format(name, bad)
+    # two bad fields: the one checked first is named, transmittances first and rates last
+    for first, second in (("T4", "alpha1"), ("alphaf", "L1"), ("lambda_probe", "gamma_par")):
+        with pytest.raises(ValueError, match=rf"\b{first}="):
+            PhysicalConfig(**{first: math.nan, second: math.nan})
 
 
 def test_stacked_derived_rates_are_checked_elementwise():

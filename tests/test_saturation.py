@@ -747,13 +747,18 @@ def test_terms_at_extreme_fields_keep_their_values(X_abs2, collective, quadratur
 def test_extreme_couplings_keep_their_results(g0, N_eff):
     # at g0 = 1e-100 the scan reaches xs ~ 1e219, where u would overflow without the clamp; at
     # g0 = 1e8 and N_eff = 300 some 22 powers have two roots on the scan and a third beyond it,
-    # an even count that raises like none (it returned n_roots = 2 before)
+    # and none has no root: an even count, which raises with its own message (it returned
+    # n_roots = 2 before, and then said "no sign change")
+    if (g0, N_eff) == (1e8, 300.0):
+        message = (r"an even number of sign changes up to \|X\| = 1e3\*sqrt\(n_sat\) "
+                   "leaves a root beyond the scan")
+    else:
+        message = r"no sign change up to \|X\| = 1e3\*sqrt\(n_sat\)"
     for which in (1, 2):
         for model, sigma in (("closed_form", 0.0), ("quadrature", 0.3)):
             cfg = SaturationConfig(which_cavity=which, g0=g0, N_eff=N_eff, model=model,
                                    sigma_y_over_x0=sigma)
-            with pytest.raises(RuntimeError, match=r"^saturation root bracketing failed: no sign "
-                                                   r"change up to \|X\| = 1e3\*sqrt\(n_sat\)$"):
+            with pytest.raises(RuntimeError, match=rf"^saturation root bracketing failed: {message}$"):
                 solve_saturation(cfg, RATES)
 
 
