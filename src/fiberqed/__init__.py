@@ -23,8 +23,7 @@ _LAZY = {
     "fiber_mode": ("make_mode_params", "bessel_k", "g_squared_exact",
                    "g_squared_simplified", "fit_simplified"),
     "saturation": ("SaturationConfig", "SaturationCurve", "saturation_photon_number",
-                   "collective_saturation_term", "quadrature_saturation_term",
-                   "solve_saturation"),
+                   "quadrature_saturation_term", "solve_saturation"),
 }
 __all__ = ["PhysicalConfig", "DerivedRates", "ModeFunctionParams", "derive_rates", "mhz", "to_mhz",
            "params", *_LAZY, *(name for names in _LAZY.values() for name in names)]

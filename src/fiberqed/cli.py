@@ -368,10 +368,10 @@ _COMMANDS = {
 
 
 def run_subcommand(name: str, cfg: RunConfig, args=None) -> int:
-    """Dispatch a subcommand; args carries optional CLI-only flags."""
+    """Dispatch a subcommand; args carries the CLI-only flags, by default the parser's."""
     if name not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {name!r}")
-    args = args or argparse.Namespace(band=None, kv=False)
+    args = args or _build_parser().parse_args([name])
     if name == "params":        # the one command that loads no numpy
         return cmd_params(cfg, args)
     import numpy as np

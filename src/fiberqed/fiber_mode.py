@@ -105,10 +105,6 @@ class SimplifiedFit:
             if not 0.0 <= (value := getattr(self, name)) < math.inf:
                 raise ValueError(f"{name}={value!r} must be non-negative and finite")
 
-    @property
-    def B_mf(self) -> float:
-        return 1.0 - self.A_mf
-
 
 def g_squared_simplified(fit: SimplifiedFit, r, phi, z):
     """Simplified separable profile, normalized to 1 at (r0, 0, 0)."""
@@ -117,7 +113,7 @@ def g_squared_simplified(fit: SimplifiedFit, r, phi, z):
     r = np.asarray(r, dtype=float)
     if not np.all((r > 0.0) & np.isfinite(r)):
         raise ValueError("radial position must be finite and positive")
-    axial = 0.5 * (1.0 + fit.A_mf + fit.B_mf * np.cos(2.0 * p.beta * np.asarray(z)))
+    axial = 0.5 * (1.0 + fit.A_mf + (1.0 - fit.A_mf) * np.cos(2.0 * p.beta * np.asarray(z)))
     radial = np.exp(-2.0 * fit.qprime * (r - p.r0)) / (r / p.r0)
     out = axial * radial * np.cos(np.asarray(phi)) ** 2
     return out if np.ndim(out) else float(out)

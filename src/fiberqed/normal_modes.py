@@ -88,7 +88,7 @@ def reduced_spectrum(summary: NormalModeSummary, rates: DerivedRates, grid: np.n
     |a2|^2 = (v1*v2/(2*v_tilde^2))^2 |gamma_perp + i*delta|^2 / |D|^2 with D = (k + i*delta)(gamma_perp
     + i*delta) + gd1^2 + gd2^2.  Normalization matches the full model: the on-resonance empty-cavity
     flux of the full chain, and zero when kappa_2r*v1*v2 == 0.  The grid is required and goes through
-    the evaluator of transmission_spectrum, with the same checks, norm and blocks.
+    the evaluator of transmission_spectrum, with the same checks, norm and blocks; past overflow, 0.
     """
     k, gp = summary.kappa_d + rates.gamma_las, rates.gamma_perp
 
@@ -100,9 +100,10 @@ def reduced_spectrum(summary: NormalModeSummary, rates: DerivedRates, grid: np.n
         den_sq *= den_sq
         den_sq += d2 * (k + gp) ** 2
         np.multiply(np.add(d2, gp * gp, out=d2), det0_sq / summary.splitting_bright**4, out=d2)
-        return np.divide(d2, den_sq, out=d2)
+        return np.fmax(np.divide(d2, den_sq, out=d2), 0.0, out=d2)     # a NaN of overflowed parts reads 0
 
-    return _spectrum(rates, grid, transmission_at)
+    with np.errstate(all="ignore"):     # from |delta| ~ 1e77 the parts overflow: no numpy warning
+        return _spectrum(rates, grid, transmission_at)
 
 
 def peak_find(spec: SpectrumResult) -> list[tuple[float, float]]:

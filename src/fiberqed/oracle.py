@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the closed-form code paths: the linear
 response is checked against a dense 5x5 complex solve of the stationarity
-equations as written (all random cases in one stacked closed-form call and one
-stacked solve), quadratures against adaptive Simpson, and the Bessel
-evaluations against 60-digit ascending-series values stored at the validation
-points in data/bessel_k_series.json, which the tests recompute exactly.  The
-integrands handed to `adaptive_quadrature` must broadcast over numpy arrays.
+equations as written, the (matrix, rhs) pair of `build_linear_system` (all
+random cases in one stacked closed-form call and one stacked solve),
+quadratures against adaptive Simpson, and the Bessel evaluations against
+60-digit ascending-series values stored at the validation points in
+data/bessel_k_series.json, which the tests recompute exactly.  The integrands
+handed to `adaptive_quadrature` must broadcast over numpy arrays.
 """
 
 from __future__ import annotations
@@ -23,19 +24,11 @@ from .params import ModeFunctionParams, PhysicalConfig, DerivedRates, derive_rat
 from .linear_response import ProbeSettings, SteadyStateAmplitudes
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """5x5 complex stationarity system(s) in the variable order (a1, a2, b, s1, s2)."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-
-def build_linear_system(
-    rates: DerivedRates, probe: ProbeSettings, g1: float, g2: float
-) -> LinearSystem:
-    """Encode the five fixed-point equations row by row; array-valued rates, probe
-    fields or couplings stack one system per element."""
+def build_linear_system(rates: DerivedRates, probe: ProbeSettings, g1: float,
+                        g2: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 5x5 complex stationarity system (matrix, rhs) in the variable order (a1, a2, b, s1, s2),
+    the five fixed-point equations row by row; array-valued rates, probe fields or couplings
+    stack one system per element."""
     dc, da = probe.delta_c, probe.delta_a
     shape = np.broadcast_shapes(*map(np.shape, (dc, da, probe.drive_E1, g1, g2, *vars(rates).values())))
     m = np.zeros(shape + (5, 5), dtype=complex)
@@ -60,17 +53,18 @@ def build_linear_system(
     m[..., 4, 4] = rates.gamma_perp + 1j * da
     m[..., 4, 1] = 1j * g2
 
-    return LinearSystem(matrix=m, rhs=rhs)
+    return m, rhs
 
 
-def solve_dense(system: LinearSystem) -> SteadyStateAmplitudes:
-    """Direct dense solve, stacked systems in one call, with a residual check per system."""
+def solve_dense(system: tuple[np.ndarray, np.ndarray]) -> SteadyStateAmplitudes:
+    """Dense solve of (matrix, rhs), stacked systems in one call, with a residual check per system."""
+    matrix, rhs = system
     try:
-        x = np.linalg.solve(system.matrix, system.rhs[..., np.newaxis])
+        x = np.linalg.solve(matrix, rhs[..., np.newaxis])
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"singular linear system: {exc}") from exc
-    residual = np.max(np.abs(system.matrix @ x - system.rhs[..., np.newaxis]), axis=(-2, -1))
-    scale = np.maximum(np.max(np.abs(system.rhs), axis=-1), 1e-300)
+    residual = np.max(np.abs(matrix @ x - rhs[..., np.newaxis]), axis=(-2, -1))
+    scale = np.maximum(np.max(np.abs(rhs), axis=-1), 1e-300)
     bad = (residual > 1e-12 * scale) & (scale > 1e-290)
     if np.any(bad):
         raise RuntimeError(f"dense solve residual too large: {np.max(residual[bad] / scale[bad]):.3e}")
@@ -168,7 +162,7 @@ def run_validation(cfg: PhysicalConfig | None = None, draws: int = 200, seed: in
     err = _check_linear_closed_form(rates, cfg, draws, seed)
     results.append(CheckResult("linear closed form vs dense solve", err, 1e-9))
 
-    # Gauss-Hermite collective term vs adaptive quadrature of the cloud integral
+    # Gauss-Hermite atom sum vs adaptive quadrature of the cloud integral
     a_mf, qx = fit.A_mf, fit.qprime * fit.params.r0
     worst = 0.0
     for x2 in (0.25, 1.0, 4.0):

@@ -219,13 +219,11 @@ def check_saturation_choice(which_cavity: int, model: str, sigma_y_over_x0: floa
 
 
 def rate_report(cfg: PhysicalConfig) -> str:
-    """Human-readable rate table in MHz with 3 significant figures."""
+    """Human-readable rate table in MHz with 3 significant figures; a rate whose [physical]
+    sources include Lf is labelled with the fiber length."""
     r = derive_rates(cfg)
-    lf_dependent = ("kappa_bloss", "v1", "v2")
-    rows = [
-        (f"{f.name} (Lf={cfg.Lf} m)" if f.name in lf_dependent else f.name, getattr(r, f.name))
-        for f in fields(r)
-    ]
+    rows = [(f"{name} (Lf={cfg.Lf} m)" if "Lf" in source.split(", ") else name, getattr(r, name))
+            for name, source in _RATE_SOURCES]
     width = max(len(name) for name, _ in rows)
     lines = [f"{'parameter':<{width}}  MHz"]
     for name, rate in rows:

@@ -34,11 +34,10 @@ from .params import C_VACUUM, DerivedRates, PhysicalConfig, check_cloud_width, c
 
 HBAR = 1.054571817e-34          # J s
 
-def _check_atom_sum(N_eff, A_mf, sigma_y_over_x0=0.0, q_prime_x0=1.0, X_abs2=0.0) -> None:
-    """SaturationConfig's rules on the atom-sum inputs, which both public terms check too."""
+def _check_atom_sum(N_eff, A_mf, q_prime_x0=1.0, X_abs2=0.0) -> None:
+    """SaturationConfig's rules on the atom-sum inputs; the caller checks the cloud width first."""
     if not 0.0 < N_eff < math.inf:
         raise ValueError(f"N_eff={N_eff!r} must be positive and finite")
-    check_cloud_width(sigma_y_over_x0)
     if not 0.0 <= A_mf <= 1.0:
         raise ValueError(f"axial weight A_mf={A_mf!r} must lie in [0, 1]")
     if not 0.0 < q_prime_x0 < math.inf:
@@ -52,7 +51,7 @@ class SaturationConfig:
     which_cavity: int = 1
     g0: float = 0.0                     # trap-minimum single-atom coupling, rad/s
     N_eff: float = 1.0                  # effective atom number
-    # A_mf and q_prime_x0 default to the reference fit, fit_simplified(make_mode_params())
+    # A_mf and q_prime_x0 default to the reference fit, fit_simplified(ModeFunctionParams())
     A_mf: float = 0.14990793786043394   # axial weight of the mode function
     power_grid: np.ndarray = field(default_factory=lambda: np.geomspace(1e-12, 1e-6, 61))
     model: str = "closed_form"          # names the rule: closed_form needs sigma_y_over_x0 = 0
@@ -63,7 +62,7 @@ class SaturationConfig:
         check_saturation_choice(self.which_cavity, self.model, self.sigma_y_over_x0)
         if not 0.0 <= self.g0 < math.inf:       # solve_saturation needs g0 > 0
             raise ValueError(f"g0={self.g0!r} must be non-negative and finite")
-        _check_atom_sum(self.N_eff, self.A_mf, self.sigma_y_over_x0, self.q_prime_x0)
+        _check_atom_sum(self.N_eff, self.A_mf, self.q_prime_x0)
         linear_response.increasing_grid(
             self.power_grid, "power_grid must be finite, positive and strictly increasing", lo=0.0)
 
@@ -138,24 +137,14 @@ _ONE_NODE = (np.ones(1), np.ones(1))      # every atom samples the trap-minimum 
 _UNIT_SCAN = np.geomspace(1e-4, 1e3, 400)   # the scan nodes of |X| over sqrt(n_sat)
 
 
-def collective_saturation_term(N_eff: float, A_mf: float, X_abs2) -> float:
-    """Collective atomic response summed over the trap, per unit cooperativity.
-
-    Decreases monotonically from N_eff at zero field to
-    2*N_eff/((1+A)*|X|^2) at strong saturation: the sigma_y_over_x0 = 0 call
-    of quadrature_saturation_term.
-    """
-    return quadrature_saturation_term(N_eff, A_mf, 0.0, 1.0, X_abs2)
-
-
 def quadrature_saturation_term(N_eff: float, A_mf: float, sigma_y_over_x0: float, q_prime_x0: float,
                                X_abs2) -> float:
-    """Gauss-Hermite evaluation of the atom summation over a Gaussian cloud.
-
-    At sigma_y_over_x0 = 0 (all atoms sample the trap-minimum field) the rule
-    has one node, and this is collective_saturation_term bit for bit.
-    """
-    _check_atom_sum(N_eff, A_mf, sigma_y_over_x0, q_prime_x0, X_abs2)
+    """The atom sum N_eff * P(X_abs2) over a Gaussian cloud, its inputs checked as SaturationConfig
+    does.  At sigma_y_over_x0 = 0 every atom samples the trap-minimum field, the rule has one node,
+    and the term is the collective one, falling from N_eff at zero field to 2*N_eff/((1+A)*X_abs2)
+    at strong saturation, whatever q_prime_x0."""
+    check_cloud_width(sigma_y_over_x0)
+    _check_atom_sum(N_eff, A_mf, q_prime_x0, X_abs2)
     return N_eff * _per_unit_field(A_mf, X_abs2, *_cloud_rule(sigma_y_over_x0, q_prime_x0))
 
 

@@ -23,8 +23,8 @@ def reference_rates() -> dict:
 
 def stationarity_residual(amps, rates, probe, g1: float, g2: float) -> float:
     """Max residual of the five fixed-point equations, max|M x - rhs|, relative to the drive."""
-    system = oracle.build_linear_system(rates, probe, g1, g2)
+    matrix, rhs = oracle.build_linear_system(rates, probe, g1, g2)
     x = np.array([amps.a1, amps.a2, amps.b, amps.s1, amps.s2])
     scale = max(abs(probe.drive_E1), abs(amps.a1) * rates.kappa_1p, abs(amps.a2) * rates.kappa_2p,
                 linear_response.SINGULAR_FLOOR)
-    return float(np.max(np.abs(system.matrix @ x - system.rhs))) / scale
+    return float(np.max(np.abs(matrix @ x - rhs))) / scale

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fiberqed import fiber_mode
+from fiberqed import cli, fiber_mode
 from fiberqed.cli import (
     ConfigError,
     RunConfig,
@@ -206,6 +206,16 @@ def test_params_command(capsys):
     assert run_subcommand("params", RunConfig()) == 0
     out = capsys.readouterr().out
     assert "kappa_1l" in out and "1.16" in out
+
+
+def test_library_dispatch_passes_every_flag_at_its_parser_default(monkeypatch):
+    # run_subcommand without args reads the defaults off the parser, so a new flag cannot be missed
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "normal-modes", lambda cfg, args: seen.append(args) or 0)
+    assert run_subcommand("normal-modes", RunConfig()) == 0
+    flags = {a.dest: a.default for a in cli._build_parser()._actions if a.dest not in ("help", "command")}
+    assert {dest: getattr(seen[0], dest) for dest in flags} == flags
+    assert flags["band"] is None and flags["kv"] is False
 
 
 def test_unknown_subcommand():

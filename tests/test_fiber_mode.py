@@ -221,7 +221,6 @@ def test_fit_simplified_frozen():
     fit = fit_simplified(P)
     assert fit.qprime / P.q == pytest.approx(1.00610, abs=0.005)
     assert fit.A_mf == pytest.approx(0.14991, abs=0.005)
-    assert fit.B_mf == pytest.approx(1.0 - fit.A_mf, rel=1e-12)
     assert fit.max_rel_error == pytest.approx(0.21266, abs=0.005)
     assert fit.params == P
 

@@ -158,9 +158,9 @@ def _design_configs(rng, n):
 
 def _exact_a2_squared(rates, dc, da, g1, g2):
     """|a2|^2 at unit drive from a 40-digit LU solve of the dense 5x5 system."""
-    system = oracle.build_linear_system(rates, ProbeSettings(dc, da, 1.0), g1, g2)
+    matrix, rhs = oracle.build_linear_system(rates, ProbeSettings(dc, da, 1.0), g1, g2)
     with mpmath.workdps(40):
-        x = mpmath.lu_solve(mpmath.matrix(system.matrix.tolist()), mpmath.matrix(system.rhs.tolist()))
+        x = mpmath.lu_solve(mpmath.matrix(matrix.tolist()), mpmath.matrix(rhs.tolist()))
         return abs(x[1]) ** 2
 
 

@@ -272,9 +272,9 @@ def test_reduced_spectrum_matches_40_digit_dark_mode_model(lf, g1, g2):
     s = decompose(rates, mhz(g1), mhz(g2))
     grid = np.linspace(mhz(-25.0), mhz(25.0), 11)
     spec = reduced_spectrum(s, rates, grid=grid)
-    empty = oracle.build_linear_system(rates, ProbeSettings(0.0, 0.0, 1.0), 0.0, 0.0)
+    matrix, rhs = oracle.build_linear_system(rates, ProbeSettings(0.0, 0.0, 1.0), 0.0, 0.0)
     with mpmath.workdps(40):
-        x = mpmath.lu_solve(mpmath.matrix(empty.matrix.tolist()), mpmath.matrix(empty.rhs.tolist()))
+        x = mpmath.lu_solve(mpmath.matrix(matrix.tolist()), mpmath.matrix(rhs.tolist()))
         s2v, gp = mpmath.mpf(s.splitting_bright), mpmath.mpf(rates.gamma_perp)
         gd2 = mpmath.mpf(s.gd1) ** 2 + mpmath.mpf(s.gd2) ** 2
         for delta, got in zip(grid, spec.transmission):
@@ -282,3 +282,21 @@ def test_reduced_spectrum_matches_40_digit_dark_mode_model(lf, g1, g2):
             d = -1j * (rates.v2 / s2v) / (s.kappa_d + rates.gamma_las + i_delta + gd2 / (gp + i_delta))
             want = abs(rates.v1 / s2v * d) ** 2 / abs(x[1]) ** 2
             assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("end", [1e144, 1e200, 1e308, 1.7976931348623157e308])
+def test_reduced_spectrum_reads_zero_where_its_parts_overflow(end):
+    # no numpy warning (the suite makes each one an error) and no NaN: from |delta| ~ 1e144 both
+    # parts overflow, and such a point reads 0, as transmission_spectrum reads 0 on [-1e200, 1e200]
+    s = decompose(RATES, CFG.g1_eff, CFG.g2_eff)
+    centre = reduced_spectrum(s, RATES, grid=np.array([0.0])).transmission[0]
+    ends = reduced_spectrum(s, RATES, grid=np.array([-end, 0.0, end])).transmission
+    assert ends.tolist() == [0.0, centre, 0.0]
+    if end == 1e200:
+        assert transmission_spectrum(RATES, CFG.g1_eff, CFG.g2_eff, grid=np.array([-end, 0.0, end])
+                                     ).transmission[[0, 2]].tolist() == [0.0, 0.0]
+    # past the first 4096-point block, only the overflowed point changes
+    grid = np.linspace(mhz(-30.0), mhz(30.0), 5000)
+    plain = reduced_spectrum(s, RATES, grid=grid).transmission
+    far = reduced_spectrum(s, RATES, grid=np.append(grid, end)).transmission
+    assert far[:-1].tolist() == plain.tolist() and far[-1] == 0.0

@@ -8,9 +8,8 @@ from scipy import special
 
 from bessel_series import bessel_k_series
 from fiberqed import fiber_mode, linear_response, saturation
-from fiberqed.linear_response import ProbeSettings
+from fiberqed.linear_response import ProbeSettings, SteadyStateAmplitudes
 from fiberqed.oracle import (
-    LinearSystem,
     adaptive_quadrature,
     build_linear_system,
     run_validation,
@@ -25,11 +24,11 @@ RATES = derive_rates(CFG)
 
 def test_system_structure():
     probe = ProbeSettings(mhz(2.0), mhz(1.0), 3.0)
-    sys5 = build_linear_system(RATES, probe, CFG.g1_eff, CFG.g2_eff)
-    assert sys5.matrix.shape == (5, 5)
-    assert np.all(np.real(np.diag(sys5.matrix)) > 0.0)
-    assert sys5.rhs[0] == -3.0j
-    assert np.all(sys5.rhs[1:] == 0.0)
+    matrix, rhs = build_linear_system(RATES, probe, CFG.g1_eff, CFG.g2_eff)
+    assert matrix.shape == (5, 5)
+    assert np.all(np.real(np.diag(matrix)) > 0.0)
+    assert rhs[0] == -3.0j
+    assert np.all(rhs[1:] == 0.0)
 
 
 def test_no_atoms_decouples_coherences():
@@ -49,8 +48,7 @@ def test_no_fiber_decouples_cavities():
 
 
 def test_solve_dense_identity():
-    sys5 = LinearSystem(matrix=np.eye(5, dtype=complex), rhs=np.eye(5, dtype=complex)[0])
-    amps = solve_dense(sys5)
+    amps = solve_dense((np.eye(5, dtype=complex), np.eye(5, dtype=complex)[0]))
     assert amps.a1 == 1.0
     assert amps.a2 == amps.b == amps.s1 == amps.s2 == 0.0
 
@@ -60,14 +58,14 @@ def test_solve_dense_random_residual():
     for _ in range(20):
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) + 5.0 * np.eye(5)
         rhs = rng.normal(size=5) + 1j * rng.normal(size=5)
-        x = solve_dense(LinearSystem(matrix=m, rhs=rhs))
+        x = solve_dense((m, rhs))
         vec = np.array([x.a1, x.a2, x.b, x.s1, x.s2])
         assert np.max(np.abs(m @ vec - rhs)) < 1e-12 * np.max(np.abs(rhs))
 
 
 def test_solve_dense_singular():
     with pytest.raises(RuntimeError):
-        solve_dense(LinearSystem(matrix=np.zeros((5, 5), dtype=complex), rhs=np.ones(5, dtype=complex)))
+        solve_dense((np.zeros((5, 5), dtype=complex), np.ones(5, dtype=complex)))
 
 
 def test_adaptive_quadrature_classics():
@@ -222,6 +220,18 @@ def test_stacked_systems_solve_like_single_ones():
             assert getattr(stack, name)[i] == getattr(one, name)
 
 
+def test_dense_solve_takes_the_built_pair_single_or_stacked():
+    probe = ProbeSettings(mhz(2.0), mhz(1.0), 3.0)
+    system = build_linear_system(RATES, probe, CFG.g1_eff, CFG.g2_eff)
+    assert isinstance(system, tuple) and [part.shape for part in system] == [(5, 5), (5,)]
+    one = solve_dense(system)
+    assert isinstance(one, SteadyStateAmplitudes) and np.ndim(one.a2) == 0
+    stacked = solve_dense(build_linear_system(
+        RATES, ProbeSettings(np.array([mhz(2.0), 0.0]), mhz(1.0), 3.0), CFG.g1_eff, CFG.g2_eff))
+    assert isinstance(stacked, SteadyStateAmplitudes) and stacked.a2.shape == (2,)
+    assert stacked.a2[0] == one.a2
+
+
 def test_stacked_solve_checks_each_residual():
     # condition number 1e16: the solve's residual is far above 1e-12 of that
     # system's rhs, and the well-posed system stacked with it does not hide it
@@ -232,6 +242,6 @@ def test_stacked_solve_checks_each_residual():
     bad = q1 @ np.diag([1.0, 1.0, 1.0, 1.0, 1e-16]) @ q2
     rhs = np.zeros((2, 5), dtype=complex)
     rhs[:, 0] = 1.0
-    assert solve_dense(LinearSystem(good, rhs[0])).a1 == 1.0
+    assert solve_dense((good, rhs[0])).a1 == 1.0
     with pytest.raises(RuntimeError, match="residual too large"):
-        solve_dense(LinearSystem(np.stack([good, bad]), rhs))
+        solve_dense((np.stack([good, bad]), rhs))

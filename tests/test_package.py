@@ -27,8 +27,7 @@ OLD_NAMESPACE = {
     "fiber_mode": ("ModeFunctionParams", "make_mode_params", "bessel_k", "g_squared_exact",
                    "g_squared_simplified", "fit_simplified"),
     "saturation": ("SaturationConfig", "SaturationCurve", "saturation_photon_number",
-                   "collective_saturation_term", "quadrature_saturation_term",
-                   "solve_saturation"),
+                   "quadrature_saturation_term", "solve_saturation"),
 }
 
 
@@ -109,6 +108,18 @@ def test_unknown_name_raises_attribute_error():
     out = _fresh("-c", code).stdout.splitlines()
     assert out == [f"module 'fiberqed' has no attribute {n!r}"
                    for n in ("no_such_name", "oracle_", "_HOMES_")]
+
+
+def test_retired_second_names_are_gone():
+    # the sigma = 0 atom sum is quadrature_saturation_term(..., 0.0, ...), the dense system a
+    # (matrix, rhs) pair, and the simplified profile's cosine weight 1 - A_mf
+    import fiberqed.oracle
+    for owner, name in ((fiberqed, "collective_saturation_term"),
+                        (fiberqed.saturation, "collective_saturation_term"),
+                        (fiberqed.oracle, "LinearSystem"), (fiberqed.fiber_mode.SimplifiedFit, "B_mf")):
+        with pytest.raises(AttributeError):
+            getattr(owner, name)
+    assert "collective_saturation_term" not in fiberqed.__all__
 
 
 def test_version_is_defined_once_in_the_package():

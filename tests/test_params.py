@@ -236,6 +236,19 @@ def test_rate_report_format():
     assert len(lines) == 18  # header + 17 rates
 
 
+def test_rate_report_labels_exactly_the_rates_that_depend_on_lf():
+    # the label is read off each rate's "from" keys, which the rates themselves bear out:
+    # kappa_b folds in the fiber loss kappa_bloss, so it depends on Lf too
+    short, long_ = PhysicalConfig(), replace(PhysicalConfig(), Lf=2.27)
+    labelled = {line.split()[0] for line in rate_report(long_).splitlines() if "(Lf=2.27 m)" in line}
+    sourced = {f.name for f in fields(DerivedRates) if "Lf" in f.metadata["from"].split(", ")}
+    a, b = derive_rates(short), derive_rates(long_)
+    moved = {f.name for f in fields(DerivedRates) if getattr(a, f.name) != getattr(b, f.name)}
+    assert labelled == sourced == moved == {"kappa_bloss", "v1", "v2", "kappa_b"}
+    # the column keeps the width of the longest label, kappa_bloss's
+    assert "kappa_b (Lf=1.23 m)      0.635" in rate_report(short).splitlines()
+
+
 def test_derived_rates_carry_the_linewidths():
     for cfg in (PhysicalConfig(), replace(PhysicalConfig(), gamma_par=mhz(3.1), gamma_las=0.0)):
         r = derive_rates(cfg)

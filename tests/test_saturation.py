@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from fiberqed import linear_response, saturation
+from fiberqed import linear_response, params, saturation
 from fiberqed.fiber_mode import fit_simplified, make_mode_params
 from fiberqed.linear_response import ProbeSettings, transmission_spectrum
 from fiberqed.params import PhysicalConfig, derive_rates, mhz
 from fiberqed.saturation import (
     SaturationConfig,
-    collective_saturation_term,
     quadrature_saturation_term,
     saturation_photon_number,
     scaled_drive_from_power,
@@ -83,27 +82,27 @@ def test_effective_atom_numbers():
 
 
 def test_collective_term_limits():
-    assert collective_saturation_term(92.0, 0.17, 0.0) == 92.0
+    assert quadrature_saturation_term(92.0, 0.17, 0.0, 1.0, 0.0) == 92.0
     # asymptotic 2 N / ((1+A) x^2)
     big = 1e8
-    assert collective_saturation_term(92.0, 0.17, big) == pytest.approx(
+    assert quadrature_saturation_term(92.0, 0.17, 0.0, 1.0, big) == pytest.approx(
         2.0 * 92.0 / (1.17 * big), rel=1e-3
     )
     with pytest.raises(ValueError):
-        collective_saturation_term(92.0, 0.17, -1.0)
+        quadrature_saturation_term(92.0, 0.17, 0.0, 1.0, -1.0)
 
 
 def test_collective_term_monotone_and_continuous():
     x2 = np.geomspace(1e-4, 1e6, 200)
-    vals = collective_saturation_term(92.0, 0.17, x2)
+    vals = quadrature_saturation_term(92.0, 0.17, 0.0, 1.0, x2)
     assert np.all(np.diff(vals) < 0.0)
     assert vals[0] == pytest.approx(92.0, rel=1e-3)
-    assert collective_saturation_term(92.0, 0.17, 1e-8) == pytest.approx(92.0, rel=1e-6)
+    assert quadrature_saturation_term(92.0, 0.17, 0.0, 1.0, 1e-8) == pytest.approx(92.0, rel=1e-6)
 
 
 def test_collective_term_frozen_reference():
     # frozen from Gauss-Hermite quadrature with uniform coupling s == 1
-    assert collective_saturation_term(92.0, 0.17, 1.0) == pytest.approx(
+    assert quadrature_saturation_term(92.0, 0.17, 0.0, 1.0, 1.0) == pytest.approx(
         54.45763856004028, rel=1e-12
     )
 
@@ -121,7 +120,7 @@ def test_low_field_terms_match_mpmath(x2):
     N_eff, A_mf, sigma, qx = 92.0, 0.17, 0.3, 1.4424
     with mpmath.workdps(50):
         ref = _collective_mp(N_eff, A_mf, x2)
-        assert collective_saturation_term(N_eff, A_mf, x2) == pytest.approx(float(ref), rel=1e-13)
+        assert quadrature_saturation_term(N_eff, A_mf, 0.0, 1.0, x2) == pytest.approx(float(ref), rel=1e-13)
         # the same 96-node Gauss-Hermite rule, summed in high precision
         total = mpmath.mpf(0)
         for u, w in zip(*np.polynomial.hermite.hermgauss(96)):
@@ -136,7 +135,7 @@ def test_low_field_terms_match_mpmath(x2):
 def test_quadrature_reduces_to_collective():
     for x2 in (0.0, 0.25, 1.0, 4.0, 100.0):
         gh = quadrature_saturation_term(92.0, 0.17, 0.0, 1.4424, x2)
-        assert gh == pytest.approx(collective_saturation_term(92.0, 0.17, x2), abs=1e-10 * 92.0)
+        assert gh == pytest.approx(quadrature_saturation_term(92.0, 0.17, 0.0, 1.0, x2), abs=1e-10 * 92.0)
 
 
 def test_quadrature_frozen_reference():
@@ -178,14 +177,14 @@ def test_folded_rule_matches_the_full_96_node_sum(sigma, qx):
     np.testing.assert_allclose(got, _full_rule_term(92.0, 0.17, sigma, qx, x2),
                                rtol=1e-15, atol=0.0)
     if sigma == 0.0:
-        np.testing.assert_allclose(got, collective_saturation_term(92.0, 0.17, x2),
+        np.testing.assert_allclose(got, quadrature_saturation_term(92.0, 0.17, 0.0, 1.0, x2),
                                    rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("x2", [-0.5, -50.0, np.array([1.0, -1e-12]), math.nan, np.array([1.0, math.nan])])
 def test_both_terms_reject_negative_field(x2):
     with pytest.raises(ValueError, match="X_abs2 must be non-negative"):
-        collective_saturation_term(92.0, 0.17, x2)
+        quadrature_saturation_term(92.0, 0.17, 0.0, 1.0, x2)
     with pytest.raises(ValueError, match="X_abs2 must be non-negative"):
         quadrature_saturation_term(92.0, 0.17, 0.3, 1.4424, x2)
 
@@ -197,8 +196,9 @@ def test_both_terms_reject_negative_field(x2):
     (92.0, 0.17, 0.3, math.nan, "q_prime_x0"), (92.0, 0.17, 0.3, -3.0, "q_prime_x0"),
 ])
 def test_both_terms_check_their_inputs_as_saturation_config_does(N_eff, A_mf, sigma, qx, name):
-    # one rule per input: the config and both public terms reject it with the same message;
-    # a config of nonzero width names the quadrature model, as closed_form needs sigma = 0
+    # one rule per input: the config and the atom sum, at its width and at zero width, reject it
+    # with the same message; a config of nonzero width names the quadrature model, as closed_form
+    # needs sigma = 0
     model = "quadrature" if sigma > 0.0 else "closed_form"
     with pytest.raises(ValueError, match=name) as config_error:
         SaturationConfig(N_eff=N_eff, A_mf=A_mf, model=model, sigma_y_over_x0=sigma, q_prime_x0=qx)
@@ -207,7 +207,22 @@ def test_both_terms_check_their_inputs_as_saturation_config_does(N_eff, A_mf, si
         quadrature_saturation_term(N_eff, A_mf, sigma, qx, 1.0)
     if name in ("N_eff", "A_mf"):
         with pytest.raises(ValueError, match=message):
-            collective_saturation_term(N_eff, A_mf, 1.0)
+            quadrature_saturation_term(N_eff, A_mf, 0.0, 1.0, 1.0)
+
+
+def test_cloud_width_is_checked_once_per_config_and_per_term(monkeypatch):
+    calls, check = [], params.check_cloud_width
+
+    def counted(sigma):
+        calls.append(sigma)
+        check(sigma)
+
+    monkeypatch.setattr(params, "check_cloud_width", counted)
+    monkeypatch.setattr(saturation, "check_cloud_width", counted)
+    SaturationConfig(model="quadrature", sigma_y_over_x0=0.3)
+    assert calls == [0.3]
+    quadrature_saturation_term(92.0, 0.17, 0.6, 1.4424, 1.0)
+    assert calls == [0.3, 0.6]
 
 
 def test_import_builds_no_gauss_hermite_rule():
@@ -502,7 +517,7 @@ def _hand_derived_response(cfg, rates):
     V2 = rates.v2**2 / (rates.kappa_b * rates.kappa_2p)
     if cfg.model == "closed_form":
         def term(x2):
-            return collective_saturation_term(cfg.N_eff, cfg.A_mf, x2)
+            return quadrature_saturation_term(cfg.N_eff, cfg.A_mf, 0.0, 1.0, x2)
     else:
         def term(x2):
             return quadrature_saturation_term(cfg.N_eff, cfg.A_mf, cfg.sigma_y_over_x0,
@@ -736,10 +751,10 @@ def test_f0_and_f1_agree_with_the_amplitudes():
 ])
 def test_terms_at_extreme_fields_keep_their_values(X_abs2, collective, quadrature):
     # no RuntimeWarning either: the suite turns each one into an error
-    assert collective_saturation_term(92.0, 0.17, X_abs2) == collective
+    assert quadrature_saturation_term(92.0, 0.17, 0.0, 1.0, X_abs2) == collective
     assert quadrature_saturation_term(92.0, 0.17, 0.3, 1.4424, X_abs2) == quadrature
-    both = collective_saturation_term(92.0, 0.17, np.array([X_abs2, 1.0]))
-    assert both.tolist() == [collective, collective_saturation_term(92.0, 0.17, 1.0)]
+    both = quadrature_saturation_term(92.0, 0.17, 0.0, 1.0, np.array([X_abs2, 1.0]))
+    assert both.tolist() == [collective, quadrature_saturation_term(92.0, 0.17, 0.0, 1.0, 1.0)]
 
 
 @pytest.mark.parametrize("g0", [1e-100, 1e-60, 1e5, 1e8])
@@ -773,11 +788,11 @@ def test_closed_form_with_a_cloud_width_is_rejected():
 @pytest.mark.parametrize("A_mf", [0.0, 0.17, 1.0])
 def test_quadrature_terms_at_zero_width_are_the_collective_term_bit_for_bit(A_mf):
     x2 = np.concatenate([[0.0], np.geomspace(1e-8, 1e300, 40), [math.inf]])
-    collective = collective_saturation_term(92.0, A_mf, x2)
+    collective = quadrature_saturation_term(92.0, A_mf, 0.0, 1.0, x2)
     assert quadrature_saturation_term(92.0, A_mf, 0.0, 1.4424, x2).tolist() == collective.tolist()
     for X_abs2, want in zip(x2.tolist(), collective.tolist()):
         assert quadrature_saturation_term(92.0, A_mf, 0.0, 0.5, X_abs2) == want
-        assert collective_saturation_term(92.0, A_mf, X_abs2) == want
+        assert quadrature_saturation_term(92.0, A_mf, 0.0, 1.0, X_abs2) == want
 
 
 @pytest.mark.parametrize("which", [1, 2])
