@@ -334,13 +334,8 @@ def cmd_mode_profile(cfg: RunConfig, args) -> int:
     z = np.linspace(0.0, math.pi / p.beta, m.z_points, endpoint=False)
     grid = np.ix_(r, phi, z)        # an open mesh: the Bessel functions see only the radii
     rr, pp, zz = np.broadcast_arrays(*grid)
-    columns = (
-        rr * 1e9,
-        pp,
-        zz * 1e9,
-        fiber_mode.g_squared_exact(p, *grid),
-        fiber_mode.g_squared_simplified(fit, *grid),
-    )
+    columns = (rr * 1e9, pp, zz * 1e9, fiber_mode.g_squared_exact(p, *grid),
+               fiber_mode.g_squared_simplified(fit, *grid))
     _emit(cfg, "mode_profile", "r_nm,phi_rad,z_nm,g2_exact,g2_simplified", columns,
           plot=lambda: (r * 1e9, fiber_mode.g_squared_exact(p, r, 0.0, 0.0), "r (nm)", "g^2 / g0^2"))
     return 0
@@ -368,15 +363,11 @@ _COMMANDS = {
 
 
 def run_subcommand(name: str, cfg: RunConfig, args=None) -> int:
-    """Dispatch a subcommand; args carries the CLI-only flags, by default the parser's."""
+    """Dispatch a subcommand; args carries the CLI-only flags, by default the parser's.  The
+    library names each numeric failure and emits no numpy warning, so nothing is masked here."""
     if name not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {name!r}")
-    args = args or _build_parser().parse_args([name])
-    if name == "params":        # the one command that loads no numpy
-        return cmd_params(cfg, args)
-    import numpy as np
-    with np.errstate(all="ignore"):     # a numeric failure has its own error: no numpy warnings
-        return _COMMANDS[name](cfg, args)
+    return _COMMANDS[name](cfg, args or _build_parser().parse_args([name]))
 
 
 def _build_parser() -> argparse.ArgumentParser:

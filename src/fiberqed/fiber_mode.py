@@ -57,13 +57,17 @@ def _exact_unnormalized(p: ModeFunctionParams, r, phi, z):
     k0, k1, k2 = _bessel_k012(qr)
     phi = np.asarray(phi)
     pref = (p.beta / (2.0 * p.q)) ** 2
-    cos_part = pref * (
-        ((1.0 - p.s) * k0 + (1.0 + p.s) * k2 * np.cos(2.0 * phi)) ** 2
-        + (1.0 + p.s) ** 2 * k2**2 * np.sin(2.0 * phi) ** 2
-    )
-    sin_part = k1**2 * np.cos(phi) ** 2
-    bz = p.beta * np.asarray(z)
-    return cos_part * np.cos(bz) ** 2 + sin_part * np.sin(bz) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):      # judged below, with no numpy warning
+        cos_part = pref * (
+            ((1.0 - p.s) * k0 + (1.0 + p.s) * k2 * np.cos(2.0 * phi)) ** 2
+            + np.float64(1.0 + p.s) ** 2 * k2**2 * np.sin(2.0 * phi) ** 2
+        )
+        sin_part = k1**2 * np.cos(phi) ** 2
+        bz = p.beta * np.asarray(z)
+        out = cos_part * np.cos(bz) ** 2 + sin_part * np.sin(bz) ** 2
+    if not np.isfinite(out).all():
+        raise ValueError(f"the exact profile overflows at q*r = {qr.min():.3g} with s={p.s!r}")
+    return out
 
 
 def _check_phi_z(phi, z) -> None:
@@ -74,9 +78,9 @@ def _check_phi_z(phi, z) -> None:
 
 def _trap_norm(p: ModeFunctionParams, norm):
     """norm, the exact intensity at the trap minimum (r0, 0, 0), if it is a normal float."""
-    if not np.finfo(float).tiny <= norm < math.inf:     # a subnormal norm degrades the fit
+    if not norm >= np.finfo(float).tiny:     # a subnormal norm degrades the fit
         raise ValueError(f"trap minimum r0={p.r0!r} lies too far out: its exact intensity "
-                         f"{float(norm)!r} must be finite and a normal float, at least 2.2e-308")
+                         f"{float(norm)!r} must be a normal float, at least 2.2e-308")
     return norm
 
 
@@ -137,7 +141,9 @@ def fit_simplified(p: ModeFunctionParams) -> SimplifiedFit:
     z = np.linspace(0.0, math.pi / p.beta, 17, endpoint=False)
     # broadcast (r, phi, z) grid: the Bessel functions see only the 41 radii, r0 among them
     exact = _exact_unnormalized(p, r[:, np.newaxis, np.newaxis], phi, z)
-    weight = np.cos(phi) ** 2 * _trap_norm(p, exact[0, 4, 0]) / exact     # phi[4] = z[0] = 0
+    if not (exact > 1e-150 * (norm := _trap_norm(p, exact[0, 4, 0]))).all():    # phi[4] = z[0] = 0
+        raise ValueError(f"exact profile falls 150 decades on the fit grid: q*r0={p.q * p.r0:.3g}, s={p.s!r}")
+    weight = np.cos(phi) ** 2 * norm / exact    # below 1e150, so its squares sum finitely
     axial = np.stack([np.sin(p.beta * z) ** 2, np.cos(p.beta * z) ** 2], axis=1)    # (w, u) / weight
     # per-r sums over (phi, z): up to a constant, the cost is quadratic in R(r) and A_mf
     sw, su = (weight.sum(axis=1) @ axial).T

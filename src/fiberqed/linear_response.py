@@ -115,6 +115,8 @@ def steady_state(rates: DerivedRates, probe: ProbeSettings, g1: float, g2: float
     _, *parts = _delta_parts(rates, probe.delta_c, probe.delta_a, g1, g2)
     z = np.empty((3,) + parts[0][0].shape, complex)
     z.real, z.imag = zip(*parts)        # not re + 1j*im, which makes an infinite im a NaN re
+    if not np.isfinite(z).all():        # inf/inf, or 0*inf, in the amplitudes
+        raise RuntimeError("Delta, c2 or m overflowed: the amplitudes are not finite")
     det, c2, m = z
     e = probe.drive_E1 / det
     a1 = -1j * e * m
@@ -137,7 +139,10 @@ def _resonant_det(rates: DerivedRates, g1_sq: float = 0.0, g2_sq: float = 0.0) -
 def _empty_chain_norm(rates: DerivedRates) -> float:
     """The norm of both spectra, |Delta_0|^2, so T is exactly 1 there; 0 when kappa_2r*v1*v2 == 0."""
     det0 = _resonant_det(rates)[0]
-    return det0 * det0 if rates.kappa_2r * rates.v1 * rates.v2 != 0.0 else 0.0
+    norm = det0 * det0 if rates.kappa_2r * rates.v1 * rates.v2 != 0.0 else 0.0
+    if not norm < np.inf:
+        raise RuntimeError(f"the empty-chain norm |Delta_0|^2 overflowed: Delta_0 = {det0!r}")
+    return norm
 
 
 def increasing_grid(values, message: str, lo: float = -np.inf) -> np.ndarray:

@@ -99,7 +99,7 @@ def reduced_spectrum(summary: NormalModeSummary, rates: DerivedRates, grid: np.n
         den_sq = np.subtract(k * gp + summary.gd1**2 + summary.gd2**2, d2)
         den_sq *= den_sq
         den_sq += d2 * (k + gp) ** 2
-        np.multiply(np.add(d2, gp * gp, out=d2), det0_sq / summary.splitting_bright**4, out=d2)
+        np.multiply(np.add(d2, gp * gp, out=d2), det0_sq / np.float64(summary.splitting_bright) ** 4, out=d2)
         return np.fmax(np.divide(d2, den_sq, out=d2), 0.0, out=d2)     # a NaN of overflowed parts reads 0
 
     with np.errstate(all="ignore"):     # from |delta| ~ 1e77 the parts overflow: no numpy warning

@@ -95,17 +95,15 @@ def saturation_photon_number(g0: float, rates: DerivedRates) -> float:
 
 
 def _per_unit_field(A_mf: float, x2, s: np.ndarray, w: np.ndarray, slope: bool = False):
-    """The atom sum per atom P: 2/((1+A)*x2) times the saturated fraction u/(p + sqrt(p)) at
-    couplings s summed with weights w, and s @ w at x2 = 0; xs = x2*s is clamped at 1e100, as the
-    fraction is 1.0 in floats from ~1e33 on.  With slope, the stacked pair (P, dQ/dx) for
+    """The atom sum per atom P, in plain numpy expressions: 2/((1+A)*x2) times the saturated fraction
+    u/(p + sqrt(p)) at couplings s summed with weights w, s @ w at x2 = 0; xs = x2*s is clamped at
+    1e100 (the fraction is 1.0 in floats from ~1e33 on).  With slope, the pair (P, dQ/dx) for
     Q(x) = x*P(x^2): dQ/dx = 2/((1+A)*x2) * sum w*(xs*p'/p^1.5 - fraction), p' = dp/dxs."""
     x2 = np.asarray(x2, dtype=float)
-    # four buffers, written in place: freed (400, 27) temporaries of a scan can trim the heap
-    xs, u, root, fraction = map(np.empty, [x2.shape + s.shape] * 4)
-    np.minimum(np.multiply(x2[..., np.newaxis], s, out=xs), 1e100, out=xs)     # u, p*sqrt(p) finite
-    np.multiply(np.add(np.multiply(A_mf, xs, out=u), 1.0 + A_mf, out=u), xs, out=u)    # u = p - 1
-    np.sqrt(np.add(u, 1.0, out=root), out=root)
-    np.divide(u, np.add(np.add(root, 1.0, out=fraction), u, out=fraction), out=fraction)
+    xs = np.minimum(x2[..., np.newaxis] * s, 1e100)     # u, p*sqrt(p) finite
+    u = (A_mf * xs + (1.0 + A_mf)) * xs     # u = p - 1
+    root = np.sqrt(u + 1.0)
+    fraction = u / (root + 1.0 + u)
     if slope:       # a clamped node adds exactly -fraction: its true xs*p'/p^1.5 is ~1e-50 or less
         fraction = np.stack([fraction, xs * (1.0 + A_mf + 2.0 * A_mf * xs) / ((u + 1.0) * root) - fraction])
     zero = ~(x2 > 0.0)      # these divide by 1 instead and are fixed up; x2 + False is x2

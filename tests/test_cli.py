@@ -1,6 +1,7 @@
 import gc
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -663,3 +664,58 @@ def test_a_root_beyond_the_scan_exits_with_code_3(tmp_path, capsys):
                                        "of sign changes up to |X| = 1e3*sqrt(n_sat) leaves a root beyond "
                                        "the scan\n")
     assert list(tmp_path.glob("*.csv")) == []
+
+
+@pytest.mark.parametrize("command, code", [
+    ("params", 0), ("spectrum", 0), ("normal-modes", 0), ("validate", 0), ("saturation", 2), ("mode-profile", 2),
+])
+def test_mode_geometry_is_checked_by_the_commands_that_build_it(tmp_path, capsys, command, code):
+    # at 780 nm the default beta is not guided; the [mode] geometry is checked when
+    # ModeFunctionParams is built, which only saturation and mode-profile do
+    path = tmp_path / "run.cfg"
+    path.write_text("[physical]\nlambda_probe = 780e-9\n")
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err == "" if code == 0 else err.startswith("config error: beta=7879250.0 is not guided")
+
+
+#: Values far out of range: the library must name each failure, with no numpy warning.
+_EXTREMES = ("0", "1e-300", "1e-160", "1e-80", "1e80", "1e160", "1e300", "-1", "nan", "inf")
+_GRIDS = ("-1:1:3", "-30:30:7", "-1e80:1e80:5", "-1e300:1e300:3")
+_FLOAT_KEYS = [(section, key) for section, keys in cli._DEFAULTS.items()
+               for key, default in keys.items() if isinstance(default, float)]
+
+
+def test_extreme_configs_fail_by_name_with_numpy_warnings_as_errors(tmp_path, capsys):
+    # a seeded set of 1-3 extreme values per config, 30 configs per command, after the overflowed
+    # empty-chain norm: exit 0, 2 or 3; a failure is one stderr line (a validate verdict is
+    # FAIL lines on stdout), and every CSV cell written is finite
+    rng = random.Random(0)
+    cases = [("spectrum", "[physical]\nL1 = 1e-80\nLf = 1e-80\n", "-1:1:3")]
+    for command in sorted(cli._COMMANDS):
+        for _ in range(30):
+            keys = rng.sample(_FLOAT_KEYS, rng.randint(1, 3))
+            text = "".join(f"[{section}]\n{key} = {rng.choice(_EXTREMES)}\n" for section, key in keys)
+            cases.append((command, text, rng.choice(_GRIDS)))
+    results = []
+    for i, (command, text, grid) in enumerate(cases):
+        path, out = tmp_path / f"{i}.cfg", tmp_path / f"out{i}"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main([command, "--config", str(path), "--out", str(out), f"--grid={grid}"])
+            except Warning as exc:
+                pytest.fail(f"{command} --grid={grid} on {text!r}: {exc!r}")
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3), (command, text)
+        verdict = command == "validate" and code == 3 and "FAIL" in captured.out
+        assert captured.err.count("\n") == (code != 0 and not verdict), (command, text, captured.err)
+        for csv in out.glob("*.csv"):
+            cells = [c for row in csv.read_text().splitlines()[1:] for c in row.split(",")]
+            assert all(math.isfinite(float(c)) for c in cells if c not in ("low", "high")), (command, text)
+        results.append((code, captured.err))
+    assert results[0] == (3, "numeric failure: the empty-chain norm |Delta_0|^2 overflowed: "
+                             "Delta_0 = 4.762255921201619e+182\n")
+    assert not (tmp_path / "out0").exists()
+    assert {code for code, _ in results} == {0, 2, 3}

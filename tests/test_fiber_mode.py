@@ -311,3 +311,26 @@ def test_fit_qprime_is_the_stationary_point_of_its_cost(r0):
     p = make_mode_params(r0=r0)
     ref = _stationary_qprime(p)
     assert abs(fit_simplified(p).qprime - ref) <= 1e-9 * ref
+
+
+@pytest.mark.parametrize("geometry, message", [
+    (dict(s=1e160), r"^the exact profile overflows at q\*r = 1\.11 with s=1e\+160$"),
+    (dict(a=1e-300, r0=1e-200), r"^the exact profile overflows at q\*r = 2\.77e-194 with s=-0\.828$"),
+], ids=["s-squared", "K2-near-the-axis"])
+def test_an_overflowing_exact_profile_is_named(geometry, message):
+    # (1 + s)^2 overflows, or K2(q*r0) does: a named error with no numpy warning, where the
+    # profile used to raise a bare OverflowError, or blame a NaN trap-minimum intensity
+    p = make_mode_params(**geometry)
+    for call in (lambda: g_squared_exact(p, p.r0, 0.0, 0.0), lambda: fit_simplified(p)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_a_profile_falling_150_decades_across_the_fit_grid_is_named():
+    # at 10 nm with beta = 8.8e8 1/m, q = 6.2e8 1/m: the profile falls by 2.8e-161 over the fit's
+    # 300 nm, its relative weights would overflow, and the fit used to end in a NaN A_mf
+    p = make_mode_params(wavelength=1e-8, beta=8.8e8)
+    with pytest.raises(ValueError, match=r"^exact profile falls 150 decades on the fit grid: q\*r0=246, "
+                                         r"s=-0\.828$"):
+        fit_simplified(p)
+    assert fit_simplified(make_mode_params(wavelength=1e-8, beta=8e8)).A_mf == pytest.approx(0.3639, abs=1e-4)

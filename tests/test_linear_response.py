@@ -379,3 +379,26 @@ def test_steady_state_checks_stacked_couplings_elementwise():
     stacked = steady_state(RATES, ProbeSettings(np.array([0.0, mhz(5.0)]), 0.0, 1.0),
                            np.array([[CFG.g1_eff], [0.0]]), CFG.g2_eff)
     assert stacked.a1.shape == (2, 2) and stacked.a1[0, 0] == amps.a1
+
+
+def test_an_overflowed_empty_chain_norm_is_named():
+    # L1 = Lf = 1e-80 m: v1 = 6.4e87 rad/s and every rate's square is finite, but |Delta_0|^2 is
+    # not; both spectra name it, where they used to divide by an infinite norm into NaN
+    rates = derive_rates(PhysicalConfig(L1=1e-80, Lf=1e-80))
+    summary = decompose(rates, 0.0, 0.0)
+    for spectrum in (lambda: transmission_spectrum(rates, 0.0, 0.0, grid=[-1.0, 0.0, 1.0]),
+                     lambda: reduced_spectrum(summary, rates, grid=[-1.0, 0.0, 1.0])):
+        with pytest.raises(RuntimeError, match=r"^the empty-chain norm \|Delta_0\|\^2 overflowed: "
+                                               r"Delta_0 = 4\.76225592120\d*e\+182$"):
+            spectrum()
+    # with kappa_2r*v1*v2 == 0 the norm is 0 before it is squared, and so is T
+    dark = replace(rates, kappa_2r=0.0)
+    assert transmission_spectrum(dark, 0.0, 0.0, grid=[-1.0, 0.0, 1.0]).transmission.tolist() == [0.0] * 3
+
+
+def test_steady_state_names_amplitudes_that_overflow():
+    # c_fiber = 1e150 m/s: the rates are about 1e149 rad/s, so Delta ~ rate^3 is infinite in both
+    # parts, where the amplitudes used to be inf/inf = NaN, with numpy's warning
+    rates = derive_rates(PhysicalConfig(c_fiber=1e150))
+    with pytest.raises(RuntimeError, match=r"^Delta, c2 or m overflowed: the amplitudes are not finite$"):
+        steady_state(rates, ProbeSettings(), CFG.g1_eff, CFG.g2_eff)

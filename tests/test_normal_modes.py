@@ -300,3 +300,15 @@ def test_reduced_spectrum_reads_zero_where_its_parts_overflow(end):
     plain = reduced_spectrum(s, RATES, grid=grid).transmission
     far = reduced_spectrum(s, RATES, grid=np.append(grid, end)).transmission
     assert far[:-1].tolist() == plain.tolist() and far[-1] == 0.0
+
+
+def test_reduced_prefactor_past_overflow_reads_zero():
+    # sqrt(2)*v_tilde = 8.4e77 rad/s, whose fourth power overflows: the prefactor is 0, as the
+    # kernel's other overflowed parts, where the float power raised a bare OverflowError; the
+    # exact value is 6.1e-29, and transmission_spectrum reads 0 off resonance too
+    cfg = PhysicalConfig(T1=1e-20, T4=1e-20, alpha1=0.0, alpha2=0.0, alphaf=1e-300, gamma_las=1e-6,
+                         Lf=1e-140)
+    rates = derive_rates(cfg)
+    grid = np.array([-1.0, 0.0, 1.0])
+    assert reduced_spectrum(decompose(rates, 0.0, 0.0), rates, grid=grid).transmission.tolist() == [0.0] * 3
+    assert transmission_spectrum(rates, 0.0, 0.0, grid=grid).transmission[[0, 2]].tolist() == [0.0, 0.0]

@@ -846,3 +846,19 @@ def test_a_drive_on_any_monotone_scan_node_has_its_root_at_that_node(which, N_ef
         assert np.count_nonzero(r == grid[node]) == 1 and np.all(np.diff(r) > 0.0)
     if N_eff == 2000.0:     # falling cells are part of the check
         assert np.any(np.diff(hn) < 0.0)
+
+
+@pytest.mark.parametrize("which", [1, 2])
+def test_response_function_depends_on_g0_only_through_g0_squared_times_n_eff(which):
+    # h(x) and the drives are in n_sat-scaled units, so g0 -> 2^k g0 with N_eff -> 4^-k N_eff
+    # leaves h bit for bit (exact float scalings) while n_sat moves by 4^-k; the scan window
+    # [1e-4, 1e3]*sqrt(n_sat) moves with it, past h's fixed turning points (x = 1.5630 and 4.3950
+    # in cavity 1)
+    base = _config(which, power_grid=np.geomspace(1e-12, 1e-6, 5))
+    x = np.geomspace(1e-3, 1e3, 61)
+    h = _response_function(base, RATES)[0](x)
+    n_sat = saturation_photon_number(base.g0, RATES)
+    for k in (-3, 2, 5):
+        cfg = replace(base, g0=base.g0 * 2.0**k, N_eff=base.N_eff * 4.0**-k)
+        assert _response_function(cfg, RATES)[0](x).tolist() == h.tolist()
+        assert saturation_photon_number(cfg.g0, RATES) == n_sat * 4.0**-k
