@@ -42,8 +42,8 @@ class ProbeSettings:
         for name in ("delta_c", "delta_a"):
             if not holds(abs(getattr(self, name)) < np.inf):
                 raise ValueError(f"{name} must be finite")
-        if not holds(self.drive_E1 >= 0.0):     # NaN fails too
-            raise ValueError("drive_E1 must be non-negative (global phase convention)")
+        if not (holds(self.drive_E1 >= 0.0) and holds(self.drive_E1 < np.inf)):     # NaN fails too
+            raise ValueError("drive_E1 must be non-negative and finite (global phase convention)")
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,8 @@ def decompose(rates: DerivedRates, g1: float, g2: float) -> NormalModeSummary:
         rates.kappa_bloss
         + (v1**2 * rates.kappa_1 + v2**2 * rates.kappa_2) / two_vt2
     )
+    if not all(map(math.isfinite, (v_tilde, kappa_d, kappa_pm))):     # Python floats overflow silently
+        raise RuntimeError(f"overflow: v_tilde={v_tilde!r}, kappa_d={kappa_d!r}, kappa_plus={kappa_pm!r} rad/s")
 
     # The dark row carries a relative sign between the cavities so that the
     # three rows form an orthogonal matrix; coupling magnitudes are unaffected.

@@ -95,21 +95,31 @@ def saturation_photon_number(g0: float, rates: DerivedRates) -> float:
 
 
 def _per_unit_field(A_mf: float, x2, s: np.ndarray, w: np.ndarray, slope: bool = False):
-    """The atom sum per atom P, in plain numpy expressions: 2/((1+A)*x2) times the saturated fraction
-    u/(p + sqrt(p)) at couplings s summed with weights w, s @ w at x2 = 0; xs = x2*s is clamped at
-    1e100 (the fraction is 1.0 in floats from ~1e33 on).  With slope, the pair (P, dQ/dx) for
-    Q(x) = x*P(x^2): dQ/dx = 2/((1+A)*x2) * sum w*(xs*p'/p^1.5 - fraction), p' = dp/dxs."""
+    """The atom sum per atom P: 2/((1+A)*x2) times the saturated fraction u/(p + sqrt(p)) at
+    couplings s summed with weights w, s @ w at x2 = 0; xs = x2*s is clamped at 1e100 (the fraction
+    is 1.0 in floats from ~1e33 on).  With slope, the pair (P, dQ/dx) for Q(x) = x*P(x^2):
+    dQ/dx = 2/((1+A)*x2) * sum w*(xs*p'/p^1.5 - fraction), p' = dp/dxs.  A pass allocates xs, u and
+    sqrt(p), then writes the fraction and slope rows of one (2, n, k) array in place for one matmul
+    with w; each float is formed as in tests/references.py, and only x2 <= 0 or NaN is fixed up."""
     x2 = np.asarray(x2, dtype=float)
-    xs = np.minimum(x2[..., np.newaxis] * s, 1e100)     # u, p*sqrt(p) finite
-    u = (A_mf * xs + (1.0 + A_mf)) * xs     # u = p - 1
-    root = np.sqrt(u + 1.0)
-    fraction = u / (root + 1.0 + u)
+    xs = np.minimum(t := x2[..., np.newaxis] * s, 1e100, out=t)     # u, p*sqrt(p) finite
+    u = np.multiply(xs, A_mf)
+    np.multiply(np.add(u, 1.0 + A_mf, out=u), xs, out=u)       # u = p - 1
+    root = np.sqrt(p := u + 1.0, out=p)
+    rows = np.empty((1 + slope, *xs.shape))
+    fraction = np.add(root, 1.0, out=rows[0])
+    np.divide(u, np.add(fraction, u, out=fraction), out=fraction)
     if slope:       # a clamped node adds exactly -fraction: its true xs*p'/p^1.5 is ~1e-50 or less
-        fraction = np.stack([fraction, xs * (1.0 + A_mf + 2.0 * A_mf * xs) / ((u + 1.0) * root) - fraction])
-    zero = ~(x2 > 0.0)      # these divide by 1 instead and are fixed up; x2 + False is x2
-    out = 2.0 / (1.0 + A_mf) / (x2 + zero) * (fraction @ w)
-    if zero.any():      # dQ/dx = P at x = 0
-        out = np.where(zero, s @ w, out)
+        term = np.multiply(xs, 2.0 * A_mf, out=rows[1])
+        np.multiply(np.add(term, 1.0 + A_mf, out=term), xs, out=term)     # xs*p'
+        term /= np.multiply(np.add(u, 1.0, out=u), root, out=u)         # over p*sqrt(p)
+        term -= fraction
+    out = rows @ w if slope else fraction @ w
+    if holds(x2 > 0.0):     # every scan node and root
+        out *= 2.0 / (1.0 + A_mf) / x2
+    else:       # the others divide by 1, x2 + False is x2, and x2 = 0 reads s @ w: dQ/dx = P at x = 0
+        zero = ~(x2 > 0.0)
+        out = np.where(zero, s @ w, 2.0 / (1.0 + A_mf) / (x2 + zero) * out)
     return out if out.ndim else float(out)
 
 
@@ -171,7 +181,9 @@ def _response_function(cfg: SaturationConfig, rates: DerivedRates):
     f0, f1 = f(0.0, 0.0), f(g_sq, 0.0) if cfg.which_cavity == 1 else f(0.0, g_sq)
 
     def h(x, slope=False):
-        F = f0 + (f1 - f0) * _per_unit_field(cfg.A_mf, x * x, s, w, slope)
+        F = _per_unit_field(cfg.A_mf, x * x, s, w, slope)
+        F *= f1 - f0
+        F += f0
         if slope:
             F[0] *= x       # and F[1] = f0 + (f1 - f0)*dQ/dx is dh/dx
         return F if slope else x * F

@@ -306,6 +306,17 @@ def test_normal_modes_kv_keys(capsys):
     assert lines[5].split("=")[1] == lines[4].split("=")[1]
 
 
+def test_overflowing_normal_modes_exit_with_code_3(tmp_path, capsys):
+    # rates of about 1e149 rad/s are accepted, and kappa_d overflows: one named line, no kappa_d=inf
+    path = tmp_path / "fast.cfg"
+    path.write_text("[physical]\nc_fiber = 1e150\n")
+    assert main(["normal-modes", "--kv", "--config", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"numeric failure: overflow: v_tilde=\S+e\+149, kappa_d=inf, kappa_plus=inf rad/s\n",
+                        captured.err)
+
+
 def test_validate_command(capsys):
     assert run_subcommand("validate", RunConfig()) == 0
     out = capsys.readouterr().out

@@ -97,6 +97,16 @@ def test_empty_amplitudes_finite_and_driven():
     assert amps.s1 == 0.0 and amps.s2 == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("drive", [math.inf, math.nan, -1.0, np.array([1.0, math.inf]),
+                                   np.array([0.0, math.nan]), np.array([[2.0], [-math.inf]])])
+def test_probe_rejects_a_drive_that_is_negative_or_not_finite(drive):
+    # elementwise, by name, before steady_state could divide by it
+    with pytest.raises(ValueError, match="^drive_E1 must be non-negative and finite"):
+        ProbeSettings(drive_E1=drive)
+    ProbeSettings(drive_E1=np.where(np.isfinite(drive) & (drive >= 0.0), drive, 0.0))
+
+
 def test_input_validation():
     with pytest.raises(ValueError):
         steady_state(RATES, ProbeSettings(0.0, 0.0, -1.0), 0.0, 0.0)

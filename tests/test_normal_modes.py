@@ -108,6 +108,15 @@ def test_degenerate_input_rejected():
             reduced_spectrum(s, RATES, grid=bad)
 
 
+def test_overflowing_rates_are_a_named_numeric_failure():
+    # each square is finite, but v^2 * kappa overflows in Python floats: kappa_d would read inf
+    rates = derive_rates(replace(CFG, c_fiber=1e150))
+    with pytest.raises(RuntimeError, match=r"^overflow: v_tilde=2\.59\d*e\+149, kappa_d=inf, kappa_plus=inf rad/s$"):
+        decompose(rates, CFG.g1_eff, CFG.g2_eff)
+    with pytest.raises(RuntimeError, match=r"^overflow: v_tilde=inf, kappa_d=nan, kappa_plus=nan rad/s$"):
+        decompose(replace(RATES, v1=1e154, v2=1e154), CFG.g1_eff, CFG.g2_eff)
+
+
 def test_decoupled_output_gives_zero_reduced_spectrum():
     # kappa_2r*v1*v2 == 0: no light reaches the output, with or without atoms; both
     # spectra share one zero-normalization rule instead of dividing 0 by 0

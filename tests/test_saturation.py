@@ -25,6 +25,8 @@ from fiberqed.saturation import (
 )
 from dataclasses import replace
 
+from references import per_unit_field
+
 CFG = PhysicalConfig()
 RATES = derive_rates(CFG)
 
@@ -699,6 +701,30 @@ def test_saturated_fraction_matches_mpmath(A_mf):
             ref = 1 - 1 / mpmath.sqrt((1 + A_mf * xs) * (1 + xs))
             worst = max(worst, float(abs(got - ref) / ref))
     assert worst <= 4.5e-16
+
+
+_X2_CORNERS = (0.0, 1e-300, 1e-5, 1.0, 1e33, 1e154, 1e300, math.inf)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("slope", [False, True])
+@pytest.mark.parametrize("rule", ["one node", "27 nodes"])
+@pytest.mark.parametrize("A_mf", [0.0, 0.15, 1.0])
+def test_in_place_kernel_equals_the_plain_expressions_bit_for_bit(A_mf, rule, slope):
+    rng = np.random.default_rng(34)
+    for _ in range(4):
+        s, w = (saturation._ONE_NODE if rule == "one node"
+                else saturation._cloud_rule(rng.uniform(0.05, 2.0), rng.uniform(0.2, 3.0)))
+        seeded = 10.0 ** rng.uniform(-20.0, 40.0, 300)
+        for x2 in (seeded, np.array(_X2_CORNERS), rng.permutation(np.concatenate([seeded, _X2_CORNERS]))):
+            before = x2.tobytes()
+            got = saturation._per_unit_field(A_mf, x2, s, w, slope)
+            assert x2.tobytes() == before       # the kernel never writes into its argument
+            assert got.shape == (2,) * slope + x2.shape
+            assert got.tobytes() == per_unit_field(A_mf, x2, s, w, slope).tobytes()
+        for x2 in _X2_CORNERS + tuple(seeded[:20]):
+            got, want = saturation._per_unit_field(A_mf, x2, s, w, slope), per_unit_field(A_mf, x2, s, w, slope)
+            assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def _h_mp(cfg, f0, f1, x):
