@@ -26,7 +26,7 @@ from dataclasses import fields
 from pathlib import Path
 
 # numpy and the physics modules are imported by the commands that use them
-from .params import (DerivedRates, ModeFunctionParams, PhysicalConfig, check_saturation_choice,
+from .params import (DerivedRates, ModeFunctionParams, PhysicalConfig, _mhz_table, check_saturation_choice,
                      derive_rates, mhz, to_mhz, rate_report)
 
 
@@ -225,14 +225,9 @@ def write_svg_lineplot(path: Path, x, y, xlabel: str, ylabel: str, logx: bool = 
         x1 = x0 + 1.0
     if y1 == y0:
         y1 = y0 + 1.0
-
-    def sx(v):
-        return margin + (v - x0) / (x1 - x0) * (w - 2 * margin)
-
-    def sy(v):
-        return h - margin - (v - y0) / (y1 - y0) * (h - 2 * margin)
-
-    pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+    sx = margin + (x - x0) / (x1 - x0) * (w - 2 * margin)
+    sy = h - margin - (y - y0) / (y1 - y0) * (h - 2 * margin)
+    pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(sx.tolist(), sy.tolist()))
     xtag = f"log10({xlabel})" if logx else xlabel
     svg = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">',
@@ -293,19 +288,15 @@ def cmd_normal_modes(cfg: RunConfig, args) -> int:
     rates = derive_rates(cfg.physical_config())
     g1, g2 = cfg.loaded_couplings()
     summary = normal_modes.decompose(rates, g1, g2)
-    entries = [(key, to_mhz(getattr(summary, attribute))) for key, attribute in (
-        ("v_tilde", "v_tilde"), ("gd1", "gd1"), ("gd2", "gd2"), ("kappa_d", "kappa_d"),
-        ("kappa_plus", "kappa_plus"), ("kappa_minus", "kappa_plus"),    # both bright modes decay alike
-        ("splitting_bright", "splitting_bright"), ("rabi_splitting", "rabi_splitting"))]
+    rows = [(name, getattr(summary, "kappa_plus" if name == "kappa_minus" else name)) for name in (
+        "v_tilde", "gd1", "gd2", "kappa_d", "kappa_plus", "kappa_minus",    # both bright modes decay alike
+        "splitting_bright", "rabi_splitting")]
     if args.kv:
-        for name, value in entries:
-            print(f"{name}={value!r}")
+        for name, value in rows:
+            print(f"{name}={to_mhz(value)!r}")
         print(f"resolved={summary.resolved}")
     else:
-        width = max(len(n) for n, _ in entries)
-        print(f"{'quantity':<{width}}  MHz")
-        for name, value in entries:
-            print(f"{name:<{width}}  {value:.4g}")
+        print(_mhz_table("quantity", rows, 4))
         if not summary.resolved:
             print("(dark-mode doublet unresolved: Rabi radicand is negative)")
     return 0
@@ -344,12 +335,10 @@ def cmd_mode_profile(cfg: RunConfig, args) -> int:
 def cmd_validate(cfg: RunConfig, args) -> int:
     from . import oracle    # only validate needs the oracles
     results = oracle.run_validation(cfg.physical_config())
-    ok = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status}  {res.name}: max error {res.max_error:.3e} (tolerance {res.tolerance:.1e})")
-        ok = ok and res.passed
-    return 0 if ok else 3
+    return 0 if all(res.passed for res in results) else 3
 
 
 _COMMANDS = {
@@ -363,11 +352,17 @@ _COMMANDS = {
 
 
 def run_subcommand(name: str, cfg: RunConfig, args=None) -> int:
-    """Dispatch a subcommand; args carries the CLI-only flags, by default the parser's.  The
-    library names each numeric failure and emits no numpy warning, so nothing is masked here."""
+    """Check --band, then dispatch a subcommand; args carries the CLI-only flags, by default the
+    parser's.  The library names each numeric failure and emits no numpy warning: nothing is masked."""
     if name not in _COMMANDS:
         raise ConfigError(f"unknown subcommand {name!r}")
-    return _COMMANDS[name](cfg, args or _build_parser().parse_args([name]))
+    args = args or _build_parser().parse_args([name])
+    if args.band is not None:   # the shifted couplings are squared in rad/s
+        shifted = max(cfg.loaded_couplings()) + mhz(args.band)
+        if not (args.band > 0.0 and shifted * shifted < math.inf):     # NaN fails too
+            raise ConfigError(f"--band {args.band!r} must be positive and finite, and so must "
+                              "the square in (rad/s)^2 of each coupling it shifts")
+    return _COMMANDS[name](cfg, args)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -402,13 +397,7 @@ def main(argv=None) -> int:
             if len(parts := args.grid.split(":")) != len(_DEFAULTS["probe"]):
                 raise ConfigError(f"bad --grid specification {args.grid!r}")
             lines["probe"] = dict(zip(_DEFAULTS["probe"], parts))
-        cfg = parse_config(text, lines)
-        if args.band is not None:   # the shifted couplings are squared in rad/s
-            shifted = max(cfg.loaded_couplings()) + mhz(args.band)
-            if not (args.band > 0.0 and shifted * shifted < math.inf):     # NaN fails too
-                raise ConfigError(f"--band {args.band!r} must be positive and finite, and so must "
-                                  "the square in (rad/s)^2 of each coupling it shifts")
-        return run_subcommand(args.command, cfg, args)
+        return run_subcommand(args.command, parse_config(text, lines), args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

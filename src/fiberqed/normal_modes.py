@@ -114,6 +114,8 @@ def peak_find(spec: SpectrumResult) -> list[tuple[float, float]]:
     A sample, or a plateau of two, is refined by the parabola through three samples, whose vertex lies
     midway in a plateau of two; a longer plateau is reported at its centre, at its height."""
     x, y = np.asarray(spec.detunings, dtype=float), np.asarray(spec.transmission, dtype=float)
+    if y.ndim != 1 or y.shape != x.shape:   # a stacked (k, n) spectrum would compare rows
+        raise ValueError(f"peak_find: transmission of shape {y.shape} is not the detunings' 1-d {x.shape}")
     peaks = []
     # one vectorised pass finds every rise that does not go on: a maximum or a plateau's start
     for i in (np.flatnonzero((y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])) + 1).tolist():

@@ -218,14 +218,17 @@ def check_saturation_choice(which_cavity: int, model: str, sigma_y_over_x0: floa
     check_cloud_width(sigma_y_over_x0)
 
 
+def _mhz_table(title: str, rows, digits: int) -> str:
+    """The CLI's text table: a "title  MHz" header over (name, rate in rad/s) rows, the title and
+    names padded to the widest name, the rates in MHz to `digits` significant figures."""
+    width = max(len(name) for name, _ in rows)
+    lines = [f"{name:<{width}}  {to_mhz(rate):.{digits}g}" for name, rate in rows]
+    return "\n".join([f"{title:<{width}}  MHz", *lines])
+
+
 def rate_report(cfg: PhysicalConfig) -> str:
     """Human-readable rate table in MHz with 3 significant figures; a rate whose [physical]
     sources include Lf is labelled with the fiber length."""
     r = derive_rates(cfg)
-    rows = [(f"{name} (Lf={cfg.Lf} m)" if "Lf" in source.split(", ") else name, getattr(r, name))
-            for name, source in _RATE_SOURCES]
-    width = max(len(name) for name, _ in rows)
-    lines = [f"{'parameter':<{width}}  MHz"]
-    for name, rate in rows:
-        lines.append(f"{name:<{width}}  {to_mhz(rate):.3g}")
-    return "\n".join(lines)
+    return _mhz_table("parameter", [(f"{name} (Lf={cfg.Lf} m)" if "Lf" in source.split(", ") else name,
+                                     getattr(r, name)) for name, source in _RATE_SOURCES], 3)

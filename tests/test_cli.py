@@ -1,3 +1,4 @@
+import argparse
 import gc
 import math
 import os
@@ -306,6 +307,86 @@ def test_normal_modes_kv_keys(capsys):
     assert lines[5].split("=")[1] == lines[4].split("=")[1]
 
 
+_RATE_TABLE = """\
+parameter                MHz
+kappa_1l                 1.16
+kappa_1loss              0.361
+kappa_1r                 3.48
+kappa_2l                 1.96
+kappa_2loss              0.24
+kappa_2r                 0.357
+kappa_bloss (Lf=1.23 m)  0.27
+v1 (Lf=1.23 m)           9.64
+v2 (Lf=1.23 m)           7.24
+kappa_1                  1.52
+kappa_2                  0.598
+kappa_1p                 1.89
+kappa_2p                 0.963
+kappa_b (Lf=1.23 m)      0.635
+gamma_par                5.2
+gamma_las                0.365
+gamma_perp               2.96
+"""
+
+
+@pytest.mark.parametrize("atoms, table, kv", [
+    ("", """\
+quantity          MHz
+v_tilde           8.527
+gd1               4.324
+gd2               5.837
+kappa_d           0.9306
+kappa_plus        0.7289
+kappa_minus       0.7289
+splitting_bright  12.06
+rabi_splitting    7.193
+""", """\
+v_tilde=8.52703701321002
+gd1=4.323932636226303
+gd2=5.8370074299854116
+kappa_d=0.9306090532909043
+kappa_plus=0.7288898892458306
+kappa_minus=0.7288898892458306
+splitting_bright=12.059051390938981
+rabi_splitting=7.192521292934409
+resolved=True
+"""),
+    ("g1_eff = 0.01\ng2_eff = 0.01\n", """\
+quantity          MHz
+v_tilde           8.527
+gd1               0.006005
+gd2               0.007996
+kappa_d           0.9306
+kappa_plus        0.7289
+kappa_minus       0.7289
+splitting_bright  12.06
+rabi_splitting    0
+(dark-mode doublet unresolved: Rabi radicand is negative)
+""", """\
+v_tilde=8.52703701321002
+gd1=0.006005461994758755
+gd2=0.007995900589021115
+kappa_d=0.9306090532909043
+kappa_plus=0.7288898892458306
+kappa_minus=0.7288898892458306
+splitting_bright=12.059051390938981
+rabi_splitting=0.0
+resolved=False
+"""),
+], ids=["default", "unresolved"])
+def test_params_and_normal_modes_print_their_tables_byte_for_byte(tmp_path, capsys, atoms, table, kv):
+    # the couplings do not enter the rate table; too weak a pair leaves the dark doublet unresolved
+    path = tmp_path / "run.cfg"
+    path.write_text(f"[atoms]\n{atoms}")
+    printed = []
+    for argv in (["params"], ["normal-modes"], ["normal-modes", "--kv"]):
+        assert main([*argv, "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        printed.append(captured.out)
+    assert printed == [_RATE_TABLE, table, kv]
+
+
 def test_overflowing_normal_modes_exit_with_code_3(tmp_path, capsys):
     # rates of about 1e149 rad/s are accepted, and kappa_d overflows: one named line, no kappa_d=inf
     path = tmp_path / "fast.cfg"
@@ -434,6 +515,29 @@ def test_non_finite_input_exits_with_code_2(tmp_path, capsys, command, config, f
     assert main([command, "--config", str(path), "--out", str(out), *flags]) == 2
     assert name in capsys.readouterr().err
     assert list(tmp_path.rglob("*.csv")) == []
+
+
+_NON_FINITE = test_non_finite_input_exits_with_code_2.pytestmark[0]
+#: The --band cases of the test above, by id: (config text, band).
+_BAND_CASES = {case_id: (config, flags[1]) for case_id, (_, config, flags, _) in
+               zip(_NON_FINITE.kwargs["ids"], _NON_FINITE.args[1]) if flags[:1] == ["--band"]}
+
+
+@pytest.mark.parametrize("case", list(_BAND_CASES))
+def test_library_dispatch_rejects_every_band_that_main_rejects(tmp_path, capsys, case):
+    # run_subcommand owns the --band rule: every command, the message main prints, no output
+    config, band = _BAND_CASES[case]
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    cfg = parse_config(f"{config}[output]\ndirectory = {out}\n")
+    for command in sorted(cli._COMMANDS):
+        assert main([command, "--config", str(path), "--out", str(out), "--band", band]) == 2
+        with pytest.raises(ConfigError) as exc:
+            run_subcommand(command, cfg, argparse.Namespace(band=float(band), kv=False))
+        assert capsys.readouterr() == ("", f"config error: {exc.value}\n")
+        assert str(exc.value).startswith(f"--band {float(band)!r} must be positive and finite")
+    assert not out.exists()
 
 
 def test_overflowing_detuning_grid_exits_with_code_3(tmp_path, capsys):

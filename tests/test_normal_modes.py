@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -244,6 +245,18 @@ def test_peak_find_edge_cases():
     assert plateaus >= 5
     assert peaks == reference
     assert all(type(v) is float for peak in peaks for v in peak)
+
+
+def test_peak_find_rejects_a_stacked_or_mismatched_spectrum():
+    # (k, 1) couplings give (k, n) rows: slicing them as samples found no peak, silently
+    grid = mhz(np.linspace(-30.0, 30.0, 601))
+    g = np.array([[CFG.g1_eff, CFG.g2_eff], [0.0, 0.0]])
+    stacked = transmission_spectrum(RATES, g[:, :1], g[:, 1:], grid=grid)
+    assert len(peak_find(SpectrumResult(grid, stacked.transmission[0]))) == 4
+    for t, shape in ((stacked.transmission, "(2, 601)"), (stacked.transmission[:1], "(1, 601)"),
+                     (stacked.transmission[0, :-1], "(600,)")):
+        with pytest.raises(ValueError, match=re.escape(f"of shape {shape} is not the detunings' 1-d (601,)")):
+            peak_find(SpectrumResult(grid, t))
 
 
 @pytest.mark.parametrize("y, want", [
