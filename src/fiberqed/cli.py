@@ -165,10 +165,14 @@ def parse_config(text: str, lines: dict | None = None) -> RunConfig:
 def _validate_config(cfg: RunConfig) -> None:
     if cfg.probe.grid_points < 2 or not -math.inf < cfg.probe.grid_min < cfg.probe.grid_max < math.inf:
         raise ConfigError("probe grid needs at least 2 points and finite grid_min < grid_max")
+    if not mhz(cfg.probe.grid_max) - mhz(cfg.probe.grid_min) < math.inf:     # else linspace makes NaN
+        raise ConfigError(f"[probe] grid_min={cfg.probe.grid_min!r} to grid_max={cfg.probe.grid_max!r} MHz "
+                          "overflows in rad/s")
     s = cfg.saturation
     for key in ("power_min_pW", "power_max_pW"):
-        if not 0.0 < getattr(s, key) < math.inf:        # NaN included
-            raise ConfigError(f"[saturation] {key}={getattr(s, key)!r} must be positive and finite")
+        if not 0.0 < getattr(s, key) * 1e-12 < math.inf:        # NaN, and 0 once in watts, included
+            raise ConfigError(f"[saturation] {key}={getattr(s, key)!r} must be positive and finite, "
+                              "in watts too")
     if s.power_points < 1:
         raise ConfigError(f"[saturation] power_points={s.power_points!r} must be at least 1")
     if s.power_points > 1 and not s.power_min_pW < s.power_max_pW:

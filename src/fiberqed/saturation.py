@@ -14,10 +14,11 @@ rule folded onto its 27 positive nodes of weight above 1e-18 of the largest (wit
 relative of the full sum).  Because h does not depend on power, one 400-node scan over the fixed
 bracket |X| in [1e-4, 1e3]*sqrt(n_sat) serves every power of a curve: a cell brackets y when
 min(h_a, h_b) <= y < max(h_a, h_b), a sign change of h > y, so every y with h(first node) <= y <
-h(last node) has an odd root count; an even count leaves a root beyond the scan, and raises.  About
-4 vectorised passes of safeguarded Newton steps (at most 60), each evaluating h and its exact slope
-once per root, refine them; each power takes T from its lowest root, the up-sweep (a down-sweep
-would take the highest), on the "high" branch once a falling scan cell lies below it.
+h(last node) has an odd root count; an even count leaves a root beyond the scan, and raises.  Mostly
+2 or 3 vectorised passes of safeguarded Newton steps (at most 60), each evaluating h and its exact
+slope once per root, refine them, a root done once its step is at most sqrt(eps)*x; each power takes
+T from its lowest root, the up-sweep (a down-sweep would take the highest), on the "high" branch
+once a falling scan cell lies below it.
 """
 
 from __future__ import annotations
@@ -218,8 +219,9 @@ def _find_roots(h, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray,
     a root beyond the scan: RuntimeError, as for none, and a zero count is named first.  Each
     root starts at the log-log interpolation of its cell and takes Newton steps (exact slope,
     same h call), bisecting when a step leaves the cell shrunk by the sign of h - y, until
-    |h - y| <= 2**-50*y or a Newton step <= 1e-14*x: about 4 passes, and RuntimeError if 60
-    do not do it.
+    |h - y| <= 2**-50*y or a Newton step inside the cell is <= 2**-26*x: as Newton converges
+    quadratically, a step s leaves an error of about C*s^2, which at s = sqrt(eps)*x is no more
+    than one rounding of h moves the root.  Mostly 2 or 3 passes; RuntimeError if 60 do not do it.
     """
     grid = _scan_grid(n_sat)
     hn = h(grid)
@@ -242,7 +244,7 @@ def _find_roots(h, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray,
             below, above = np.where(high, below, x), np.where(high, x, above)
             new = x - r / slope
             newton = ~done & ((new - below) * (new - above) < 0.0)      # inside the bracket
-            done = small | newton & (np.abs(new - x) <= 1e-14 * x)
+            done = small | newton & (np.abs(new - x) <= 2.0**-26 * x)     # error ~ step^2
             x = np.where(newton, new, np.where(small, x, 0.5 * (below + above)))
             if done.all():
                 break

@@ -497,6 +497,12 @@ def test_zero_g0_exits_with_code_2(tmp_path, capsys, cavity):
     ("spectrum", "[atoms]\ng2_eff = 2e147\n", ["--band", "2e147"], "--band"),
     ("params", "", ["--grid=-30:nan:5"], "grid_max"),
     ("normal-modes", "[probe]\ngrid_points = 1\n", [], "at least 2 points"),
+    ("spectrum", "", ["--grid=-30:1e303:5"], "grid_max=1e+303"),
+    ("spectrum", "[probe]\ngrid_max = 1e303\n", [], "grid_max=1e+303"),
+    ("params", "[probe]\ngrid_max = 1e303\n", [], "grid_max=1e+303"),
+    ("spectrum", "", ["--grid=-1e303:30:5"], "grid_min=-1e+303"),
+    ("spectrum", "", ["--grid=-2e301:2e301:5"], "grid_min=-2e+301 to grid_max=2e+301"),
+    ("saturation", "[saturation]\npower_min_pW = 1e-320\n", [], "power_min_pW=1e-320"),
 ], ids=["grid-max-nan", "grid-min-inf", "probe-grid_max-nan", "band-nan", "band-inf",
         "power_max_pW-nan", "power_max_pW-inf", "sigma_y_over_x0-nan",
         "power_min_pW-zero", "power_points-zero", "power_points-negative", "power-bounds-reversed",
@@ -506,7 +512,9 @@ def test_zero_g0_exits_with_code_2(tmp_path, capsys, cavity):
         "derived-N_eff-zero", "derived-N_eff-overflow", "g1_0-squared-underflow",
         "g1_0-n_sat-overflow", "gamma_par-zero", "g1_eff-square-overflow", "gamma_par-square-overflow",
         "band-square-overflow", "shifted-coupling-square-overflow", "params-grid-max-nan",
-        "normal-modes-one-point"])
+        "normal-modes-one-point", "grid-max-rad-overflow", "probe-grid_max-rad-overflow",
+        "params-grid-max-rad-overflow", "grid-min-rad-overflow", "grid-span-rad-overflow",
+        "power_min_pW-watts-underflow"])
 def test_non_finite_input_exits_with_code_2(tmp_path, capsys, command, config, flags, name):
     # each bad input exits 2 before any output, and the message names its key or flag
     path = tmp_path / "run.cfg"

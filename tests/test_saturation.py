@@ -644,13 +644,18 @@ def test_one_curve_is_one_scan_and_a_few_refinement_passes(monkeypatch, which, m
     curve = solve_saturation(cfg, RATES)
     (scan, scan_slope), *passes = calls
     assert scan == 400 and not scan_slope       # the scan takes values only
-    # at most 6 passes, each one value and slope at every root once: n points, not 2n
+    # 2 or 3 passes (3 or 4 under a 1e-14*x step stop), each one value and slope at every
+    # root once: n points, not 2n
     roots = sum(p.n_roots for p in curve.points)
-    assert 1 <= len(passes) <= 6 and passes == [(roots, True)] * len(passes)
+    assert 1 <= len(passes) <= 3 and passes == [(roots, True)] * len(passes)
 
 
-# bistable curves of the saturation_sweep benchmark on which a step-size-only stop never
-# ends: near a turning point the noisy slope keeps the Newton steps above 1e-14*x
+# bistable curves of the saturation_sweep benchmark with roots near a turning point, the
+# slowest to refine (4 or 5 passes): there the noisy slope keeps the Newton steps above
+# 1e-14*x, so a stop at that step size alone never ends, while at 2**-26*x it ends them too.
+# There h' is near 0, so one rounding of h, eps*y, moves a root by cond = eps*y/(x*|h'|), up
+# to 2.3e-14 here; those roots lie within 4e-15 + cond of 40-digit roots (a stop at
+# 2**-22*x misses one by 3.7e-13)
 @pytest.mark.parametrize("which, model, N_eff, sigma, A_mf, q_prime_x0", [
     (1, "closed_form", 187.22161682051984, 0.0, 0.15052588768764683, 1.1165317710150833),
     (1, "quadrature", 345.392556891872, 0.372301395286757, 0.149620761351845, 1.1455761517096021),
@@ -664,10 +669,53 @@ def test_bistable_curves_converge_to_the_per_power_roots(which, model, N_eff, si
     n_sat = saturation_photon_number(cfg.g0, RATES)
     h, _, _ = _response_function(cfg, RATES)
     y = scaled_drive_from_power(cfg.power_grid, RATES, n_sat, CFG.lambda_probe)
-    found = _per_drive(*_find_roots(h, y, n_sat))      # RuntimeError past the pass cap
-    assert any(roots.size == 3 for roots in found)
-    for yi, roots in zip(y, found):
-        assert roots == pytest.approx(_reference_roots(h, yi, n_sat), rel=1e-13)
+    roots, n_roots, _ = _find_roots(h, y, n_sat)      # RuntimeError past the pass cap
+    found = _per_drive(roots, n_roots)
+    assert any(r.size == 3 for r in found)
+    for yi, r in zip(y, found):
+        assert r == pytest.approx(_reference_roots(h, yi, n_sat), rel=1e-13)
+    y = np.repeat(y, n_roots)
+    cond = 2.0**-52 * y / np.abs(roots * h(roots, slope=True)[1])
+    ill = np.flatnonzero(cond > 1e-15)
+    assert ill.size >= 2
+    for i in ill.tolist():
+        assert abs(roots[i] / _mp_root(cfg, y[i], roots[i]) - 1) <= 4e-15 + cond[i]
+
+
+def _mp_root(cfg, y, x0):
+    """The root near x0 of h(x) = y at 40 digits, h built from the solver's float f0, f1,
+    cloud nodes and weights: x*(f0 + (f1 - f0)*P(x^2)), P = 2/((1+A)*x2) * sum w*(1 - 1/sqrt(p))."""
+    _, f0, f1 = _response_function(cfg, RATES)
+    s, w = saturation._cloud_rule(cfg.sigma_y_over_x0, cfg.q_prime_x0)
+    with mpmath.workdps(40):
+        A, f0, f1, y = (mpmath.mpf(v) for v in (cfg.A_mf, f0, f1, y))
+        s, w = [mpmath.mpf(v) for v in s.tolist()], [mpmath.mpf(v) for v in w.tolist()]
+
+        def h(x):
+            x2 = x * x
+            fraction = mpmath.fsum(wk * (1 - 1 / mpmath.sqrt((1 + A * x2 * sk) * (1 + x2 * sk)))
+                                   for sk, wk in zip(s, w))
+            return x * (f0 + (f1 - f0) * 2 / ((1 + A) * x2) * fraction) - y
+
+        return mpmath.findroot(h, mpmath.mpf(x0))
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("model, sigma", [("closed_form", 0.0), ("quadrature", 0.3)])
+def test_roots_match_40_digit_roots(which, model, sigma):
+    # a monostable and a bistable curve: the sqrt(eps) step stop leaves no more than float noise
+    worst, bistable = 0.0, False
+    for N_eff, powers in ((10.0, np.geomspace(1e-13, 1e-6, 5)), (2000.0, np.geomspace(1e-11, 1e-7, 9))):
+        cfg = _config(which, N_eff=N_eff, model=model, sigma_y_over_x0=sigma, power_grid=powers)
+        n_sat = saturation_photon_number(cfg.g0, RATES)
+        h, _, _ = _response_function(cfg, RATES)
+        y = scaled_drive_from_power(powers, RATES, n_sat, CFG.lambda_probe)
+        found = _per_drive(*_find_roots(h, y, n_sat))
+        bistable |= any(roots.size == 3 for roots in found)
+        for yi, roots in zip(y, found):
+            for x in roots.tolist():
+                worst = max(worst, float(abs(x / _mp_root(cfg, yi, x) - 1)))
+    assert bistable and worst <= 4e-15
 
 
 def test_nan_inside_a_bracket_is_a_refinement_error_not_a_nan_root():
