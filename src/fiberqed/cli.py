@@ -39,9 +39,6 @@ _ATOM_KEYS = ("g1_eff", "g2_eff")
 _LOADINGS = ("none", "cavity1", "cavity2", "both")
 #: The [mode] geometry keys: ModeFunctionParams' fields but wavelength ([physical] lambda_probe).
 _GEOMETRY = tuple(f.name for f in fields(ModeFunctionParams) if f.name != "wavelength")
-#: Largest [mode] r_span_nm.  The evanescent intensity falls as exp(-2q(r - r0)), with
-#: 1/(2q) = 180 nm at the reference geometry: 100 um out it is below 1e-240, then underflows.
-_R_SPAN_MAX_NM = 1e5
 
 
 def _quoted(in_atoms: bool) -> dict:
@@ -63,10 +60,7 @@ _DEFAULTS = {
         "power_max_pW": 1e6,
         "power_points": 61,
     },
-    "mode": {   # the geometry keys with their defaults, then the profile grid
-        **{name: getattr(ModeFunctionParams, name) for name in _GEOMETRY},
-        "r_span_nm": 300.0, "r_points": 31, "phi_points": 5, "z_points": 9,
-    },
+    "mode": {name: getattr(ModeFunctionParams, name) for name in _GEOMETRY},    # checked when the fit is made
     "output": {"directory": ".", "formats": "csv"},     # formats: comma separated csv, svg
 }
 
@@ -177,12 +171,6 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"[saturation] power_points={s.power_points!r} must be at least 1")
     if s.power_points > 1 and not s.power_min_pW < s.power_max_pW:
         raise ConfigError("[saturation] power_min_pW must be below power_max_pW for power_points > 1")
-    m = cfg.mode     # the geometry keys are checked where they are used, by ModeFunctionParams
-    if not 0.0 < m.r_span_nm <= _R_SPAN_MAX_NM:
-        raise ConfigError(f"[mode] r_span_nm={m.r_span_nm!r} must lie in (0, {_R_SPAN_MAX_NM:g}]")
-    for key in ("r_points", "phi_points", "z_points"):
-        if getattr(m, key) < 1:
-            raise ConfigError(f"[mode] {key}={getattr(m, key)!r} must be at least 1")
     try:
         cfg.physical_config()       # a PhysicalConfig checks its fields when built
         check_saturation_choice(s.which_cavity, s.model, s.sigma_y_over_x0)
@@ -323,10 +311,8 @@ def cmd_mode_profile(cfg: RunConfig, args) -> int:
     import numpy as np
     from . import fiber_mode
     fit = cfg.mode_fit()
-    p, m = fit.params, cfg.mode
-    r = np.linspace(p.r0, p.r0 + m.r_span_nm * 1e-9, m.r_points)
-    phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, m.phi_points)
-    z = np.linspace(0.0, math.pi / p.beta, m.z_points, endpoint=False)
+    p = fit.params
+    r, phi, z = fiber_mode._profile_domain(p, 31, 5, 9)       # the fit's domain, more coarsely
     grid = np.ix_(r, phi, z)        # an open mesh: the Bessel functions see only the radii
     rr, pp, zz = np.broadcast_arrays(*grid)
     columns = (rr * 1e9, pp, zz * 1e9, fiber_mode.g_squared_exact(p, *grid),

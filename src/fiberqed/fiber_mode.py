@@ -123,12 +123,19 @@ def g_squared_simplified(fit: SimplifiedFit, r, phi, z):
     return out if np.ndim(out) else float(out)
 
 
+def _profile_domain(p: ModeFunctionParams, n_r: int, n_phi: int, n_z: int):
+    """The profile domain's axes: n_r radii in [r0, r0 + 300 nm], n_phi angles in [-pi/4, pi/4]
+    and n_z points of one axial period: fit_simplified's grid, and mode-profile's."""
+    return (np.linspace(p.r0, p.r0 + 300e-9, n_r), np.linspace(-math.pi / 4.0, math.pi / 4.0, n_phi),
+            np.linspace(0.0, math.pi / p.beta, n_z, endpoint=False))
+
+
 def fit_simplified(p: ModeFunctionParams) -> SimplifiedFit:
     """Least-squares fit of (qprime, A_mf) to the exact profile on the geometry p.
 
-    The fit minimizes the relative error over 41 radii in [r0, r0 + 300 nm],
-    9 angles in [-pi/4, pi/4] and 17 points of one axial period, and reports the
-    maximum relative deviation of the fitted simplified form over that grid.
+    The fit minimizes the relative error over the profile domain at 41 radii,
+    9 angles and 17 axial points (_profile_domain), and reports the maximum
+    relative deviation of the fitted simplified form over that grid.
     simplified/exact = R(r; qprime)*(u + A_mf*w) is linear in A_mf, so the best
     A_mf at each qprime is one least-squares ratio clipped to [0.01, 0.9]: variable
     projection (Golub & Pereyra, Inverse Problems 19, R1 (2003)).  qprime is the
@@ -136,9 +143,8 @@ def fit_simplified(p: ModeFunctionParams) -> SimplifiedFit:
     there is none), bracketed by 3 vectorised stages of 64 nodes and read off the
     chord of the last cell: within about 1e-10 of the stationary point.
     """
-    r = np.linspace(p.r0, p.r0 + 300e-9, 41)
-    phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, 9)[:, np.newaxis]
-    z = np.linspace(0.0, math.pi / p.beta, 17, endpoint=False)
+    r, phi, z = _profile_domain(p, 41, 9, 17)
+    phi = phi[:, np.newaxis]
     # broadcast (r, phi, z) grid: the Bessel functions see only the 41 radii, r0 among them
     exact = _exact_unnormalized(p, r[:, np.newaxis, np.newaxis], phi, z)
     if not (exact > 1e-150 * (norm := _trap_norm(p, exact[0, 4, 0]))).all():    # phi[4] = z[0] = 0

@@ -97,15 +97,16 @@ def reduced_spectrum(summary: NormalModeSummary, rates: DerivedRates, grid: np.n
     def transmission_at(det0_sq, delta):
         # det0_sq / s2v^4 * (gp^2 + delta^2) / |D|^2 in place, D = (k*gp + gd^2 - delta^2) + i*delta*(k + gp):
         # over the norm, (v1*v2)^2 cancels and |Delta_0|^2 / (2*v_tilde^2)^2 remains
-        d2 = delta * delta
-        den_sq = np.subtract(k * gp + summary.gd1**2 + summary.gd2**2, d2)
-        den_sq *= den_sq
-        den_sq += d2 * (k + gp) ** 2
-        np.multiply(np.add(d2, gp * gp, out=d2), det0_sq / np.float64(summary.splitting_bright) ** 4, out=d2)
-        return np.fmax(np.divide(d2, den_sq, out=d2), 0.0, out=d2)     # a NaN of overflowed parts reads 0
+        with np.errstate(all="ignore"):     # from |delta| ~ 1e77 the parts overflow: no numpy warning
+            d2 = delta * delta
+            den_sq = np.subtract(k * gp + summary.gd1**2 + summary.gd2**2, d2)
+            den_sq *= den_sq
+            den_sq += d2 * (k + gp) ** 2
+            np.add(d2, gp * gp, out=d2)
+            d2 *= det0_sq / np.float64(summary.splitting_bright) ** 4
+            return np.fmax(np.divide(d2, den_sq, out=d2), 0.0, out=d2)     # a NaN of overflowed parts reads 0
 
-    with np.errstate(all="ignore"):     # from |delta| ~ 1e77 the parts overflow: no numpy warning
-        return _spectrum(rates, grid, transmission_at)
+    return _spectrum(rates, grid, transmission_at)
 
 
 def peak_find(spec: SpectrumResult) -> list[tuple[float, float]]:

@@ -83,18 +83,11 @@ def test_readme_example_config_parses():
     parse_config(blocks[0])
 
 
-def test_r_span_bound_is_a_parse_error():
-    # the bound is checked before any profile is evaluated, and the bound itself is valid
-    assert parse_config("[mode]\nr_span_nm = 1e5\n").mode.r_span_nm == 1e5
-    with pytest.raises(ConfigError, match=r"r_span_nm=1000000000000.0 must lie in \(0, 100000\]"):
-        parse_config("[mode]\nr_span_nm = 1e12\n")
-
-
 def test_mode_geometry_keys_are_the_mode_function_params_fields():
-    # every geometry field but the wavelength, which is [physical] lambda_probe, with its default
-    grid = ("r_span_nm", "r_points", "phi_points", "z_points")
-    keys = {name: default for name, default in vars(RunConfig().mode).items() if name not in grid}
-    assert keys == {f.name: f.default for f in fields(ModeFunctionParams) if f.name != "wavelength"}
+    # every geometry field but the wavelength, which is [physical] lambda_probe, with its default;
+    # there is no other [mode] key: mode-profile samples the fit's own domain
+    geometry = {f.name: f.default for f in fields(ModeFunctionParams) if f.name != "wavelength"}
+    assert vars(RunConfig().mode) == geometry
     assert ModeFunctionParams.wavelength == RunConfig().physical.lambda_probe
 
 
@@ -180,8 +173,7 @@ def test_default_config_text():
         "[atoms]\nloading = both\ng1_eff = 7.2\ng2_eff = 7.3\n\n"
         "[saturation]\nwhich_cavity = 1\nmodel = closed_form\nsigma_y_over_x0 = 0.0\npower_min_pW = 1.0\n"
         "power_max_pW = 1000000.0\npower_points = 61\n\n"
-        "[mode]\nbeta = 7879250.0\nn2 = 1.0\ns = -0.828\na = 2e-07\nr0 = 4e-07\nr_span_nm = 300.0\n"
-        "r_points = 31\nphi_points = 5\nz_points = 9\n\n"
+        "[mode]\nbeta = 7879250.0\nn2 = 1.0\ns = -0.828\na = 2e-07\nr0 = 4e-07\n\n"
         "[output]\ndirectory = .\nformats = csv\n"
     )
 
@@ -257,27 +249,22 @@ def test_saturation_command(tmp_path):
 
 
 def test_mode_profile_command(tmp_path):
-    cfg = parse_config(
-        f"[output]\ndirectory = {tmp_path}\n"
-        "[mode]\nr_points = 3\nphi_points = 3\nz_points = 2\n"
-    )
+    cfg = parse_config(f"[output]\ndirectory = {tmp_path}\n")
     assert run_subcommand("mode-profile", cfg) == 0
     lines = (tmp_path / "mode_profile.csv").read_text().splitlines()
     assert lines[0] == "r_nm,phi_rad,z_nm,g2_exact,g2_simplified"
-    assert len(lines) == 1 + 3 * 3 * 2
+    assert len(lines) == 1 + 31 * 5 * 9
 
 
 def test_mode_profile_matches_pointwise_evaluation(tmp_path):
-    cfg = parse_config(
-        f"[output]\ndirectory = {tmp_path}\nformats = csv,svg\n"
-        "[mode]\nr_points = 3\nphi_points = 3\nz_points = 2\n"
-    )
+    # the fit's domain, 300 nm out from r0, one quarter turn about phi = 0 and one axial period
+    cfg = parse_config(f"[output]\ndirectory = {tmp_path}\nformats = csv,svg\n")
     assert run_subcommand("mode-profile", cfg) == 0
     fit = cfg.mode_fit()
     p = fit.params
-    r = np.linspace(p.r0, p.r0 + 300e-9, 3)
-    phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, 3)
-    z = np.linspace(0.0, math.pi / p.beta, 2, endpoint=False)
+    r = np.linspace(p.r0, p.r0 + 300e-9, 31)
+    phi = np.linspace(-math.pi / 4.0, math.pi / 4.0, 5)
+    z = np.linspace(0.0, math.pi / p.beta, 9, endpoint=False)
     expect = [
         ",".join(f"{v:.9g}" for v in (
             ri * 1e9, pi, zi * 1e9,
@@ -419,6 +406,20 @@ def test_main_spectrum_with_flags(tmp_path):
     assert np.max(np.abs(t - t[::-1])) < 1e-9
 
 
+@pytest.mark.parametrize("command, config, flags, points", [
+    ("saturation", "[saturation]\npower_points = 1\n", [], "60.00,420.00"),
+    ("spectrum", "", ["--grid=1e100:2e100:3"], "60.00,420.00 320.00,420.00 580.00,420.00"),
+], ids=["one-power", "zero-far-off-resonance"])
+def test_svg_draws_a_flat_axis_at_its_origin(tmp_path, command, config, flags, points):
+    # a flat axis spans one unit from its value: one power makes both flat, and far off resonance
+    # |Delta|^2 overflows so the transmission reads 0 throughout; every point stays finite
+    path = tmp_path / "run.cfg"
+    path.write_text(config)
+    assert main([command, "--config", str(path), "--out", str(tmp_path), "--svg", *flags]) == 0
+    svg = (tmp_path / f"{command}.svg").read_text()
+    assert re.findall(r'<polyline points="([^"]*)"', svg) == [points]
+
+
 def test_main_band_flag(tmp_path):
     code = main(["spectrum", "--out", str(tmp_path), "--band", "1.0", "--grid=-15:15:31"])
     assert code == 0
@@ -473,13 +474,9 @@ def test_zero_g0_exits_with_code_2(tmp_path, capsys, cavity):
     ("saturation", "[saturation]\npower_min_pW = 10\npower_max_pW = 1\n", [], "power_min_pW"),
     ("spectrum", "", ["--band", "-1"], "--band"),
     ("spectrum", "", ["--band", "0"], "--band"),
-    ("mode-profile", "[mode]\nr_points = 0\n", [], "[mode] r_points"),
-    ("mode-profile", "[mode]\nphi_points = 0\n", [], "[mode] phi_points"),
-    ("mode-profile", "[mode]\nz_points = 0\n", [], "[mode] z_points"),
-    ("mode-profile", "[mode]\nr_points = -2\n", [], "[mode] r_points"),
-    ("mode-profile", "[mode]\nr_span_nm = nan\n", [], "[mode] r_span_nm"),
-    ("mode-profile", "[mode]\nr_span_nm = -5\n", [], "[mode] r_span_nm"),
-    ("mode-profile", "[mode]\nr_span_nm = 1e12\n", [], "[mode] r_span_nm"),
+    # the retired [mode] grid keys: mode-profile samples the fit's own domain, so any value is unknown
+    *[("mode-profile", f"[mode]\n{key} = {value}\n", [], f"unknown key {key!r} in section [mode]")
+      for key, value in (("r_points", 0), ("phi_points", 0), ("z_points", 0), ("r_span_nm", "nan"))],
     ("mode-profile", "[mode]\nbeta = 1e6\n", [], "beta=1000000.0"),
     ("mode-profile", "[mode]\nn2 = 2\n", [], "n2*k"),
     ("mode-profile", "[mode]\nbeta = nan\n", [], "beta=nan"),
@@ -506,8 +503,7 @@ def test_zero_g0_exits_with_code_2(tmp_path, capsys, cavity):
 ], ids=["grid-max-nan", "grid-min-inf", "probe-grid_max-nan", "band-nan", "band-inf",
         "power_max_pW-nan", "power_max_pW-inf", "sigma_y_over_x0-nan",
         "power_min_pW-zero", "power_points-zero", "power_points-negative", "power-bounds-reversed",
-        "band-negative", "band-zero", "r_points-zero", "phi_points-zero", "z_points-zero",
-        "r_points-negative", "r_span_nm-nan", "r_span_nm-negative", "r_span_nm-huge",
+        "band-negative", "band-zero", "r_points-zero", "phi_points-zero", "z_points-zero", "r_span_nm-nan",
         "beta-unguided", "n2-unguided", "beta-nan", "s-nan", "s-nan-saturation", "a-negative",
         "derived-N_eff-zero", "derived-N_eff-overflow", "g1_0-squared-underflow",
         "g1_0-n_sat-overflow", "gamma_par-zero", "g1_eff-square-overflow", "gamma_par-square-overflow",
@@ -588,7 +584,7 @@ def test_far_trap_minimum_exits_with_code_2(tmp_path, capsys, command, r0):
 def test_each_command_writes_its_files(tmp_path, command, flags, names, svg):
     # CSV is canonical and always written; only the main result gets an SVG, never a band
     path = tmp_path / "run.cfg"
-    path.write_text("[saturation]\npower_points = 3\n[mode]\nr_points = 2\n"
+    path.write_text("[saturation]\npower_points = 3\n"
                     + ("[output]\nformats = svg\n" if svg == "formats" else ""))
     out = tmp_path / "out"
     argv = [command, "--config", str(path), "--out", str(out), *flags]

@@ -244,6 +244,15 @@ def _cost(p, qprime, a_mf, grid):
     return float(np.sum(_residuals(p, qprime, a_mf, grid) ** 2))
 
 
+def _projected(p, qprime, grid):
+    """(A_mf, cost) at qprime with A_mf the cost's minimum in [0.01, 0.9]: the residual is affine
+    in A_mf, so that minimum is one clipped ratio."""
+    res0 = _residuals(p, qprime, 0.0, grid)
+    slope = _residuals(p, qprime, 1.0, grid) - res0
+    a_mf = min(max(-(res0 @ slope) / (slope @ slope), 0.01), 0.9)
+    return a_mf, float(np.sum((res0 + a_mf * slope) ** 2))
+
+
 @pytest.mark.parametrize("r0", [350e-9, 400e-9, 450e-9, 500e-9])
 def test_fit_matches_least_squares(r0):
     # reference: scipy's bounded two-parameter least squares from (1.3 q, 0.17)
@@ -267,16 +276,25 @@ def test_fit_is_the_minimum_of_a_dense_scan():
     # the residual is affine in A_mf, so each minimum is one clipped ratio
     grid = _fit_grid(P)
     qprimes = np.linspace(0.5 * P.q, 3.0 * P.q, 2000)
-    costs = []
-    for qp in qprimes:
-        res0 = _residuals(P, qp, 0.0, grid)
-        slope = _residuals(P, qp, 1.0, grid) - res0
-        a_mf = min(max(-(res0 @ slope) / (slope @ slope), 0.01), 0.9)
-        costs.append(float(np.sum((res0 + a_mf * slope) ** 2)))
+    costs = [_projected(P, qp, grid)[1] for qp in qprimes]
     fit = fit_simplified(P)
     best = int(np.argmin(costs))
     assert abs(fit.qprime - qprimes[best]) <= qprimes[1] - qprimes[0]
     assert _cost(P, fit.qprime, fit.A_mf, grid) <= costs[best]
+
+
+@pytest.mark.parametrize("s, beta_share, end", [(-0.828, 0.01, 3.0), (-1.5, 0.5, 0.5)],
+                         ids=["cost-falls-to-3q", "cost-rises-from-half-q"])
+def test_fit_with_no_slope_sign_change_returns_the_lower_cost_end(s, beta_share, end):
+    # near the fiber, with beta a share of the way from k to n1*k, the projected cost's slope keeps
+    # one sign across [0.5q, 3q]: the search stops at an end, and it must be the lower-cost one
+    p = make_mode_params(r0=201e-9, s=s, beta=P.k * (1.0 + beta_share * (FIBER_INDEX - 1.0)))
+    fit, grid = fit_simplified(p), _fit_grid(p)
+    assert fit.qprime == end * p.q
+    cost = {x: _cost(p, x * p.q, _projected(p, x * p.q, grid)[0], grid) for x in (0.5, 3.0)}
+    assert cost[end] < cost[3.5 - end]
+    assert 0.01 <= fit.A_mf <= 0.9
+    assert fit.A_mf == pytest.approx(_projected(p, fit.qprime, grid)[0], abs=1e-9)
 
 
 def _stationary_qprime(p, dps=40):
