@@ -11,10 +11,11 @@ T = (f0*|X|/y)^2.  P is a weighted sum over relative couplings s of the saturate
 width sigma_y_over_x0 selects the rule: at 0 the one-node s = w = [1] of the collective closed form
 (model = closed_form names it, and needs sigma_y_over_x0 = 0), above 0 the 96-node Gauss-Hermite
 rule folded onto its 27 positive nodes of weight above 1e-18 of the largest (within about 1e-17
-relative of the full sum).  Because h does not depend on power, one 400-node scan over the fixed
-bracket |X| in [1e-4, 1e3]*sqrt(n_sat) serves every power of a curve: a cell brackets y when
+relative of the full sum).  Because h does not depend on power, one scan serves every power of a
+curve: the slice of 400 fixed nodes over |X| in [1e-4, 1e3]*sqrt(n_sat) that can hold a root or
+the first fall of h (f0*x <= h <= F(0)*x, and h rises for x <= 1).  A cell brackets y when
 min(h_a, h_b) <= y < max(h_a, h_b), a sign change of h > y, so every y with h(first node) <= y <
-h(last node) has an odd root count; an even count leaves a root beyond the scan, and raises.  Mostly
+h(last node) has an odd root count; an even count leaves a root beyond the nodes, and raises.  Mostly
 2 or 3 vectorised passes of safeguarded Newton steps (at most 60), each evaluating h and its exact
 slope once per root, refine them, a root done once its step is at most sqrt(eps)*x; each power takes
 T from its lowest root, the up-sweep (a down-sweep would take the highest), on the "high" branch
@@ -169,9 +170,10 @@ def scaled_drive_from_power(P_in, rates: DerivedRates, n_sat: float, lambda_prob
 
 
 def _response_function(cfg: SaturationConfig, rates: DerivedRates):
-    """Return (h, f0, f1): y = h(x) = x*F(x^2) at scaled amplitudes x, h(x, slope=True) the stacked
-    pair (h, dh/dx), and F without atoms and with N_eff unsaturated ones, 1/(kappa_1p*|a_k|) of a
-    unit drive at zero detuning.  The empty chain has T = 1, so T = (f0*x/y)^2."""
+    """Return (h, f0, f1, F0): y = h(x) = x*F(x^2) at scaled amplitudes x, h(x, slope=True) the
+    stacked pair (h, dh/dx), F without atoms and with N_eff unsaturated ones, 1/(kappa_1p*|a_k|) of
+    a unit drive at zero detuning, and F(0) = f0 + (f1 - f0)*(s @ w), from which F falls to f0.
+    The empty chain has T = 1, so T = (f0*x/y)^2."""
     s, w = _cloud_rule(cfg.sigma_y_over_x0, cfg.q_prime_x0)
 
     def f(g1_sq, g2_sq):    # damping checked first; |a_1| = m/Delta, |a_2| = v1*v2/Delta
@@ -189,7 +191,7 @@ def _response_function(cfg: SaturationConfig, rates: DerivedRates):
             F[0] *= x       # and F[1] = f0 + (f1 - f0)*dQ/dx is dh/dx
         return F if slope else x * F
 
-    return h, f0, f1
+    return h, f0, f1, f0 + (f1 - f0) * float(s @ w)
 
 
 def _brackets(h: np.ndarray, y: np.ndarray):
@@ -208,22 +210,29 @@ def _scan_grid(n_sat: float) -> np.ndarray:
     return math.sqrt(n_sat) * _UNIT_SCAN
 
 
-def _find_roots(h, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _find_roots(h, y: np.ndarray, n_sat: float, f0: float, F0: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Sorted positive roots of h(x) = y for every drive of the non-decreasing y at once,
     drive by drive in one flat array, each drive's number of roots, and the upper node of
     the first falling scan cell (inf when the scan never falls).
 
-    h does not depend on the drive, so one 400-point log scan over the fixed bracket
-    [1e-4, 1e3]*sqrt(n_sat) serves all drives; _brackets finds their cells by sorted search,
-    and a root on a scan node is that node exactly.  h rises overall, so an even count leaves
-    a root beyond the scan: RuntimeError, as for none, and a zero count is named first.  Each
-    root starts at the log-log interpolation of its cell and takes Newton steps (exact slope,
-    same h call), bisecting when a step leaves the cell shrunk by the sign of h - y, until
-    |h - y| <= 2**-50*y or a Newton step inside the cell is <= 2**-26*x: as Newton converges
-    quadratically, a step s leaves an error of about C*s^2, which at s = sqrt(eps)*x is no more
-    than one rounding of h moves the root.  Mostly 2 or 3 passes; RuntimeError if 60 do not do it.
+    h does not depend on the drive, so one log scan serves all drives: the 400 nodes over
+    [1e-4, 1e3]*sqrt(n_sat) from two below min(y[0]/F0, 1) to two above y[-1]/f0, as f0*x <= h(x)
+    <= F0*x.  No root lies above y[-1]/f0, so a falling cell there labels no root "high"; none
+    lies below y[0]/F0, and none of h's cells falls below x = 1, where dh/dx >= f0 (s <= 1, and
+    the one-node x*P(x^2) rises up to x >= 1).  Two nodes absorb the rounding of h, and a drive
+    beyond the nodes takes the slice to their end.  _brackets finds the drives' cells by sorted
+    search, and a root on a scan node is that node exactly.  h rises overall, so an even count
+    leaves a root beyond the scan: RuntimeError, as for none, and a zero count is named first.
+    Each root starts at the log-log interpolation of its cell and takes Newton steps (exact
+    slope, same h call), bisecting when a step leaves the cell shrunk by the sign of h - y,
+    until |h - y| <= 2**-50*y or a Newton step inside the cell is <= 2**-26*x: as Newton
+    converges quadratically, a step s leaves an error of about C*s^2, which at s = sqrt(eps)*x
+    is no more than one rounding of h moves the root.  Mostly 2 or 3 passes; RuntimeError if 60
+    do not do it.
     """
     grid = _scan_grid(n_sat)
+    first, last = np.searchsorted(grid, (min(y[0] / F0, 1.0), y[-1] / f0))
+    grid = grid[max(first - 2, 0):last + 2]
     hn = h(grid)
     drive, cell = _brackets(hn, y)
     per_drive = np.bincount(drive, minlength=y.size)
@@ -259,11 +268,11 @@ def solve_saturation(
 ) -> SaturationCurve:
     """Transmission vs input power on the up-sweep: each power's lowest root, on the "high"
     branch once a falling scan cell lies below it (it is never on the middle branch)."""
-    h, f0, _ = _response_function(cfg, rates)      # first, to name undamped atoms
+    h, f0, _, F0 = _response_function(cfg, rates)      # first, to name undamped atoms
     n_sat = saturation_photon_number(cfg.g0, rates)
     powers = np.asarray(cfg.power_grid, dtype=float)
     drives = scaled_drive_from_power(powers, rates, n_sat, lambda_probe)
-    roots, n_roots, turn = _find_roots(h, drives, n_sat)
+    roots, n_roots, turn = _find_roots(h, drives, n_sat, f0, F0)
     lowest = roots[np.cumsum(n_roots) - n_roots]
     T = f0 * f0 * np.square(lowest) / drives**2
     branch = ["high" if x >= turn else "low" for x in lowest.tolist()]

@@ -25,6 +25,7 @@ from fiberqed.saturation import (
 )
 from dataclasses import replace
 
+import references
 from references import per_unit_field
 
 CFG = PhysicalConfig()
@@ -269,7 +270,7 @@ def test_knee_location():
 def test_root_residuals():
     cfg = _config(1)
     curve = solve_saturation(cfg, RATES)
-    h, f0, _ = _response_function(cfg, RATES)
+    h, f0, _, _ = _response_function(cfg, RATES)
     for p in curve.points:
         y = scaled_drive_from_power(p.P_in, RATES, curve.n_sat, CFG.lambda_probe)
         x = math.sqrt(p.transmission / (f0 * f0)) * y
@@ -343,7 +344,7 @@ def _reference_curve(cfg):
     """Power by power: (T, n_roots, branch) along the nearest-root continuation, its branch
     from the dense turning points, and every power's roots."""
     n_sat = saturation_photon_number(cfg.g0, RATES)
-    h, f0, _ = _response_function(cfg, RATES)
+    h, f0, _, _ = _response_function(cfg, RATES)
     turning_points = _turning_points(h, n_sat)
     assert len(turning_points) in (0, 2)
     points, all_roots, previous = [], [], None
@@ -375,16 +376,16 @@ def test_shared_scan_matches_per_power_brentq(monkeypatch, which, model, sigma, 
     elif (which, N_eff) != (2, 2000.0):     # that one is still bistable at 1e-6 W
         assert curve.points[-1].branch == "high"
 
-    h, _, _ = _response_function(cfg, RATES)
+    h, f0, _, F0 = _response_function(cfg, RATES)
     y = scaled_drive_from_power(cfg.power_grid, RATES, curve.n_sat, CFG.lambda_probe)
-    found = _per_drive(*_find_roots(h, y, curve.n_sat))
+    found = _per_drive(*_find_roots(h, y, curve.n_sat, f0, F0))
     for yi, roots, ref in zip(y, found, reference_roots):
         assert np.all(np.abs(h(roots) - yi) <= 1e-12 * yi)
         assert roots == pytest.approx(ref, rel=1e-13)
     # the sorted-search brackets give the same floats as the sign table they replace
     with monkeypatch.context() as m:
         m.setattr(saturation, "_brackets", _sign_table_brackets)
-        sign_table = _per_drive(*_find_roots(h, y, curve.n_sat))
+        sign_table = _per_drive(*_find_roots(h, y, curve.n_sat, f0, F0))
     assert [r.tolist() for r in found] == [r.tolist() for r in sign_table]
 
 
@@ -428,17 +429,17 @@ def test_sorted_search_brackets_equal_the_sign_table():
 def test_find_roots_names_an_unbracketed_drive():
     cfg = _config(1, N_eff=10.0)
     n_sat = saturation_photon_number(cfg.g0, RATES)
-    h, _, _ = _response_function(cfg, RATES)
+    h, f0, _, F0 = _response_function(cfg, RATES)
     grid = saturation._scan_grid(n_sat)
     hn = h(grid)
     assert np.all(np.diff(hn) > 0.0)    # monostable: each drive has one bracketing cell
     inside = 0.5 * (hn[200] + hn[201])
-    assert _find_roots(h, np.array([inside]), n_sat)[1].tolist() == [1]
+    assert _find_roots(h, np.array([inside]), n_sat, f0, F0)[1].tolist() == [1]
     message = ("^saturation root bracketing failed: "
                r"no sign change up to \|X\| = 1e3\*sqrt\(n_sat\)$")
     for y in ([0.5 * hn[0], inside], [inside, 2.0 * hn[-1]]):
         with pytest.raises(RuntimeError, match=message):
-            _find_roots(h, np.array(y), n_sat)
+            _find_roots(h, np.array(y), n_sat, f0, F0)
 
     def h_nan(x, slope=False):      # NaN, value and slope, at the two nodes that bracket the drive
         out = h(x, slope)
@@ -446,7 +447,7 @@ def test_find_roots_names_an_unbracketed_drive():
         return out
 
     with pytest.raises(RuntimeError, match=message):
-        _find_roots(h_nan, np.array([inside]), n_sat)
+        _find_roots(h_nan, np.array([inside]), n_sat, f0, F0)
 
 
 def test_bracketing_failure_outside_the_scan():
@@ -512,7 +513,7 @@ def test_default_mode_function_is_the_reference_fit():
 
 def _hand_derived_response(cfg, rates):
     """The chain reduced by hand, cavity by cavity: the reference for _response_function,
-    which reads F off the linear closed form instead.  Returns (h, f0, f1) like it, f0 from
+    which reads F off the linear closed form instead.  Returns (h, f0, f1, F0) like it, f0 from
     the empty chain's transmission prefactor, and h(x, slope=True) takes the forward-difference
     slope that the solver used before its exact one."""
     V1 = rates.v1**2 / (rates.kappa_b * rates.kappa_1p)
@@ -552,7 +553,7 @@ def _hand_derived_response(cfg, rates):
         x_dx = x * (1.0 + 1e-7)
         return np.stack([value, (x_dx * F(x_dx * x_dx) - value) / (x_dx - x)])
 
-    return h, f0, f1
+    return h, f0, f1, F(0.0)
 
 
 def _random_case(rng, which, model):
@@ -574,7 +575,7 @@ def _random_case(rng, which, model):
         q_prime_x0=rng.uniform(0.5, 2.0),
     )
     n_sat = saturation_photon_number(cfg.g0, rates)
-    h, _, _ = _hand_derived_response(cfg, rates)
+    h, *_ = _hand_derived_response(cfg, rates)
     y = np.geomspace(*h(np.array([1e-3, 1e2]) * math.sqrt(n_sat)), 41)
     per_watt = scaled_drive_from_power(1.0, rates, n_sat, phys.lambda_probe)
     return rates, replace(cfg, power_grid=(y / per_watt) ** 2), n_sat
@@ -586,13 +587,13 @@ def test_response_function_matches_the_hand_derived_chain(monkeypatch):
     for i in range(200):
         which, model = 1 + i % 2, ("closed_form", "quadrature")[i // 2 % 2]
         rates, cfg, n_sat = _random_case(rng, which, model)
-        h, f0, f1 = _response_function(cfg, rates)
-        h_ref, f0_ref, f1_ref = _hand_derived_response(cfg, rates)
+        h, f0, f1, F0 = _response_function(cfg, rates)
+        h_ref, f0_ref, f1_ref, F0_ref = _hand_derived_response(cfg, rates)
         x = np.concatenate([[0.0], np.geomspace(1e-4, 1e4, 33) * math.sqrt(n_sat)])
         np.testing.assert_allclose(h(x), h_ref(x), rtol=1e-13, atol=0.0)
         # F(0) = dh/dx at x = 0, for both
-        assert h(x, slope=True)[1, 0] == pytest.approx(h_ref(1e-8 * x[1]) / (1e-8 * x[1]), rel=1e-13)
-        assert (f0, f1) == pytest.approx((f0_ref, f1_ref), rel=1e-13)
+        assert h(x, slope=True)[1, 0] == F0 == pytest.approx(h_ref(1e-8 * x[1]) / (1e-8 * x[1]), rel=1e-13)
+        assert (f0, f1, F0) == pytest.approx((f0_ref, f1_ref, F0_ref), rel=1e-13)
 
         curve = solve_saturation(cfg, rates)
         with monkeypatch.context() as m:
@@ -607,13 +608,13 @@ def test_response_function_matches_the_hand_derived_chain(monkeypatch):
 def test_a_drive_on_a_scan_node_gives_that_node_once_in_order():
     cfg = _config(1, N_eff=2000.0)
     n_sat = saturation_photon_number(cfg.g0, RATES)
-    h, _, _ = _response_function(cfg, RATES)
+    h, f0, _, F0 = _response_function(cfg, RATES)
     grid = saturation._scan_grid(n_sat)
     hn = h(grid)
     middle = np.flatnonzero(np.diff(hn) < 0.0) + 1     # nodes on the unstable middle branch
     k = middle[middle.size // 2]
     y = np.array([0.5 * hn[k], hn[k], 2.0 * hn[k]])
-    roots = _per_drive(*_find_roots(h, y, n_sat))
+    roots = _per_drive(*_find_roots(h, y, n_sat, f0, F0))
     node_roots = roots[1]
     assert np.count_nonzero(node_roots == grid[k]) == 1
     assert node_roots.size == 3 and node_roots[1] == grid[k]
@@ -630,25 +631,109 @@ def test_one_curve_is_one_scan_and_a_few_refinement_passes(monkeypatch, which, m
     calls = []
 
     def counted(cfg, rates):
-        h, f0, f1 = _response_function(cfg, rates)
+        h, f0, f1, F0 = _response_function(cfg, rates)
 
         def h_counted(x, slope=False):
             calls.append((np.size(x), slope))
             return h(x, slope)
 
-        return h_counted, f0, f1
+        return h_counted, f0, f1, F0
 
     monkeypatch.setattr(saturation, "_response_function", counted)
     cfg = _config(which, N_eff=N_eff, model=model, sigma_y_over_x0=sigma,
                   power_grid=np.geomspace(1e-13, 1e-6, 61))
     curve = solve_saturation(cfg, RATES)
     (scan, scan_slope), *passes = calls
-    assert scan == 400 and not scan_slope       # the scan takes values only
+    # the scan takes values only, at the fixed nodes from two below min(y_min/F(0), 1) to two
+    # above y_max/f0: node k is kept when node k + 2 is not below the one bound (or lies past
+    # the last node) and node k - 2 is below the other (or lies before the first)
+    _, f0, f1, _ = _response_function(cfg, RATES)
+    s, w = saturation._cloud_rule(sigma, cfg.q_prime_x0)
+    y = scaled_drive_from_power(cfg.power_grid, RATES, curve.n_sat, CFG.lambda_probe)
+    nodes = np.concatenate([[0.0, 0.0], saturation._scan_grid(curve.n_sat), [math.inf, math.inf]])
+    kept = (nodes[4:] >= min(y[0] / (f0 + (f1 - f0) * float(s @ w)), 1.0)) & (nodes[:-4] < y[-1] / f0)
+    assert scan == np.count_nonzero(kept) <= 400 and not scan_slope
     # 2 or 3 passes (3 or 4 under a 1e-14*x step stop), each one value and slope at every
     # root once: n points, not 2n
     roots = sum(p.n_roots for p in curve.points)
     assert 1 <= len(passes) <= 3 and passes == [(roots, True)] * len(passes)
 
+
+
+@pytest.mark.parametrize("A_mf", [0.0, 0.075, 0.15, 0.5, 1.0,
+                                  *np.random.default_rng(3801).uniform(0.0, 1.0, 3).tolist()])
+def test_one_node_atom_sum_rises_up_to_z_1(A_mf):
+    # the slice's lower end: the one-node atom sum g(z) = z*P(z^2) rises up to its turning point
+    # z_turn(A), which lies in [1, 1.3] (1.2720 at A = 0, 1.2995 near A = 0.075) and is exactly
+    # 1 at A = 1, where g = z/(1 + z^2)
+    with mpmath.workdps(40):
+        A = mpmath.mpf(A_mf)
+
+        def slope(z):
+            return mpmath.diff(lambda t: 2 / ((1 + A) * t) * (
+                1 - 1 / mpmath.sqrt((1 + A * t * t) * (1 + t * t))), z)
+
+        z_turn = mpmath.findroot(slope, mpmath.mpf("1.1"))
+        assert 1 <= z_turn <= 1.3
+        assert all(slope(z_turn * k / 64) > 0 for k in range(1, 64))     # its first zero
+        if A_mf == 1.0:
+            assert abs(z_turn - 1) <= mpmath.mpf(10) ** -35
+
+
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("model, sigma", [("closed_form", 0.0), ("quadrature", 0.3),
+                                          ("quadrature", 0.8)])
+def test_h_rises_by_at_least_f0_up_to_x_1(which, model, sigma):
+    # dh/dx = f0 + (f1 - f0)*sum w*s*g'(x*sqrt(s)) with g' >= 0 up to z = 1, s <= 1 and
+    # f1 >= f0, so dh/dx >= f0 > 0 for x <= 1: no scan cell below x = 1 falls, and the slice
+    # may start at min(y_min/F(0), 1)
+    rng = np.random.default_rng(3802 + which)
+    x = np.geomspace(1e-6, 1.0, 4001)
+    for A_mf in (0.0, 0.15, 1.0, *rng.uniform(0.0, 1.0, 3)):
+        for N_eff in (1.0, 300.0, 1e5):
+            cfg = _config(which, N_eff=N_eff, A_mf=A_mf, model=model, sigma_y_over_x0=sigma,
+                          q_prime_x0=rng.uniform(0.5, 2.0))
+            h, f0, f1, _ = _response_function(cfg, RATES)
+            assert saturation._cloud_rule(sigma, cfg.q_prime_x0)[0].max() <= 1.0
+            assert 0.0 < f0 <= f1 and np.all(h(x, slope=True)[1] >= f0)
+
+
+def test_sliced_scan_gives_the_full_scans_roots_labels_and_errors():
+    # drives from below h at the first fixed node to above h at the last, so the slice reaches
+    # either end; the full scan's first fall, when the slice drops it, lies above every root
+    rng = np.random.default_rng(3803)
+    seen = dict.fromkeys(("solved", "three_roots", "no_sign_change", "even", "fall_dropped",
+                          "first_node", "last_node"), 0)
+    for case in range(400):
+        which, model = 1 + case % 2, ("closed_form", "quadrature")[case // 2 % 2]
+        cfg = _config(which, g0=mhz(10.0 ** rng.uniform(-1.0, 1.5)), N_eff=10.0 ** rng.uniform(0.0, 4.0),
+                      A_mf=rng.choice([0.0, 0.15, 1.0, rng.uniform()]), model=model,
+                      sigma_y_over_x0=rng.uniform(0.0, 0.8) if model == "quadrature" else 0.0,
+                      q_prime_x0=rng.uniform(0.5, 2.0))
+        n_sat = saturation_photon_number(cfg.g0, RATES)
+        h, f0, _, F0 = _response_function(cfg, RATES)
+        grid = saturation._scan_grid(n_sat)
+        ends = np.log(h(grid[[0, -1]]))
+        y = np.geomspace(*np.exp(np.sort(rng.uniform(ends[0] - 1.0, ends[1] + 1.0, 2))),
+                         rng.integers(2, 62))
+        seen["first_node"] += y[0] / F0 < grid[2]       # the slice starts at the first node
+        seen["last_node"] += y[-1] / f0 > grid[-3]      # and ends at the last
+        try:
+            ref = references.find_roots(h, y, n_sat)
+        except RuntimeError as error:
+            with pytest.raises(RuntimeError, match=f"^{re.escape(str(error))}$"):
+                _find_roots(h, y, n_sat, f0, F0)
+            seen["no_sign_change" if "no sign change" in str(error) else "even"] += 1
+            continue
+        roots, n_roots, turn = _find_roots(h, y, n_sat, f0, F0)
+        assert roots.tolist() == ref[0].tolist() and n_roots.tolist() == ref[1].tolist()
+        lowest = roots[np.cumsum(n_roots) - n_roots]
+        assert ((lowest >= turn) == (lowest >= ref[2])).all()
+        assert turn == ref[2] or turn == math.inf and ref[2] > roots.max()
+        seen["solved"] += 1
+        seen["three_roots"] += bool(np.any(n_roots == 3))
+        seen["fall_dropped"] += turn != ref[2]
+    assert min(seen.values()) >= 10, seen
 
 # bistable curves of the saturation_sweep benchmark with roots near a turning point, the
 # slowest to refine (4 or 5 passes): there the noisy slope keeps the Newton steps above
@@ -667,9 +752,9 @@ def test_bistable_curves_converge_to_the_per_power_roots(which, model, N_eff, si
     cfg = _config(which, N_eff=N_eff, model=model, sigma_y_over_x0=sigma, A_mf=A_mf,
                   q_prime_x0=q_prime_x0, power_grid=np.geomspace(1e-12, 1e-6, 61))
     n_sat = saturation_photon_number(cfg.g0, RATES)
-    h, _, _ = _response_function(cfg, RATES)
+    h, f0, _, F0 = _response_function(cfg, RATES)
     y = scaled_drive_from_power(cfg.power_grid, RATES, n_sat, CFG.lambda_probe)
-    roots, n_roots, _ = _find_roots(h, y, n_sat)      # RuntimeError past the pass cap
+    roots, n_roots, _ = _find_roots(h, y, n_sat, f0, F0)      # RuntimeError past the pass cap
     found = _per_drive(roots, n_roots)
     assert any(r.size == 3 for r in found)
     for yi, r in zip(y, found):
@@ -685,7 +770,7 @@ def test_bistable_curves_converge_to_the_per_power_roots(which, model, N_eff, si
 def _mp_root(cfg, y, x0):
     """The root near x0 of h(x) = y at 40 digits, h built from the solver's float f0, f1,
     cloud nodes and weights: x*(f0 + (f1 - f0)*P(x^2)), P = 2/((1+A)*x2) * sum w*(1 - 1/sqrt(p))."""
-    _, f0, f1 = _response_function(cfg, RATES)
+    _, f0, f1, _ = _response_function(cfg, RATES)
     s, w = saturation._cloud_rule(cfg.sigma_y_over_x0, cfg.q_prime_x0)
     with mpmath.workdps(40):
         A, f0, f1, y = (mpmath.mpf(v) for v in (cfg.A_mf, f0, f1, y))
@@ -708,9 +793,9 @@ def test_roots_match_40_digit_roots(which, model, sigma):
     for N_eff, powers in ((10.0, np.geomspace(1e-13, 1e-6, 5)), (2000.0, np.geomspace(1e-11, 1e-7, 9))):
         cfg = _config(which, N_eff=N_eff, model=model, sigma_y_over_x0=sigma, power_grid=powers)
         n_sat = saturation_photon_number(cfg.g0, RATES)
-        h, _, _ = _response_function(cfg, RATES)
+        h, f0, _, F0 = _response_function(cfg, RATES)
         y = scaled_drive_from_power(powers, RATES, n_sat, CFG.lambda_probe)
-        found = _per_drive(*_find_roots(h, y, n_sat))
+        found = _per_drive(*_find_roots(h, y, n_sat, f0, F0))
         bistable |= any(roots.size == 3 for roots in found)
         for yi, roots in zip(y, found):
             for x in roots.tolist():
@@ -721,7 +806,7 @@ def test_roots_match_40_digit_roots(which, model, sigma):
 def test_nan_inside_a_bracket_is_a_refinement_error_not_a_nan_root():
     cfg = _config(1, N_eff=10.0)
     n_sat = saturation_photon_number(cfg.g0, RATES)
-    h, _, _ = _response_function(cfg, RATES)
+    h, f0, _, F0 = _response_function(cfg, RATES)
     grid = saturation._scan_grid(n_sat)
     hn = h(grid)
     inside = np.array([0.5 * (hn[200] + hn[201])])
@@ -733,7 +818,7 @@ def test_nan_inside_a_bracket_is_a_refinement_error_not_a_nan_root():
 
     with pytest.raises(RuntimeError,
                        match="^saturation root refinement did not converge in 60 passes$"):
-        _find_roots(h_nan, inside, n_sat)
+        _find_roots(h_nan, inside, n_sat, f0, F0)
 
 
 @pytest.mark.parametrize("A_mf", [0.0, 0.17, 0.5, 1.0])
@@ -790,7 +875,7 @@ def _h_mp(cfg, f0, f1, x):
 @pytest.mark.parametrize("N_eff", [10.0, 300.0, 2000.0])
 def test_exact_slope_matches_mpmath_diff(which, model, sigma, N_eff):
     cfg = _config(which, N_eff=N_eff, model=model, sigma_y_over_x0=sigma)
-    h, f0, f1 = _response_function(cfg, RATES)
+    h, f0, f1, _ = _response_function(cfg, RATES)
     x = saturation._scan_grid(saturation_photon_number(cfg.g0, RATES))[::19]
     value, slope = h(x, slope=True)
     assert value.tolist() == h(x).tolist()      # the pair's first row is h itself
@@ -802,12 +887,12 @@ def test_exact_slope_matches_mpmath_diff(which, model, sigma, N_eff):
 def test_f0_and_f1_agree_with_the_amplitudes():
     # the scalar closed form against the array core's unit-drive amplitude at zero detuning
     for which in (1, 2):        # float rates give Python floats, with no numpy call
-        assert [type(f) for f in _response_function(_config(which), RATES)[1:]] == [float, float]
+        assert [type(f) for f in _response_function(_config(which), RATES)[1:]] == [float] * 3
     rng = np.random.default_rng(2700)
     for i in range(100):
         which, model = 1 + i % 2, ("closed_form", "quadrature")[i // 2 % 2]
         rates, cfg, _ = _random_case(rng, which, model)
-        _, f0, f1 = _response_function(cfg, rates)
+        _, f0, f1, _ = _response_function(cfg, rates)
         g = cfg.g0 * math.sqrt(cfg.N_eff)
         for coupling, f in ((0.0, f0), (g, f1)):
             couplings = (coupling, 0.0) if which == 1 else (0.0, coupling)
@@ -910,12 +995,12 @@ def test_a_drive_on_any_monotone_scan_node_has_its_root_at_that_node(which, N_ef
     # in about a quarter of the scan's cells
     cfg = _config(which, N_eff=N_eff)
     n_sat = saturation_photon_number(cfg.g0, RATES)
-    h, _, _ = _response_function(cfg, RATES)
+    h, f0, _, F0 = _response_function(cfg, RATES)
     grid = saturation._scan_grid(n_sat)
     hn = h(grid)
     k = np.flatnonzero((hn[1:-1] - hn[:-2]) * (hn[2:] - hn[1:-1]) > 0.0) + 1    # no turning point
     order = np.argsort(hn[k], kind="stable")
-    roots = _per_drive(*_find_roots(h, hn[k][order], n_sat))
+    roots = _per_drive(*_find_roots(h, hn[k][order], n_sat, f0, F0))
     for node, r in zip(k[order], roots):
         assert np.count_nonzero(r == grid[node]) == 1 and np.all(np.diff(r) > 0.0)
     if N_eff == 2000.0:     # falling cells are part of the check
