@@ -1,16 +1,14 @@
 """Reference data and checks that only the tests use: the golden rate table, the
-stationarity residual of a closed-form steady state, the atom sum in plain expressions and the
-saturation root search over every fixed scan node."""
+stationarity residual of a closed-form steady state and the atom sum in plain expressions."""
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
-from fiberqed import linear_response, oracle, saturation
+from fiberqed import linear_response, oracle
 
 
 def reference_rates() -> dict:
@@ -48,37 +46,3 @@ def per_unit_field(A_mf: float, x2, s: np.ndarray, w: np.ndarray, slope: bool = 
     if zero.any():
         out = np.where(zero, s @ w, out)
     return out if out.ndim else float(out)
-
-
-def find_roots(h, y: np.ndarray, n_sat: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """saturation._find_roots over all 400 fixed scan nodes, [1e-4, 1e3]*sqrt(n_sat), rather than
-    the slice of them where a root or the first fall of h can lie: the reference that the sliced
-    scan must equal in roots, root counts, branch labels and error messages."""
-    grid = saturation._scan_grid(n_sat)
-    hn = h(grid)
-    drive, cell = saturation._brackets(hn, y)
-    per_drive = np.bincount(drive, minlength=y.size)
-    if not (per_drive % 2).all():
-        raise RuntimeError("saturation root bracketing failed: " + (
-            "no sign change up to |X| = 1e3*sqrt(n_sat)" if per_drive.min() == 0 else
-            "an even number of sign changes up to |X| = 1e3*sqrt(n_sat) leaves a root beyond the scan"))
-    yd, a, b, ha, hb = y[drive], grid[cell], grid[cell + 1], hn[cell], hn[cell + 1]
-    rising, tol, done = hb > ha, 2.0**-50 * yd, np.zeros(yd.size, dtype=bool)
-    below, above = np.where(rising, a, b), np.where(rising, b, a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = np.where(hb == yd, b, a * (b / a) ** (np.log(yd / ha) / np.log(hb / ha)))
-        for _ in range(60):
-            r, slope = h(x, slope=True)
-            r -= yd
-            small, high = done | (np.abs(r) <= tol), r > 0.0
-            below, above = np.where(high, below, x), np.where(high, x, above)
-            new = x - r / slope
-            newton = ~done & ((new - below) * (new - above) < 0.0)
-            done = small | newton & (np.abs(new - x) <= 2.0**-26 * x)
-            x = np.where(newton, new, np.where(small, x, 0.5 * (below + above)))
-            if done.all():
-                break
-        else:
-            raise RuntimeError("saturation root refinement did not converge in 60 passes")
-    falling = hn[1:] < hn[:-1]
-    return x, per_drive, grid[falling.argmax() + 1] if falling.any() else math.inf

@@ -25,7 +25,6 @@ from fiberqed.saturation import (
 )
 from dataclasses import replace
 
-import references
 from references import per_unit_field
 
 CFG = PhysicalConfig()
@@ -700,7 +699,10 @@ def test_h_rises_by_at_least_f0_up_to_x_1(which, model, sigma):
 
 def test_sliced_scan_gives_the_full_scans_roots_labels_and_errors():
     # drives from below h at the first fixed node to above h at the last, so the slice reaches
-    # either end; the full scan's first fall, when the slice drops it, lies above every root
+    # either end; the full scan's first fall, when the slice drops it, lies above every root.
+    # The reference is _find_roots with its bounds opened (F0 = inf, f0 = y[-1]/grid[-1]), which
+    # slices all 400 nodes.  The matvec in h may round the slice's top nodes an ulp off the full
+    # scan's, which moves a root's log-log start and so its last bits: roots agree within 4e-15
     rng = np.random.default_rng(3803)
     seen = dict.fromkeys(("solved", "three_roots", "no_sign_change", "even", "fall_dropped",
                           "first_node", "last_node"), 0)
@@ -719,16 +721,17 @@ def test_sliced_scan_gives_the_full_scans_roots_labels_and_errors():
         seen["first_node"] += y[0] / F0 < grid[2]       # the slice starts at the first node
         seen["last_node"] += y[-1] / f0 > grid[-3]      # and ends at the last
         try:
-            ref = references.find_roots(h, y, n_sat)
+            ref = _find_roots(h, y, n_sat, y[-1] / grid[-1], math.inf)
         except RuntimeError as error:
             with pytest.raises(RuntimeError, match=f"^{re.escape(str(error))}$"):
                 _find_roots(h, y, n_sat, f0, F0)
             seen["no_sign_change" if "no sign change" in str(error) else "even"] += 1
             continue
         roots, n_roots, turn = _find_roots(h, y, n_sat, f0, F0)
-        assert roots.tolist() == ref[0].tolist() and n_roots.tolist() == ref[1].tolist()
-        lowest = roots[np.cumsum(n_roots) - n_roots]
-        assert ((lowest >= turn) == (lowest >= ref[2])).all()
+        assert n_roots.tolist() == ref[1].tolist()
+        np.testing.assert_allclose(roots, ref[0], rtol=4e-15, atol=0.0)
+        first = np.cumsum(n_roots) - n_roots
+        assert ((roots[first] >= turn) == (ref[0][first] >= ref[2])).all()
         assert turn == ref[2] or turn == math.inf and ref[2] > roots.max()
         seen["solved"] += 1
         seen["three_roots"] += bool(np.any(n_roots == 3))
