@@ -4,7 +4,7 @@ Folding each ensemble into its cavity, c_k = kappa_kp + i*delta_c + g_k^2/(gamma
 leaves a 3x3 system on (a1, a2, b) with determinant Delta = c1*m + v1^2*c2, m = kappa_b'*c2 + v2^2
 and kappa_b' = kappa_b + i*delta_c.  Cramer's rule gives every amplitude over Delta: a1 = -iE*m/Delta,
 a2 = iE*v1*v2/Delta, b = -E*v1*c2/Delta and s_k = -i*g_k*a_k/(gamma_perp + i*delta_a).  One core
-evaluates Delta in real arithmetic and in place; steady_state builds the amplitudes from its parts,
+evaluates Delta, c2 and m as complex arrays, in place; steady_state builds the amplitudes from them,
 for one probe or for stacked probes, couplings and rates alike.  At zero detuning Delta and m are
 real, a Python-float closed form that saturation reads with atoms in; both spectra are normalized by
 its empty-chain |Delta_0|^2: the drive and kappa_2r cancel, so a point costs one division,
@@ -75,49 +75,38 @@ def _check_damped(rates: DerivedRates, dc, da) -> None:
 
 
 def _delta_parts(rates: DerivedRates, dc, da, g1, g2):
-    """|Delta|^2 and the (real, imaginary) parts of Delta, c2 and m = kappa_b'*c2 + v2^2, in real
-    arithmetic: (ac - bd, ad + bc) for each complex product, 1/gp = (gamma_perp, -da)/|gp|^2.  dc,
-    da, g1, g2 and the rates may be arrays, and every step writes into one of eight buffers."""
+    """(|Delta|^2, Delta, c2, m) in complex arithmetic, each step in place in one of four complex
+    buffers and |Delta|^2 in its own; dc, da, g1, g2 and the rates may be arrays."""
+    if not (holds(g1 >= 0.0) and holds(g1 < np.inf) and holds(g2 >= 0.0) and holds(g2 < np.inf)):
+        raise ValueError("coupling strengths g1, g2 must be non-negative and finite")
     _check_damped(rates, dc, da)
-    gp, kb, v1, v2 = rates.gamma_perp, rates.kappa_b, rates.v1, rates.v2
-    shape = np.broadcast(dc, da, g1, g2, gp, kb, v1, v2, rates.kappa_1p, rates.kappa_2p).shape
-    c1r, c1i, c2r, c2i, mr, mi, t, det_sq = map(np.empty, [shape] * 8)
+    shape = np.broadcast(dc, da, g1, g2, rates.gamma_perp, rates.kappa_b, rates.v1, rates.v2,
+                         rates.kappa_1p, rates.kappa_2p).shape
+    kb, c1, c2, m = (np.empty(shape, complex) for _ in range(4))
     with np.errstate(all="ignore"):     # inf and NaN are judged below, with no numpy warning
-        np.divide(1.0, np.add(np.multiply(da, da, out=t), gp * gp, out=t), out=t)
-        np.multiply(t, gp, out=c1r)     # Re 1/gp
-        np.multiply(t, da, out=c1i)     # -Im 1/gp
-        # each cavity with its ensemble folded in: c_k = kappa_kp + i*dc + g_k^2/gp
-        np.add(np.multiply(c1r, g2 * g2, out=c2r), rates.kappa_2p, out=c2r)
-        np.subtract(dc, np.multiply(c1i, g2 * g2, out=c2i), out=c2i)
-        np.add(np.multiply(c1r, g1 * g1, out=c1r), rates.kappa_1p, out=c1r)
-        np.subtract(dc, np.multiply(c1i, g1 * g1, out=c1i), out=c1i)
-        # m = (kappa_b + i*dc)*c2 + v2^2
-        np.subtract(np.multiply(kb, c2r, out=mr), np.multiply(dc, c2i, out=t), out=mr)
-        mr += v2**2
-        np.add(np.multiply(kb, c2i, out=mi), np.multiply(dc, c2r, out=t), out=mi)
-        # Delta = c1*m + v1^2*c2: its imaginary part in t, its real part in c1r
-        np.add(np.multiply(c1r, mi, out=t), np.multiply(c1i, mr, out=det_sq), out=t)
-        t += np.multiply(c2i, v1**2, out=det_sq)
-        np.subtract(np.multiply(c1r, mr, out=c1r), np.multiply(c1i, mi, out=det_sq), out=c1r)
-        c1r += np.multiply(c2r, v1**2, out=det_sq)
-        np.add(np.multiply(c1r, c1r, out=det_sq), np.multiply(t, t, out=c1i), out=det_sq)
+        kb[...], c1[...] = dc, da           # cast in place: a ufunc's cast would allocate a buffer
+        kb *= 1j                            # i*dc, and kappa_b' = kappa_b + i*dc below
+        np.divide(1.0, np.add(np.multiply(c1, 1j, out=c1), rates.gamma_perp, out=c1), out=c1)   # 1/gp
+        for c, g, kappa in ((c2, g2, rates.kappa_2p), (c1, g1, rates.kappa_1p)):    # c1 holds 1/gp till last
+            np.add(np.multiply(c1, g * g, out=c), kb, out=c)        # c_k = kappa_kp + i*dc + g_k^2/gp
+            c += kappa
+        kb += rates.kappa_b
+        np.add(np.multiply(kb, c2, out=m), rates.v2**2, out=m)
+        np.add(np.multiply(c1, m, out=c1), np.multiply(c2, rates.v1**2, out=kb), out=c1)    # Delta
+        det_sq = np.square(c1.real)
+        det_sq += np.square(c1.imag, out=kb.real)
     if not (det_sq >= SINGULAR_FLOOR).all():        # NaN fails too: Delta overflowed, inf - inf
         raise RuntimeError(_SINGULAR if np.any(det_sq < SINGULAR_FLOOR) else
                            "|Delta| overflowed to NaN: the detunings or couplings are too large")
-    return det_sq, (c1r, t), (c2r, c2i), (mr, mi)
+    return det_sq, c1, c2, m
 
 
 def steady_state(rates: DerivedRates, probe: ProbeSettings, g1: float, g2: float) -> SteadyStateAmplitudes:
-    """Steady-state field and coherence amplitudes by Cramer's rule.  The probe fields, the
-    couplings and the rates may be stacked arrays, which broadcast as in _delta_parts."""
-    if not (holds(g1 >= 0.0) and holds(g2 >= 0.0)):       # NaN fails too
-        raise ValueError("coupling strengths must be non-negative")
-    _, *parts = _delta_parts(rates, probe.delta_c, probe.delta_a, g1, g2)
-    z = np.empty((3,) + parts[0][0].shape, complex)
-    z.real, z.imag = zip(*parts)        # not re + 1j*im, which makes an infinite im a NaN re
-    if not np.isfinite(z).all():        # inf/inf, or 0*inf, in the amplitudes
+    """Steady-state field and coherence amplitudes by Cramer's rule from Delta, c2 and m.  The probe
+    fields, the couplings and the rates may be stacked arrays, which broadcast as in _delta_parts."""
+    _, det, c2, m = _delta_parts(rates, probe.delta_c, probe.delta_a, g1, g2)
+    if not (np.isfinite(det).all() and np.isfinite(c2).all() and np.isfinite(m).all()):   # inf/inf, 0*inf
         raise RuntimeError("Delta, c2 or m overflowed: the amplitudes are not finite")
-    det, c2, m = z
     e = probe.drive_E1 / det
     a1 = -1j * e * m
     a2 = 1j * e * rates.v1 * rates.v2
@@ -126,8 +115,8 @@ def steady_state(rates: DerivedRates, probe: ProbeSettings, g1: float, g2: float
 
 
 def _resonant_det(rates: DerivedRates, g1_sq: float = 0.0, g2_sq: float = 0.0) -> tuple[float, float]:
-    """(Delta, m) at zero detuning in Python floats, with g_k^2/gamma_perp folded into c_k; at g = 0
-    in _delta_parts' float operations.  Damping is checked first, and |Delta|^2 as there."""
+    """(Delta, m) at zero detuning in Python floats, with g_k^2/gamma_perp folded into c_k; at g = 0 in
+    _delta_parts' float operations, all real there.  Damping is checked first, and |Delta|^2 as there."""
     _check_damped(rates, 0.0, 0.0)
     m = rates.kappa_b * (c2 := rates.kappa_2p + g2_sq / rates.gamma_perp) + rates.v2**2
     det = (rates.kappa_1p + g1_sq / rates.gamma_perp) * m + c2 * rates.v1**2
@@ -179,6 +168,9 @@ def transmission_spectrum(rates: DerivedRates, g1: float, g2: float, delta_c_off
     flux over the on-resonance empty-chain flux is |Delta_0|^2/|Delta|^2 at any drive; it is zero
     when kappa_2r*v1*v2 == 0.  The grid is required (the CLI's [probe] section holds the default);
     couplings stacked as (k, 1) columns give k spectra, one row each."""
+    if not abs(delta_c_offset) < np.inf:       # NaN fails too
+        raise ValueError("delta_c_offset must be finite")
+
     def transmission_at(det0_sq, d):
         det_sq = _delta_parts(rates, d if delta_c_offset == 0.0 else d + delta_c_offset, d, g1, g2)[0]
         return np.divide(det0_sq, det_sq, out=det_sq)

@@ -161,7 +161,7 @@ class DerivedRates:
             if not holds((r := getattr(self, name)) * r < math.inf):      # NaN fails too
                 raise ValueError(f"rate {name}={r!r} rad/s, from [physical] {source}, must be "
                                  "finite, and so must its square in (rad/s)^2")
-        if not holds(((gp := self.gamma_perp) == 0.0) | (gp * gp >= sys.float_info.min)):   # 1/(gp^2 + da^2)
+        if not holds(((gp := self.gamma_perp) == 0.0) | (gp * gp >= sys.float_info.min)):   # reduced_spectrum's gp^2
             raise ValueError(f"rate gamma_perp={gp!r} rad/s, from [physical] gamma_par, gamma_las, must be 0 "
                              "or have a square in (rad/s)^2 that does not underflow")
 

@@ -16,6 +16,7 @@ import fiberqed
 from fiberqed import params
 from fiberqed.oracle import adaptive_quadrature
 from fiberqed.params import FIBER_INDEX
+from fiberqed.saturation import SaturationConfig
 from dataclasses import fields, replace
 import mpmath
 from scipy import optimize, special
@@ -223,6 +224,13 @@ def test_fit_simplified_frozen():
     assert fit.A_mf == pytest.approx(0.14991, abs=0.005)
     assert fit.max_rel_error == pytest.approx(0.21266, abs=0.005)
     assert fit.params == P
+
+
+def test_saturation_defaults_are_the_reference_fit_to_the_bit():
+    # SaturationConfig restates fit_simplified(ModeFunctionParams()), and P is ModeFunctionParams():
+    # a fit that moves by one ulp must take the defaults with it
+    sat = SaturationConfig()
+    assert (sat.A_mf, sat.q_prime_x0) == (FIT.A_mf, FIT.qprime * P.r0)
 
 
 def _fit_grid(p):

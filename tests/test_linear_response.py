@@ -378,10 +378,14 @@ def test_stacked_multi_block_spectrum_equals_its_blocks_bit_for_bit():
         assert np.array_equal(spec.transmission[row], transmission_spectrum(RATES, a, b, grid=grid).transmission)
 
 
+BAD_COUPLINGS = ((np.array([1.0, -1.0]), 0.0), (0.0, np.array([[1.0], [math.nan]])), (math.nan, 0.0),
+                 (0.0, math.inf), (np.array([[math.inf], [0.0]]), 0.0), (-5e7, 0.0))
+
+
 def test_steady_state_checks_stacked_couplings_elementwise():
     probe = ProbeSettings(0.0, 0.0, 1.0)
-    for g1, g2 in ((np.array([1.0, -1.0]), 0.0), (0.0, np.array([[1.0], [math.nan]])), (math.nan, 0.0)):
-        with pytest.raises(ValueError, match="^coupling strengths must be non-negative$"):
+    for g1, g2 in BAD_COUPLINGS:
+        with pytest.raises(ValueError, match="^coupling strengths g1, g2 must be non-negative and finite$"):
             steady_state(RATES, probe, g1, g2)
     # float inputs give one amplitude each, an np.complex128, which is a complex
     amps = steady_state(RATES, probe, CFG.g1_eff, CFG.g2_eff)
@@ -389,6 +393,17 @@ def test_steady_state_checks_stacked_couplings_elementwise():
     stacked = steady_state(RATES, ProbeSettings(np.array([0.0, mhz(5.0)]), 0.0, 1.0),
                            np.array([[CFG.g1_eff], [0.0]]), CFG.g2_eff)
     assert stacked.a1.shape == (2, 2) and stacked.a1[0, 0] == amps.a1
+
+
+def test_spectrum_rejects_what_steady_state_rejects_by_name():
+    # a negative coupling used to give a spectrum, and a NaN or infinite coupling or offset a
+    # RuntimeError about |Delta| overflowing
+    for g1, g2 in BAD_COUPLINGS:
+        with pytest.raises(ValueError, match="^coupling strengths g1, g2 must be non-negative and finite$"):
+            transmission_spectrum(RATES, g1, g2, grid=GRID)
+    for offset in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="^delta_c_offset must be finite$"):
+            transmission_spectrum(RATES, 0.0, 0.0, offset, grid=GRID)
 
 
 def test_an_overflowed_empty_chain_norm_is_named():
