@@ -74,11 +74,16 @@ def _check_damped(rates: DerivedRates, dc, da) -> None:
                          "no steady state at zero atom detuning")
 
 
+def _check_couplings(g1, g2) -> None:
+    """The coupling rule of the Delta core and of normal_modes.decompose, elementwise over arrays."""
+    if not (holds(g1 >= 0.0) and holds(g1 < np.inf) and holds(g2 >= 0.0) and holds(g2 < np.inf)):
+        raise ValueError("coupling strengths g1, g2 must be non-negative and finite")
+
+
 def _delta_parts(rates: DerivedRates, dc, da, g1, g2):
     """(|Delta|^2, Delta, c2, m) in complex arithmetic, each step in place in one of four complex
     buffers and |Delta|^2 in its own; dc, da, g1, g2 and the rates may be arrays."""
-    if not (holds(g1 >= 0.0) and holds(g1 < np.inf) and holds(g2 >= 0.0) and holds(g2 < np.inf)):
-        raise ValueError("coupling strengths g1, g2 must be non-negative and finite")
+    _check_couplings(g1, g2)
     _check_damped(rates, dc, da)
     shape = np.broadcast(dc, da, g1, g2, rates.gamma_perp, rates.kappa_b, rates.v1, rates.v2,
                          rates.kappa_1p, rates.kappa_2p).shape

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import DerivedRates
-from .linear_response import SpectrumResult, _spectrum
+from .linear_response import SpectrumResult, _check_couplings, _spectrum
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ class NormalModeSummary:
 
 
 def decompose(rates: DerivedRates, g1: float, g2: float) -> NormalModeSummary:
-    """Normal-mode summary for given cavity-fiber rates and couplings."""
+    """Normal-mode summary for given cavity-fiber rates and couplings (finite and >= 0)."""
+    _check_couplings(g1, g2)
     v1, v2 = rates.v1, rates.v2
     if v1 == 0.0 and v2 == 0.0:
         raise ValueError("degenerate input: v1 = v2 = 0 leaves no fiber coupling")
@@ -68,7 +69,11 @@ def decompose(rates: DerivedRates, g1: float, g2: float) -> NormalModeSummary:
         ]
     )
 
-    radicand = gd1**2 + gd2**2 - 0.25 * (kappa_d - rates.gamma_perp) ** 2
+    try:        # Python floats raise OverflowError on a square past the float range, not on a sum
+        if not math.isfinite(radicand := gd1**2 + gd2**2 - 0.25 * (kappa_d - rates.gamma_perp) ** 2):
+            raise OverflowError
+    except OverflowError:
+        raise RuntimeError(f"overflow: the Rabi radicand of gd1={gd1!r}, gd2={gd2!r} rad/s is not finite") from None
     rabi = math.sqrt(radicand) if radicand > 0.0 else 0.0     # so resolved is rabi > 0
 
     return NormalModeSummary(

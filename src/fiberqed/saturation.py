@@ -15,11 +15,9 @@ relative of the full sum).  Because h does not depend on power, one scan serves 
 curve: the slice of 400 fixed nodes over |X| in [1e-4, 1e3]*sqrt(n_sat) that can hold a root or
 the first fall of h (f0*x <= h <= F(0)*x, and h rises for x <= 1).  A cell brackets y when
 min(h_a, h_b) <= y < max(h_a, h_b), a sign change of h > y, so every y with h(first node) <= y <
-h(last node) has an odd root count; an even count leaves a root beyond the nodes, and raises.  Mostly
-2 or 3 vectorised passes of safeguarded Newton steps (at most 60), each evaluating h and its exact
-slope once per root, refine them, a root done once its step is at most sqrt(eps)*x; each power takes
-T from its lowest root, the up-sweep (a down-sweep would take the highest), on the "high" branch
-once a falling scan cell lies below it.
+h(last node) has an odd root count; an even count leaves a root beyond the nodes, and raises.  Each
+power takes T from its lowest root, the up-sweep's, the only one refined (mostly 2 or 3 vectorised
+Newton passes), and is on the "high" branch once a falling scan cell lies below that root.
 """
 
 from __future__ import annotations
@@ -195,15 +193,15 @@ def _response_function(cfg: SaturationConfig, rates: DerivedRates):
 
 
 def _brackets(h: np.ndarray, y: np.ndarray):
-    """(drive, cell) pairs with min(h[cell], h[cell + 1]) <= y[drive] < max(h[cell], h[cell + 1]),
-    a sign change of h > y, drive by drive and up in cell; a cell with a NaN end brackets
-    nothing.  y must be non-decreasing: then each cell's drives are one np.searchsorted range."""
-    first = np.searchsorted(y, np.minimum(h[:-1], h[1:]))      # a NaN end sorts both past y
-    count = np.searchsorted(y, np.maximum(h[:-1], h[1:])) - first
-    cell = np.repeat(np.arange(count.size), count)
-    drive = np.arange(cell.size) + (first - np.cumsum(count) + count)[cell]
-    order = np.argsort(drive, kind="stable")
-    return drive[order], cell[order]
+    """For non-decreasing y, each drive's count of cells with min(h_a, h_b) <= y < max(h_a, h_b), a
+    sign change of h > y (none where an end is NaN), and on a finite h its lowest one: it ends at the
+    first node where h > y differs from h[0] > y, in the running maximum of h (minimum if h[0] > y)."""
+    lo, hi = np.searchsorted(y, (np.minimum(h[:-1], h[1:]), np.maximum(h[:-1], h[1:])))   # NaN: past y
+    count = np.cumsum(np.bincount(lo, minlength=y.size + 1) - np.bincount(hi, minlength=y.size + 1))
+    node = np.searchsorted(np.maximum.accumulate(h), y, side="right")
+    if j := np.searchsorted(y, h[0]):       # the drives below h[0], where the scan starts above y
+        node[:j] = np.searchsorted(-np.minimum.accumulate(h), -y[:j])
+    return count[:-1], node - 1
 
 
 def _scan_grid(n_sat: float) -> np.ndarray:
@@ -211,44 +209,40 @@ def _scan_grid(n_sat: float) -> np.ndarray:
 
 
 def _find_roots(h, y: np.ndarray, n_sat: float, f0: float, F0: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Sorted positive roots of h(x) = y for every drive of the non-decreasing y at once,
-    drive by drive in one flat array, each drive's number of roots, and the upper node of
-    the first falling scan cell (inf when the scan never falls).
+    """Each drive's lowest positive root of h(x) = y for the non-decreasing y at once, its
+    number of roots, and the upper node of the first falling scan cell (inf if none falls).
 
-    h does not depend on the drive, so one log scan serves all drives: the 400 nodes over
-    [1e-4, 1e3]*sqrt(n_sat) from two below min(y[0]/F0, 1) to two above y[-1]/f0, as f0*x <= h(x)
-    <= F0*x.  No root lies above y[-1]/f0, so a falling cell there labels no root "high"; none
-    lies below y[0]/F0, and none of h's cells falls below x = 1, where dh/dx >= f0 (s <= 1, and
-    the one-node x*P(x^2) rises up to x >= 1).  Two nodes absorb the rounding of h, and a drive
-    beyond the nodes takes the slice to their end.  _brackets finds the drives' cells by sorted
-    search, and a root on a scan node is that node exactly.  h rises overall, so an even count
-    leaves a root beyond the scan: RuntimeError, as for none, and a zero count is named first.
-    Each root starts at the log-log interpolation of its cell and takes Newton steps (exact
-    slope, same h call), bisecting when a step leaves the cell shrunk by the sign of h - y,
-    until |h - y| <= 2**-50*y or a Newton step inside the cell is <= 2**-26*x: as Newton
-    converges quadratically, a step s leaves an error of about C*s^2, which at s = sqrt(eps)*x
-    is no more than one rounding of h moves the root.  Mostly 2 or 3 passes; RuntimeError if 60
-    do not do it.
+    One log scan serves all drives: the 400 nodes over [1e-4, 1e3]*sqrt(n_sat) from two below
+    min(y[0]/F0, 1) to two above y[-1]/f0, as f0*x <= h(x) <= F0*x.  No root lies above y[-1]/f0,
+    so a falling cell there labels no root "high"; none lies below y[0]/F0, and no cell falls below
+    x = 1, where dh/dx >= f0 (s <= 1, and the one-node x*P(x^2) rises up to x >= 1).  Two nodes
+    absorb the rounding of h, and a drive beyond the nodes takes the slice to their end.  An even
+    count (h rises overall) or none is a RuntimeError, none named first, and then a non-finite h at
+    a node.  The root starts at the log-log interpolation of the lowest cell, a node exactly when
+    h there is y, and takes Newton steps (exact slope, same h call) until |h - y| <= 2**-50*y or an
+    in-cell step is <= 2**-26*x, whose error ~step^2 is below one rounding of h; a step that leaves
+    the cell bisects it.  Mostly 2 or 3 passes of len(y) points; RuntimeError if 60 do not do it.
     """
     grid = _scan_grid(n_sat)
     first, last = np.searchsorted(grid, (min(y[0] / F0, 1.0), y[-1] / f0))
     grid = grid[max(first - 2, 0):last + 2]
     hn = h(grid)
-    drive, cell = _brackets(hn, y)
-    per_drive = np.bincount(drive, minlength=y.size)
-    if not (per_drive % 2).all():
+    n_roots, cell = _brackets(hn, y)
+    if not (n_roots % 2).all():
         raise RuntimeError("saturation root bracketing failed: " + (
-            "no sign change up to |X| = 1e3*sqrt(n_sat)" if per_drive.min() == 0 else
+            "no sign change up to |X| = 1e3*sqrt(n_sat)" if n_roots.min() == 0 else
             "an even number of sign changes up to |X| = 1e3*sqrt(n_sat) leaves a root beyond the scan"))
-    yd, a, b, ha, hb = y[drive], grid[cell], grid[cell + 1], hn[cell], hn[cell + 1]
-    rising, tol, done = hb > ha, 2.0**-50 * yd, np.zeros(yd.size, dtype=bool)
+    if not np.isfinite(hn).all():
+        raise RuntimeError("saturation root bracketing failed: h is not finite at a scan node")
+    a, b, ha, hb = grid[cell], grid[cell + 1], hn[cell], hn[cell + 1]
+    rising, tol, done = hb > ha, 2.0**-50 * y, np.zeros(y.size, dtype=bool)
     below, above = np.where(rising, a, b), np.where(rising, b, a)     # ends with h < y, h > y
     with np.errstate(divide="ignore", invalid="ignore"):    # a flat or NaN slope bisects
         # log-log interpolation; a node root is h(a) = y in a rising cell, h(b) = y in a falling one
-        x = np.where(hb == yd, b, a * (b / a) ** (np.log(yd / ha) / np.log(hb / ha)))
+        x = np.where(hb == y, b, a * (b / a) ** (np.log(y / ha) / np.log(hb / ha)))
         for _ in range(60):     # bisection alone narrows a 4% cell to adjacent floats in 48
             r, slope = h(x, slope=True)
-            r -= yd
+            r -= y
             small, high = done | (np.abs(r) <= tol), r > 0.0
             below, above = np.where(high, below, x), np.where(high, x, above)
             new = x - r / slope
@@ -260,7 +254,7 @@ def _find_roots(h, y: np.ndarray, n_sat: float, f0: float, F0: float) -> tuple[n
         else:
             raise RuntimeError("saturation root refinement did not converge in 60 passes")
     falling = hn[1:] < hn[:-1]
-    return x, per_drive, grid[falling.argmax() + 1] if falling.any() else math.inf
+    return x, n_roots, grid[falling.argmax() + 1] if falling.any() else math.inf
 
 
 def solve_saturation(
@@ -272,8 +266,7 @@ def solve_saturation(
     n_sat = saturation_photon_number(cfg.g0, rates)
     powers = np.asarray(cfg.power_grid, dtype=float)
     drives = scaled_drive_from_power(powers, rates, n_sat, lambda_probe)
-    roots, n_roots, turn = _find_roots(h, drives, n_sat, f0, F0)
-    lowest = roots[np.cumsum(n_roots) - n_roots]
+    lowest, n_roots, turn = _find_roots(h, drives, n_sat, f0, F0)
     T = f0 * f0 * np.square(lowest) / drives**2
     branch = ["high" if x >= turn else "low" for x in lowest.tolist()]
     points = list(map(SaturationPoint, powers.tolist(), T.tolist(), n_roots.tolist(), branch))

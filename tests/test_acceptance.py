@@ -17,10 +17,10 @@ import numpy as np
 import pytest
 
 from fiberqed import oracle
-from fiberqed.fiber_mode import fit_simplified, make_mode_params
+from fiberqed.fiber_mode import fit_simplified
 from fiberqed.linear_response import transmission_spectrum
 from fiberqed.normal_modes import decompose, peak_find, reduced_spectrum
-from fiberqed.params import PhysicalConfig, derive_rates, mhz, to_mhz
+from fiberqed.params import ModeFunctionParams, PhysicalConfig, derive_rates, mhz, to_mhz
 from fiberqed.saturation import (
     SaturationConfig,
     quadrature_saturation_term,
@@ -166,8 +166,8 @@ def test_criterion_8_saturation_limits(which):
     )
 
 
-_FIT = fit_simplified(make_mode_params())
-_Q = make_mode_params().q
+_FIT = fit_simplified(ModeFunctionParams())
+_Q = ModeFunctionParams().q
 
 
 @pytest.mark.parametrize(

@@ -59,7 +59,7 @@ def test_saturation_config_carries_the_fitted_mode_function():
                  "[physical]\ng1_0 = 0.9\ng2_0 = 0.6\n[atoms]\ng1_eff = 3.1\ng2_eff = 11.7\n"
                  "[saturation]\nwhich_cavity = 2\n"):
         cfg = parse_config(text)
-        fit = fiber_mode.fit_simplified(fiber_mode.make_mode_params(
+        fit = fiber_mode.fit_simplified(ModeFunctionParams(
             wavelength=cfg.physical.lambda_probe, r0=cfg.mode.r0,
         ))
         sat = _saturation_config(cfg)

@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 
 import pytest
 
-from fiberqed.fiber_mode import ModeFunctionParams, SimplifiedFit, make_mode_params
+from fiberqed.fiber_mode import ModeFunctionParams, SimplifiedFit
 from fiberqed.linear_response import ProbeSettings
 from fiberqed.params import PhysicalConfig
 from fiberqed.saturation import SaturationConfig
@@ -14,8 +14,8 @@ from fiberqed.saturation import SaturationConfig
 VALID = {
     PhysicalConfig: PhysicalConfig(),
     SaturationConfig: SaturationConfig(),
-    ModeFunctionParams: make_mode_params(),
-    SimplifiedFit: SimplifiedFit(qprime=2.8e6, A_mf=0.15, max_rel_error=0.2, params=make_mode_params()),
+    ModeFunctionParams: ModeFunctionParams(),
+    SimplifiedFit: SimplifiedFit(qprime=2.8e6, A_mf=0.15, max_rel_error=0.2, params=ModeFunctionParams()),
     ProbeSettings: ProbeSettings(),
 }
 CASES = [(cls, f.name) for cls in VALID for f in fields(cls) if f.type == "float"]

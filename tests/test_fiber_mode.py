@@ -10,18 +10,17 @@ from fiberqed.fiber_mode import (
     fit_simplified,
     g_squared_exact,
     g_squared_simplified,
-    make_mode_params,
 )
 import fiberqed
 from fiberqed import params
 from fiberqed.oracle import adaptive_quadrature
-from fiberqed.params import FIBER_INDEX
+from fiberqed.params import FIBER_INDEX, ModeFunctionParams
 from fiberqed.saturation import SaturationConfig
 from dataclasses import fields, replace
 import mpmath
 from scipy import optimize, special
 
-P = make_mode_params()
+P = ModeFunctionParams()
 FIT = fit_simplified(P)
 
 
@@ -91,14 +90,14 @@ def test_transverse_constants():
 
 def test_q_follows_a_replaced_beta():
     # q is derived from beta, n2 and k, so a replaced geometry cannot carry a stale q
-    assert replace(P, beta=8.5e6).q == make_mode_params(beta=8.5e6).q
-    assert make_mode_params(beta=8.5e6).q == pytest.approx(4.23e6, rel=0.01)
+    assert replace(P, beta=8.5e6).q == ModeFunctionParams(beta=8.5e6).q
+    assert ModeFunctionParams(beta=8.5e6).q == pytest.approx(4.23e6, rel=0.01)
     assert g_squared_exact(replace(P, beta=8.5e6), 500e-9, 0.0, 0.0) == pytest.approx(0.3323, abs=1e-4)
 
 
 def test_geometry_is_one_class_that_stores_its_wavelength():
-    # make_mode_params is ModeFunctionParams, defined next to PhysicalConfig; k and q are derived
-    assert fiberqed.make_mode_params is fiberqed.ModeFunctionParams is params.ModeFunctionParams
+    # ModeFunctionParams is defined next to PhysicalConfig; k and q are derived
+    assert fiberqed.ModeFunctionParams is params.ModeFunctionParams
     assert [f.name for f in fields(P)] == ["beta", "wavelength", "n2", "s", "a", "r0"]
     assert P.wavelength == params.PhysicalConfig.lambda_probe
     w = 900e-9
@@ -115,7 +114,7 @@ def test_wavelength_must_be_positive_and_finite(w):
 
 def test_far_trap_minimum_is_rejected_by_name():
     # from r0 of about 135 um the exact intensity at r0 underflows: no NaN fit, an error
-    far = make_mode_params(r0=1e-3)
+    far = ModeFunctionParams(r0=1e-3)
     for call in (lambda: g_squared_exact(far, far.r0, 0.0, 0.0), lambda: fit_simplified(far)):
         with pytest.raises(ValueError, match=r"trap minimum r0=0\.001"):
             call()
@@ -124,8 +123,8 @@ def test_far_trap_minimum_is_rejected_by_name():
 def test_subnormal_trap_minimum_intensity_is_rejected():
     # the norm at r0 is 3.2e-308 at 127 um but subnormal, 1.2e-310, at 128 um
     with pytest.raises(ValueError, match=r"trap minimum r0=0\.000128 "):
-        fit_simplified(make_mode_params(r0=1.28e-4))
-    fit = fit_simplified(make_mode_params(r0=1.27e-4))
+        fit_simplified(ModeFunctionParams(r0=1.28e-4))
+    fit = fit_simplified(ModeFunctionParams(r0=1.27e-4))
     assert fit.qprime / fit.params.q == pytest.approx(0.88153, abs=1e-4)
 
 
@@ -199,12 +198,12 @@ def test_param_validation():
     # the geometry is checked when built: replace builds a new one
     with pytest.raises(ValueError, match="0 < a < r0"):
         replace(P, r0=P.a)
-    # make_mode_params names the bad argument: non-finite, or a beta the fiber does not guide
+    # ModeFunctionParams names the bad argument: non-finite, or a beta the fiber does not guide
     with pytest.raises(ValueError, match="s=nan must be finite"):
-        make_mode_params(s=math.nan)
+        ModeFunctionParams(s=math.nan)
     for beta in (P.n2 * P.k, 1e6, FIBER_INDEX * P.k):
         with pytest.raises(ValueError, match=rf"beta={beta!r} is not guided"):
-            make_mode_params(beta=beta)
+            ModeFunctionParams(beta=beta)
     with pytest.raises(ValueError, match="beta=12000000.0 is not guided"):
         replace(P, beta=1.2e7)
     with pytest.raises(ValueError, match="A_mf must lie in"):
@@ -264,7 +263,7 @@ def _projected(p, qprime, grid):
 @pytest.mark.parametrize("r0", [350e-9, 400e-9, 450e-9, 500e-9])
 def test_fit_matches_least_squares(r0):
     # reference: scipy's bounded two-parameter least squares from (1.3 q, 0.17)
-    p = make_mode_params(r0=r0)
+    p = ModeFunctionParams(r0=r0)
     grid = _fit_grid(p)
     ref = optimize.least_squares(
         lambda x: _residuals(p, x[0], x[1], grid),
@@ -296,7 +295,7 @@ def test_fit_is_the_minimum_of_a_dense_scan():
 def test_fit_with_no_slope_sign_change_returns_the_lower_cost_end(s, beta_share, end):
     # near the fiber, with beta a share of the way from k to n1*k, the projected cost's slope keeps
     # one sign across [0.5q, 3q]: the search stops at an end, and it must be the lower-cost one
-    p = make_mode_params(r0=201e-9, s=s, beta=P.k * (1.0 + beta_share * (FIBER_INDEX - 1.0)))
+    p = ModeFunctionParams(r0=201e-9, s=s, beta=P.k * (1.0 + beta_share * (FIBER_INDEX - 1.0)))
     fit, grid = fit_simplified(p), _fit_grid(p)
     assert fit.qprime == end * p.q
     cost = {x: _cost(p, x * p.q, _projected(p, x * p.q, grid)[0], grid) for x in (0.5, 3.0)}
@@ -334,7 +333,7 @@ def _stationary_qprime(p, dps=40):
 @pytest.mark.parametrize("r0", [260e-9, 350e-9, 400e-9, 450e-9, 500e-9, 700e-9])
 def test_fit_qprime_is_the_stationary_point_of_its_cost(r0):
     # a search that stops on cost comparisons resolves qprime only to about sqrt(eps)
-    p = make_mode_params(r0=r0)
+    p = ModeFunctionParams(r0=r0)
     ref = _stationary_qprime(p)
     assert abs(fit_simplified(p).qprime - ref) <= 1e-9 * ref
 
@@ -346,7 +345,7 @@ def test_fit_qprime_is_the_stationary_point_of_its_cost(r0):
 def test_an_overflowing_exact_profile_is_named(geometry, message):
     # (1 + s)^2 overflows, or K2(q*r0) does: a named error with no numpy warning, where the
     # profile used to raise a bare OverflowError, or blame a NaN trap-minimum intensity
-    p = make_mode_params(**geometry)
+    p = ModeFunctionParams(**geometry)
     for call in (lambda: g_squared_exact(p, p.r0, 0.0, 0.0), lambda: fit_simplified(p)):
         with pytest.raises(ValueError, match=message):
             call()
@@ -355,8 +354,8 @@ def test_an_overflowing_exact_profile_is_named(geometry, message):
 def test_a_profile_falling_150_decades_across_the_fit_grid_is_named():
     # at 10 nm with beta = 8.8e8 1/m, q = 6.2e8 1/m: the profile falls by 2.8e-161 over the fit's
     # 300 nm, its relative weights would overflow, and the fit used to end in a NaN A_mf
-    p = make_mode_params(wavelength=1e-8, beta=8.8e8)
+    p = ModeFunctionParams(wavelength=1e-8, beta=8.8e8)
     with pytest.raises(ValueError, match=r"^exact profile falls 150 decades on the fit grid: q\*r0=246, "
                                          r"s=-0\.828$"):
         fit_simplified(p)
-    assert fit_simplified(make_mode_params(wavelength=1e-8, beta=8e8)).A_mf == pytest.approx(0.3639, abs=1e-4)
+    assert fit_simplified(ModeFunctionParams(wavelength=1e-8, beta=8e8)).A_mf == pytest.approx(0.3639, abs=1e-4)

@@ -118,6 +118,22 @@ def test_overflowing_rates_are_a_named_numeric_failure():
         decompose(replace(RATES, v1=1e154, v2=1e154), CFG.g1_eff, CFG.g2_eff)
 
 
+def test_decompose_takes_the_coupling_rule_of_the_delta_core():
+    # NaN, inf and negative couplings gave gd1 = nan (unresolved), an infinite Rabi splitting
+    # (resolved) and gd1 = -3.0e7 rad/s; transmission_spectrum rejects them with the same error
+    for g in (math.nan, math.inf, -5e7):
+        for g1, g2 in ((g, 4e7), (4e7, g)):
+            for call in (lambda: decompose(RATES, g1, g2),
+                         lambda: transmission_spectrum(RATES, g1, g2, grid=[0.0])):
+                with pytest.raises(ValueError, match="^coupling strengths g1, g2 must be non-negative and finite$"):
+                    call()
+    # a finite coupling whose square overflows (a bare OverflowError before), or whose two
+    # squares sum past the float range, names the Rabi radicand
+    for g1, g2, gd1 in ((1e200, 4e7, r"6\.00\d*e\+199"), (1.5e154, 1.5e154, r"9\.00\d*e\+153")):
+        with pytest.raises(RuntimeError, match=rf"^overflow: the Rabi radicand of gd1={gd1}, gd2=\S+ rad/s is not finite$"):
+            decompose(RATES, g1, g2)
+
+
 def test_decoupled_output_gives_zero_reduced_spectrum():
     # kappa_2r*v1*v2 == 0: no light reaches the output, with or without atoms; both
     # spectra share one zero-normalization rule instead of dividing 0 by 0

@@ -15,7 +15,7 @@ from fiberqed.oracle import (
     run_validation,
     solve_dense,
 )
-from fiberqed.params import PhysicalConfig, derive_rates, mhz
+from fiberqed.params import ModeFunctionParams, PhysicalConfig, derive_rates, mhz
 from dataclasses import replace
 
 CFG = PhysicalConfig()
@@ -144,7 +144,7 @@ def _validation_integrals():
             return np.exp(-u * u) * (1.0 - 1.0 / np.sqrt((1.0 + a_mf * x2 * s) * (1.0 + x2 * s)))
         return integrand
 
-    fit = fiber_mode.fit_simplified(fiber_mode.make_mode_params())
+    fit = fiber_mode.fit_simplified(ModeFunctionParams())
     p = fit.params
     yield from ((cloud(x2, sigma), -8.0, 8.0, 1e-13) for x2 in (0.25, 1.0, 4.0) for sigma in (0.0, 0.3))
     yield lambda z: fiber_mode.g_squared_simplified(fit, p.r0, 0.0, z), 0.0, math.pi / p.beta, 1e-14
